@@ -10,6 +10,7 @@ and consumers split into homogeneous parts when that matters.
 from __future__ import annotations
 
 import itertools
+from operator import add, mul
 
 from .hirsch_ops import HirschOpTable
 from .polynomial import AlgebraError, GeneratorSet, Polynomial
@@ -30,10 +31,6 @@ def word_degree(gens, word) -> int:
 
 def word_str(gens, word) -> str:
     return "[" + "|".join(gens.monomial_str(m) for m in word) + "]"
-
-
-def zero_element():
-    return {}
 
 
 def add_into(out, word, coeff, ring):
@@ -72,6 +69,7 @@ def bar_basis(gens: GeneratorSet, degree, max_weight=None):
     needs no more than n letters since every letter has degree >= 2."""
     cap = degree if max_weight is None else min(max_weight, degree)
     words = []
+    letters = {d: gens.basis_in_degree(d) for d in range(2, degree + 2)}
 
     def build(prefix, remaining, slots):
         if slots == 0:
@@ -80,7 +78,7 @@ def bar_basis(gens: GeneratorSet, degree, max_weight=None):
             return
         # each remaining slot consumes at least 1 desuspended degree
         for d in range(2, remaining - (slots - 1) + 2):
-            for m in gens.basis_in_degree(d):
+            for m in letters[d]:
                 prefix.append(m)
                 build(prefix, remaining - (d - 1), slots - 1)
                 prefix.pop()
@@ -90,21 +88,33 @@ def bar_basis(gens: GeneratorSet, degree, max_weight=None):
     return words
 
 
+def boundary_terms(gens: GeneratorSet, word):
+    """The words of d[word] with their signs, as (word, +1 or -1) pairs.
+
+    The product of two monomials of S(U) is the monomial whose exponent
+    tuple is the sum of theirs, with coefficient 1, so no polynomial
+    arithmetic is needed.  The term merging letters i and i+1 carries
+    the sign (-1)^(|a_0|-1 + ... + |a_i|-1).  The terms are distinct
+    words, and all of them have the total exponent vector of word."""
+    degrees = gens.degrees
+    out = []
+    e = 0
+    for i in range(len(word) - 1):
+        e += sum(map(mul, word[i], degrees)) - 1
+        prod = tuple(map(add, word[i], word[i + 1]))
+        out.append((word[:i] + (prod,) + word[i + 2:], -1 if e & 1 else 1))
+    return out
+
+
 def bar_differential(gens: GeneratorSet, x):
     """Sum of adjacent products with the usual desuspension signs; the
     internal differential of a polynomial algebra is zero."""
     ring = gens.ring
     out = {}
     for word, coeff in x.items():
-        e = 0
-        for i in range(len(word) - 1):
-            e += _degree(gens, word[i]) - 1
-            prod = Polynomial.monomial(gens, word[i]) * \
-                Polynomial.monomial(gens, word[i + 1])
-            sign = ring.one() if e % 2 == 0 else ring.neg(ring.one())
-            for mono, c in prod.terms.items():
-                new = word[:i] + (mono,) + word[i + 2:]
-                add_into(out, new, ring.mul(coeff, ring.mul(sign, c)), ring)
+        neg = ring.neg(coeff)
+        for new, sign in boundary_terms(gens, word):
+            add_into(out, new, coeff if sign > 0 else neg, ring)
     return out
 
 
@@ -230,17 +240,6 @@ def _emit_word(gens, letters, coeff, out):
         add_into(out, tuple(word), c, ring)
 
 
-def _expand_letters(gens, letters, coeff, out):
-    ring = gens.ring
-    for combo in itertools.product(*(p.terms.items() for p in letters)):
-        c = coeff
-        word = []
-        for mono, tc in combo:
-            c = ring.mul(c, tc)
-            word.append(mono)
-        add_into(out, tuple(word), c, ring)
-
-
 def shuffle_product(gens: GeneratorSet, x, y):
     table = HirschOpTable.trivial(gens)
     return muE_product(table, x, y)
@@ -347,7 +346,7 @@ def induced_bar_map(src: GeneratorSet, dst: GeneratorSet, images, x):
                 for _ in range(e):
                     img = img * base
             polys.append(img)
-        _expand_letters(dst, polys, coeff, out)
+        _emit_word(dst, polys, coeff, out)
     return out
 
 

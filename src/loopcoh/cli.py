@@ -2,8 +2,9 @@
 text report (with timings) and an optional machine-readable JSON report
 (byte-deterministic, no timings).
 
-Exit codes: 0 success, 1 verdict not computable, 2 internal check
-failure or invalid input.
+Exit codes: 0 success, 1 outside the configured bounds or verdict not
+computable, 2 internal check failure or invalid input.  Every failure
+also writes a JSON report whose "errors" field names it.
 """
 from __future__ import annotations
 
@@ -13,26 +14,32 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import CONVENTION_VERSION
-from .bar import bar_basis, bar_differential, check_chain_map
+from .bar import BarError, bar_basis, bar_differential, check_chain_map
 from .config import ConfigError, parse_config
-from .hirsch_ops import (check_derivation_relations,
+from .hirsch_ops import (MissingOperation, check_derivation_relations,
                          check_sq_specialization_cases)
-from .homology import BarComplex, RingTable, exterior_verdict
+from .homology import (BarComplex, HomologyError, RingTable,
+                       exterior_verdict, homology_ranks)
 from .koszul import oracle_dimensions
-from .linalg import SparseMatrix
-from .resolution import (Differential, check_hexagon, enumerate_rh_basis,
-                         verify_siteration, word_str)
-from .rings import RingSpec
+from .linalg import ResourceCapError, SparseMatrix
+from .polynomial import AlgebraError
+from .resolution import (Differential, ResolutionError, check_hexagon,
+                         enumerate_rh_basis, verify_siteration, word_str)
+from .rings import RingError
 
 
 # ---------------------------------------------------------------------------
 # boundary-matrix cache
 
 def _cache_key(cfg, max_degree):
+    # the block layout is part of the key, so that a file written with
+    # another layout is never read as this one
     payload = "|".join((cfg.canonical_json(), f"max_degree={max_degree}",
-                        f"convention={CONVENTION_VERSION}"))
+                        f"convention={CONVENTION_VERSION}",
+                        "blocks=exponent_vector"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -43,13 +50,9 @@ def _matrix_to_json(m):
 
 
 def _matrix_from_json(doc, ring):
-    from fractions import Fraction
-    m = SparseMatrix(doc["rows"], doc["cols"], ring)
-    for i, j, c in doc["entries"]:
-        value = Fraction(c)
-        m.add_entry(i, j, ring.normalize(
-            value if ring.kind == "rationals" else int(value)))
-    return m
+    parse = Fraction if ring.kind == "rationals" else int
+    return SparseMatrix(doc["rows"], doc["cols"], ring,
+                        {(i, j): parse(c) for i, j, c in doc["entries"]})
 
 
 def _complex_for(cfg, max_degree):
@@ -103,6 +106,10 @@ def _coeff_str(c):
     return str(c)
 
 
+def _torsion_json(torsion):
+    return {str(n): factors for n, factors in torsion.items()}
+
+
 def _coords_json(coords):
     return {",".join(str(i) for i in s): _coeff_str(c)
             for s, c in sorted(coords.items())}
@@ -118,28 +125,15 @@ def _emit(report, json_path):
         os.replace(tmp, json_path)
 
 
-def _homology_data(cfg, max_degree):
-    cx = _complex_for(cfg, max_degree)
-    ranks = []
-    torsion = {}
-    prev_rank = 0
-    for n in range(0, max_degree + 1):
-        rank_n = cx.boundary_rank(n)
-        ranks.append(cx.dimension(n) - rank_n - prev_rank)
-        if not cfg.ring.is_field:
-            tors = cx.torsion(n)
-            if tors:
-                torsion[str(n)] = tors
-        prev_rank = rank_n
-    return ranks, torsion
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_ranks(cfg, max_degree, out):
     report = _base_report("ranks", cfg, max_degree)
-    ranks, torsion = _homology_data(cfg, max_degree)
+    data = homology_ranks(cfg.gens, max_degree,
+                          _complex_for(cfg, max_degree))
+    ranks = data["ranks"]
+    torsion = _torsion_json(data["torsion"])
     report["ranks"] = ranks
     report["torsion"] = torsion
     out.write("loop-space cohomology ranks over %s, degrees 0..%d\n"
@@ -178,11 +172,12 @@ def cmd_ring(cfg, max_degree, out):
 def cmd_check_exterior(cfg, max_degree, out):
     report = _base_report("check-exterior", cfg, max_degree)
     table = cfg.op_table()
-    verdict = exterior_verdict(table, max_degree)
+    verdict = exterior_verdict(table, max_degree,
+                               _complex_for(cfg, max_degree))
     report["verdict"] = verdict["verdict"]
     report["ranks"] = verdict["ranks"]
     report["oracle"] = verdict["oracle"]
-    report["torsion"] = {str(n): t for n, t in verdict["torsion"].items()}
+    report["torsion"] = _torsion_json(verdict["torsion"])
     report["flags"] = verdict["flags"]
     report["witness"] = verdict["witness"]
     out.write("verdict: %s\n" % verdict["verdict"])
@@ -197,7 +192,10 @@ def cmd_check_exterior(cfg, max_degree, out):
 
 def cmd_oracle_compare(cfg, max_degree, out):
     report = _base_report("oracle-compare", cfg, max_degree)
-    ranks, torsion = _homology_data(cfg, max_degree)
+    data = homology_ranks(cfg.gens, max_degree,
+                          _complex_for(cfg, max_degree))
+    ranks = data["ranks"]
+    torsion = _torsion_json(data["torsion"])
     oracle = oracle_dimensions(cfg.gens, max_degree)
     report["ranks"] = ranks
     report["oracle"] = oracle
@@ -336,6 +334,17 @@ def build_parser():
     return parser
 
 
+def _fail(args, cfg, max_degree, exc, code, out):
+    """Report an error raised by a command: a text line and a JSON report
+    with the error named in its "errors" field; returns the exit code."""
+    message = f"{type(exc).__name__}: {exc}"
+    out.write("error: %s\n" % message)
+    report = _base_report(args.command, cfg, max_degree)
+    report["errors"] = [message]
+    _emit(report, args.json)
+    return code
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
@@ -363,7 +372,13 @@ def main(argv=None, out=None):
         out.write("error: max degree must be positive\n")
         return 2
     t0 = time.perf_counter()
-    report, code = COMMANDS[args.command](cfg, max_degree, out)
+    try:
+        report, code = COMMANDS[args.command](cfg, max_degree, out)
+    except ResourceCapError as exc:
+        return _fail(args, cfg, max_degree, exc, 1, out)
+    except (AlgebraError, BarError, HomologyError, MissingOperation,
+            ResolutionError, RingError) as exc:
+        return _fail(args, cfg, max_degree, exc, 2, out)
     elapsed = time.perf_counter() - t0
     out.write("elapsed: %.2f s\n" % elapsed)
     _emit(report, args.json)

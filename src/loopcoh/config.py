@@ -21,7 +21,6 @@ class ConfigError(Exception):
 DEFAULT_BOUNDS = {
     "max_degree": 10,
     "max_resolution_degree": -3,
-    "weight_cap": None,
     "iteration_cap": 8,
 }
 
@@ -179,8 +178,7 @@ def parse_config(text: str) -> JobConfig:
         problems.append("cache_dir: must be a string path")
         cache_dir = None
 
-    known = {"ring", "generators", "sq1", "sq_overrides", "bounds",
-             "cache_dir"}
+    known = {"ring", "generators", "sq1", "bounds", "cache_dir"}
     for key in doc:
         if key not in known:
             problems.append(f"{key}: unknown field")

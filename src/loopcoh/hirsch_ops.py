@@ -157,10 +157,6 @@ class HirschOpTable:
         return out
 
 
-def eval_op(table: HirschOpTable, p, q, left, right) -> Polynomial:
-    return table.eval(p, q, left, right)
-
-
 def _positive_basis(gens, max_degree):
     out = []
     for n in range(2, max_degree + 1):

@@ -7,7 +7,7 @@ deterministic.
 """
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .rings import RingError, RingSpec
 
@@ -42,6 +42,25 @@ class SparseMatrix:
         self.entries = clean
         self.row_labels = row_labels
         self.col_labels = col_labels
+
+    @classmethod
+    def from_reduced(cls, n_rows, n_cols, ring: RingSpec, entries,
+                     row_labels=None, col_labels=None,
+                     dimension_cap=DEFAULT_DIMENSION_CAP):
+        """Matrix over entries that are already in range, nonzero and
+        reduced (residues in [0, p) over F_p), taken without copying.
+        Over Q they may be Python ints: an int is an exact rational."""
+        if dimension_cap is not None and max(n_rows, n_cols) > dimension_cap:
+            raise ResourceCapError(
+                f"matrix {n_rows}x{n_cols} exceeds cap {dimension_cap}")
+        m = cls.__new__(cls)
+        m.n_rows = n_rows
+        m.n_cols = n_cols
+        m.ring = ring
+        m.entries = entries
+        m.row_labels = row_labels
+        m.col_labels = col_labels
+        return m
 
     def add_entry(self, i, j, v):
         """Accumulate v into entry (i, j), dropping it if it cancels."""
@@ -147,11 +166,14 @@ def column_echelon_basis(m: SparseMatrix):
 
 
 def rank_over_field(m: SparseMatrix) -> int:
-    """Exact matrix rank by Gaussian elimination over a field."""
+    """Exact matrix rank by Gaussian elimination over a field; over Q
+    without fractions (see _rank_integer_columns)."""
     if not m.ring.is_field:
         raise RingError(f"rank_over_field called over {m.ring.describe()}")
     if m.ring.char == 2:
         return _rank_gf2(m)
+    if m.ring.kind == "rationals":
+        return _rank_integer_columns(_integer_columns(m))
     basis = {}
     rank = 0
     for col in m.columns():
@@ -177,6 +199,62 @@ def _rank_gf2(m: SparseMatrix) -> int:
                 rank += 1
                 break
     return rank
+
+
+def _integer_columns(m: SparseMatrix):
+    """Columns of a rational matrix, each scaled by the lcm of its
+    denominators to integers; scaling a column keeps the rank."""
+    cols = m.columns()
+    for k, col in enumerate(cols):
+        den = lcm(*(c.denominator for c in col.values()))
+        if den == 1:
+            cols[k] = {i: c.numerator for i, c in col.items()}
+        else:
+            cols[k] = {i: (c * den).numerator for i, c in col.items()}
+    return cols
+
+
+def _rank_integer_columns(columns) -> int:
+    """Rank of integer columns by fraction-free elimination, column by
+    column (after Bareiss 1968, with gcds in place of his division by
+    the previous pivot).  A column v whose lowest row r is the pivot row
+    of a basis column b becomes a*v - c*b, where a/c is b[r]/v[r] in
+    lowest terms; when a is not a unit the result is divided by its
+    content.  Entries stay small, every step is exact, and the rank is
+    the rank over Q."""
+    basis = {}  # pivot row -> primitive integer column
+    for v in columns:
+        while v:
+            r = min(v)
+            b = basis.get(r)
+            if b is None:
+                basis[r] = _primitive(v)
+                break
+            a, c = b[r], v[r]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            if a == 1:
+                v = dict(v)
+            elif a == -1:
+                v = {i: -x for i, x in v.items()}
+            else:
+                v = {i: a * x for i, x in v.items()}
+            for i, y in b.items():
+                x = v.get(i, 0) - c * y
+                if x:
+                    v[i] = x
+                else:
+                    del v[i]
+            if a not in (1, -1):
+                v = _primitive(v)
+    return len(basis)
+
+
+def _primitive(v):
+    g = content(v.values())
+    if g == 1:
+        return v
+    return {i: x // g for i, x in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +407,15 @@ def smith_normal_form(m: SparseMatrix):
 
     diagonal = []
     while rows:
-        # pivot: smallest absolute value, ties by position for determinism
+        # pivot: smallest absolute value, ties by position for determinism;
+        # the scan stops after the first row that holds a unit
         pi, pj, pv = None, None, None
         for i in rows:
             for j, val in rows[i].items():
                 if pv is None or (abs(val), i, j) < (abs(pv), pi, pj):
                     pi, pj, pv = i, j, val
+            if pv in (1, -1):
+                break
         # clear the pivot row and column
         while True:
             moved = False
@@ -364,17 +445,19 @@ def smith_normal_form(m: SparseMatrix):
             if not moved:
                 break
         pv = rows[pi][pj]
-        # divisibility: pivot must divide every remaining entry
+        # divisibility: pivot must divide every remaining entry; a unit
+        # divides them all
         offender = None
-        for i in rows:
-            if i == pi:
-                continue
-            for j, val in rows[i].items():
-                if val % pv:
-                    offender = i
+        if pv not in (1, -1):
+            for i in rows:
+                if i == pi:
+                    continue
+                for j, val in rows[i].items():
+                    if val % pv:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
             row_op(offender, pi, 1)
             continue

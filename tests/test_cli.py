@@ -5,6 +5,9 @@ import os
 import pytest
 
 from loopcoh.cli import main
+from loopcoh.koszul import oracle_dimensions
+from loopcoh.polynomial import GeneratorSet
+from loopcoh.rings import RingSpec
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -133,3 +136,58 @@ def test_cache_does_not_change_values(tmp_path):
     run(["ranks", "--config", cfg, "--json", out1])
     run(["ranks", "--config", cfg, "--cache-dir", cache, "--json", out2])
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_ranks_rational_pair_degree_eleven(tmp_path):
+    cfg = write_config(tmp_path, {
+        "ring": "Q",
+        "generators": [{"name": "x2", "degree": 2},
+                       {"name": "y2", "degree": 2}],
+    })
+    json_path = str(tmp_path / "out.json")
+    code, _ = run(["ranks", "--config", cfg, "--max-degree", "11",
+                   "--json", json_path])
+    assert code == 0
+    report = json.loads(open(json_path).read())
+    gens = GeneratorSet(("x2", "y2"), (2, 2), RingSpec.rationals())
+    assert report["ranks"] == oracle_dimensions(gens, 11)
+    assert report["torsion"] == {}
+
+
+def test_check_exterior_fills_the_cache(tmp_path):
+    cfg = f2_pair(tmp_path)
+    cache = tmp_path / "cache"
+    code, _ = run(["check-exterior", "--config", cfg,
+                   "--cache-dir", str(cache)])
+    assert code == 0
+    assert os.listdir(cache)
+
+
+@pytest.mark.parametrize("name, args, code", [
+    ("ResourceCapError", ("boom",), 1),
+    ("ResolutionError", ("boom",), 2),
+    ("MissingOperation", (3, 4), 2),
+    ("RingError", ("boom",), 2),
+    ("HomologyError", ("boom",), 2),
+    ("BarError", ("boom",), 2),
+    ("AlgebraError", ("boom",), 2),
+])
+def test_command_errors_exit_with_report(tmp_path, monkeypatch, capsys,
+                                         name, args, code):
+    import loopcoh.cli as cli
+    exc = getattr(cli, name)(*args)
+
+    def fail(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "homology_ranks", fail)
+    cfg = z_single(tmp_path)
+    json_path = str(tmp_path / "out.json")
+    got, text = run(["ranks", "--config", cfg, "--json", json_path])
+    assert got == code
+    report = json.loads(open(json_path).read())
+    assert report["command"] == "ranks"
+    assert report["errors"] == [f"{name}: {exc}"]
+    assert f"error: {name}: {exc}" in text
+    captured = capsys.readouterr()
+    assert "Traceback" not in text + captured.out + captured.err

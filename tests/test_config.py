@@ -118,3 +118,19 @@ def test_canonical_json_is_stable():
     reordered = {k: doc[k] for k in reversed(list(doc))}
     b = parse_config(json.dumps(reordered))
     assert a.canonical_json() == b.canonical_json()
+
+
+def test_sq_overrides_rejected():
+    doc = valid_doc()
+    doc["sq_overrides"] = {"u2,u2": "u3"}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.problems == ["sq_overrides: unknown field"]
+
+
+def test_weight_cap_bound_rejected():
+    doc = valid_doc()
+    doc["bounds"]["weight_cap"] = 3
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.problems == ["bounds.weight_cap: unknown bound"]

@@ -1,15 +1,20 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from loopcoh import bar
 from loopcoh.hirsch_ops import HirschOpTable
-from loopcoh.homology import (BarComplex, RingTable, exterior_verdict,
-                              homology_ranks)
+from loopcoh.homology import (BarComplex, HomologyError, RingTable,
+                              exterior_verdict, homology_ranks)
 from loopcoh.koszul import oracle_dimensions
+from loopcoh.linalg import SparseMatrix, column_echelon_basis
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
 
 Z = RingSpec.integers()
 Q = RingSpec.rationals()
 F2 = RingSpec.prime_field(2)
+F3 = RingSpec.prime_field(3)
 
 
 def test_ranks_single_even_generator():
@@ -100,3 +105,75 @@ def test_verdict_is_deterministic():
     a = exterior_verdict(table, 6)
     b = exterior_verdict(table, 6)
     assert a == b
+
+
+def _unsplit_boundary(gens, n):
+    """Whole-degree matrix of d: C_n -> C_(n+1), one row per word of
+    degree n+1, built from Polynomial products of adjacent letters."""
+    ring = gens.ring
+    dom = bar.bar_basis(gens, n)
+    cod = bar.bar_basis(gens, n + 1)
+    index = {w: i for i, w in enumerate(cod)}
+    m = SparseMatrix(len(cod), len(dom), ring, row_labels=cod,
+                     col_labels=dom, dimension_cap=None)
+    for j, w in enumerate(dom):
+        e = 0
+        for i in range(len(w) - 1):
+            e += gens.monomial_degree(w[i]) - 1
+            prod = Polynomial.monomial(gens, w[i]) * \
+                Polynomial.monomial(gens, w[i + 1])
+            for mono, c in prod.terms.items():
+                new = w[:i] + (mono,) + w[i + 2:]
+                m.add_entry(index[new], j, c if e % 2 == 0 else ring.neg(c))
+    return m
+
+
+@st.composite
+def small_algebras(draw):
+    ring = draw(st.sampled_from([Z, Q, F2, F3]))
+    # odd degrees need characteristic two
+    degrees = [2, 3, 4] if ring == F2 else [2, 4]
+    degs = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=3))
+    names = tuple(f"g{i}" for i in range(len(degs)))
+    return GeneratorSet(names, tuple(sorted(degs)), ring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_algebras())
+@example(GeneratorSet(("a", "b", "c"), (2, 2, 2), Z))
+@example(GeneratorSet(("a", "b", "c"), (2, 2, 2), Q))
+@example(GeneratorSet(("a", "b", "c"), (2, 3, 4), F2))
+@example(GeneratorSet(("a", "b", "c"), (2, 2, 4), F3))
+def test_exponent_vector_blocks_match_unsplit_matrix(gens):
+    max_degree = 6
+    cx = BarComplex(gens, max_degree)
+    for n in range(max_degree + 1):
+        whole = _unsplit_boundary(gens, n)
+        rows = {w: i for i, w in enumerate(whole.row_labels)}
+        cols = {w: j for j, w in enumerate(whole.col_labels)}
+        # every entry of the whole matrix sits in exactly one block
+        seen = {}
+        for m in cx.boundary_blocks(n):
+            for (i, j), c in m.entries.items():
+                key = (rows[m.row_labels[i]], cols[m.col_labels[j]])
+                assert key not in seen
+                seen[key] = c
+        assert seen == whole.entries
+        # slow reference rank: Fraction echelon of the unsplit matrix,
+        # read over Q when the ring is Z
+        ref = whole if gens.ring.is_field else \
+            SparseMatrix(whole.n_rows, whole.n_cols, Q, whole.entries,
+                         dimension_cap=None)
+        assert cx.boundary_rank(n) == len(column_echelon_basis(ref))
+    got = homology_ranks(gens, max_degree, cx)
+    assert got["ranks"] == oracle_dimensions(gens, max_degree)
+    assert got["torsion"] == {}
+
+
+def test_homology_ranks_rejects_a_foreign_complex():
+    gens = GeneratorSet(("x2",), (2,), Z)
+    with pytest.raises(HomologyError):
+        homology_ranks(gens, 6, BarComplex(gens, 5))
+    other = GeneratorSet(("x2",), (2,), Q)
+    with pytest.raises(HomologyError):
+        homology_ranks(gens, 6, BarComplex(other, 6))

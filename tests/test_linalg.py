@@ -117,3 +117,25 @@ def test_random_smith_product_is_determinant_like(seed):
     # each invariant factor divides the next
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 7), st.integers(1, 7))
+def test_rational_rank_matches_fraction_echelon(seed, n_rows, n_cols):
+    from fractions import Fraction
+    rng = random.Random(seed)
+    # mostly zeros, small numerators and denominators, some repeated and
+    # scaled columns so that ranks below full occur
+    cols = []
+    for _ in range(n_cols):
+        if cols and rng.random() < 0.3:
+            scale = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            cols.append([scale * c for c in rng.choice(cols)])
+        else:
+            cols.append([Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                         if rng.random() < 0.6 else Fraction(0)
+                         for _ in range(n_rows)])
+    m = SparseMatrix(n_rows, n_cols, Q, {(i, j): c
+                                         for j, col in enumerate(cols)
+                                         for i, c in enumerate(col) if c})
+    assert rank_over_field(m) == len(column_echelon_basis(m))
