@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -55,33 +56,72 @@ def _matrix_from_json(doc, ring):
                         {(i, j): parse(c) for i, j, c in doc["entries"]})
 
 
+def _cache_document(path):
+    """The JSON document after the digest line of a cache file, or None
+    when the sha256 of its bytes as read is not the one on that line."""
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        payload = fh.read()
+    if json.loads(header)["sha256"] != hashlib.sha256(payload).hexdigest():
+        return None
+    # drop the bytes before parsing, so that only the text is held
+    # while the document is built
+    payload = payload.decode("utf-8")
+    return json.loads(payload)
+
+
+def _read_cache(path, cx):
+    """The boundary matrices of cx stored at path, by degree, or None
+    when the file is missing or unreadable, does not match its digest,
+    or does not fit the blocks of cx."""
+    try:
+        doc = _cache_document(path)
+        if doc is None:
+            return None
+        boundary = doc["boundary"]
+        matrices = {}
+        for n in range(cx.max_degree + 1):
+            blocks = boundary[str(n)]
+            if [(b["rows"], b["cols"]) for b in blocks] != \
+                    cx.block_shapes(n):
+                return None
+            matrices[n] = [_matrix_from_json(b, cx.gens.ring)
+                           for b in blocks]
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+    return matrices
+
+
+def _write_cache(path, cx):
+    """Store the boundary matrices of cx at path, atomically: a line
+    with the sha256 of the payload, then the payload."""
+    boundary = {str(n): [_matrix_to_json(m) for m in cx.boundary_blocks(n)]
+                for n in range(cx.max_degree + 1)}
+    payload = json.dumps({"boundary": boundary}, sort_keys=True,
+                         separators=(",", ":")).encode("utf-8")
+    header = json.dumps({"sha256": hashlib.sha256(payload).hexdigest()})
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n" + payload)
+    os.replace(tmp, path)
+
+
 def _complex_for(cfg, max_degree):
     """Bar complex with its boundary matrices restored from the cache
-    when available; a miss computes them and writes the cache atomically.
-    Hit or miss never changes any computed value."""
+    when a valid entry is there; otherwise they are computed and the
+    entry is (re)written.  Hit or miss never changes any computed
+    value."""
     cx = BarComplex(cfg.gens, max_degree)
-    cache_dir = cfg.cache_dir
-    if cache_dir is None:
+    if cfg.cache_dir is None:
         return cx
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, _cache_key(cfg, max_degree) + ".json")
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        ring = cfg.ring
-        for n_str, blocks in doc["boundary"].items():
-            cx._matrices[int(n_str)] = [
-                _matrix_from_json(b, ring) for b in blocks]
-        return cx
-    boundary = {}
-    for n in range(0, max_degree + 1):
-        boundary[str(n)] = [_matrix_to_json(m)
-                            for m in cx.boundary_blocks(n)]
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"boundary": boundary}, fh, sort_keys=True,
-                  separators=(",", ":"))
-    os.replace(tmp, path)
+    os.makedirs(cfg.cache_dir, exist_ok=True)
+    path = os.path.join(cfg.cache_dir,
+                        _cache_key(cfg, max_degree) + ".jsonl")
+    matrices = _read_cache(path, cx)
+    if matrices is None:
+        _write_cache(path, cx)
+    else:
+        cx._matrices.update(matrices)
     return cx
 
 
@@ -249,10 +289,9 @@ def cmd_verify(cfg, max_degree, out):
     suites.append(_suite("resolution_d_squared", len(bad), checked, bad))
 
     # hexagon relation on generator triples
-    import itertools as _it
     bad = []
     checked = 0
-    for t in _it.product(range(len(gens.names)), repeat=3):
+    for t in itertools.product(range(len(gens.names)), repeat=3):
         if sum(gens.degrees[i] for i in t) > max_degree + 2:
             continue
         checked += 1

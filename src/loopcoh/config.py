@@ -18,6 +18,9 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.problems))
 
 
+# the config fields that can change a computed value
+RESULT_FIELDS = ("ring", "generators", "sq1", "bounds")
+
 DEFAULT_BOUNDS = {
     "max_degree": 10,
     "max_resolution_degree": -3,
@@ -44,10 +47,10 @@ class JobConfig:
         return HirschOpTable.sq_structure(self.gens, self.sq1)
 
     def canonical_json(self) -> str:
-        """Stable serialization of everything that affects results,
-        used for cache keys."""
-        return json.dumps(self.raw, sort_keys=True,
-                          separators=(",", ":"))
+        """Stable serialization of the fields that affect results, used
+        for cache keys; where the cache lives is not one of them."""
+        fields = {k: self.raw[k] for k in RESULT_FIELDS if k in self.raw}
+        return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
 def parse_polynomial(gens: GeneratorSet, text, path, problems):
@@ -178,7 +181,7 @@ def parse_config(text: str) -> JobConfig:
         problems.append("cache_dir: must be a string path")
         cache_dir = None
 
-    known = {"ring", "generators", "sq1", "bounds", "cache_dir"}
+    known = {*RESULT_FIELDS, "cache_dir"}
     for key in doc:
         if key not in known:
             problems.append(f"{key}: unknown field")

@@ -78,12 +78,24 @@ class BarComplex:
             return []
         cached = self._matrices.get(n)
         if cached is None:
-            cod = self._blocks[n + 1]
-            cached = [_block_matrix(self.gens, dom_words, cod[key])
-                      for key, dom_words in sorted(self._blocks[n].items())
-                      if key in cod]
+            cached = [_block_matrix(self.gens, dom_words, cod_words)
+                      for dom_words, cod_words in self._block_pairs(n)]
             self._matrices[n] = cached
         return cached
+
+    def block_shapes(self, n):
+        """(rows, cols) of each matrix boundary_blocks(n) returns, in the
+        same order, without building them."""
+        if n < 0 or n > self.max_degree:
+            return []
+        return [(len(cod_words), len(dom_words))
+                for dom_words, cod_words in self._block_pairs(n)]
+
+    def _block_pairs(self, n):
+        cod = self._blocks[n + 1]
+        return [(dom_words, cod[key])
+                for key, dom_words in sorted(self._blocks[n].items())
+                if key in cod]
 
     def _smith_diagonals(self, n):
         """Smith diagonal of every block of d: C_n -> C_(n+1),

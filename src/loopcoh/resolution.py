@@ -926,34 +926,44 @@ def verify_siteration(gens: GeneratorSet, x, iteration_cap=8,
 # ---------------------------------------------------------------------------
 # basis enumeration
 
-def enumerate_rh_letters(gens: GeneratorSet, r_min=-3, n_max=12):
-    """All normal-form letters with resolution degree >= r_min and
-    internal degree <= n_max, grouped by resolution degree."""
+def enumerate_rh_letters(gens: GeneratorSet, r_min=-3, n_max=12,
+                         degrees=None):
+    """Normal-form letters with resolution degree >= r_min and internal
+    degree <= n_max, grouped by resolution degree.  Every argument word
+    is one letter followed by degree-0 letters (see words_with); letters
+    with other argument words are not listed.  When `degrees` is a
+    dict, it receives the internal degree of every letter returned."""
     if r_min > 0:
         raise ResolutionError("r_min must be <= 0")
-    letters = {0: [v_letter(i) for i in range(len(gens.names))
-                   if gens.degrees[i] <= n_max]}
+    degree = {} if degrees is None else degrees
+    letters = {0: []}
+    for i, n in enumerate(gens.degrees):
+        if n <= n_max:
+            letters[0].append(v_letter(i))
+            degree[v_letter(i)] = n
+    # words_with(t) reads only the letters of degrees t and 0, which are
+    # all built before any later step asks for it, so one memo serves
+    # the whole enumeration
+    words = {}
 
-    def words_with(res_target, internal_cap):
-        """All nonempty words of already-built letters with the given
-        total resolution degree and internal degree <= internal_cap."""
-        pool = []
-        for r in range(0, res_target - 1, -1):
-            for l in letters.get(r, []):
-                pool.append((r, letter_bidegree(gens, l)[1], l))
+    def words_with(res_target):
+        """(word, internal degree) pairs with internal degree <= n_max:
+        a letter of resolution degree res_target followed by degree-0
+        letters, depth first in letter order."""
+        cached = words.get(res_target)
+        if cached is not None:
+            return cached
         out = []
 
-        def build(prefix, res_left, cap_left):
-            if prefix and res_left == 0:
-                out.append(tuple(prefix))
-            for r, n, l in pool:
-                if res_left - r < 0 or n > cap_left:
-                    continue
-                prefix.append(l)
-                build(prefix, res_left - r, cap_left - n)
-                prefix.pop()
+        def extend(word, used):
+            out.append((word, used))
+            for l in letters[0]:
+                if used + degree[l] <= n_max:
+                    extend(word + (l,), used + degree[l])
 
-        build([], res_target, internal_cap)
+        for l in letters[res_target]:
+            extend((l,), degree[l])
+        words[res_target] = out
         return out
 
     for target in range(-1, r_min - 1, -1):
@@ -963,8 +973,11 @@ def enumerate_rh_letters(gens: GeneratorSet, r_min=-3, n_max=12):
             size = -target // 2 + 1
             for combo in itertools.combinations_with_replacement(
                     range(len(gens.names)), size):
-                if sum(gens.degrees[i] for i in combo) <= n_max:
-                    found.append(cup_letter(combo))
+                n = sum(gens.degrees[i] for i in combo)
+                if n <= n_max:
+                    letter = cup_letter(combo)
+                    found.append(letter)
+                    degree[letter] = n
         # E letters over all shapes and argument degree distributions
         max_arity = -target + 1
         for p in range(1, max_arity):
@@ -973,38 +986,55 @@ def enumerate_rh_letters(gens: GeneratorSet, r_min=-3, n_max=12):
                 if args_res_total > 0:
                     continue
                 for dist in _compositions(-args_res_total, p + q):
-                    arg_lists = []
-                    dead = False
-                    for res in dist:
-                        ws = words_with(-res, n_max)
-                        if not ws:
-                            dead = True
-                            break
-                        arg_lists.append(ws)
-                    if dead:
+                    arg_lists = [words_with(-res) for res in dist]
+                    if not all(arg_lists):
                         continue
-                    for combo in itertools.product(*arg_lists):
-                        internal = sum(word_bidegree(gens, w)[1]
-                                       for w in combo)
-                        if internal > n_max:
-                            continue
+                    for combo, n in _product_within(arg_lists, n_max):
                         letter = e_letter(combo[:p], combo[p:])
                         if _is_nonnormal(letter):
                             continue
                         found.append(letter)
+                        degree[letter] = n
         letters[target] = found
     return letters
+
+
+def _product_within(arg_lists, budget):
+    """The tuples of itertools.product over lists of (item, degree)
+    pairs whose degrees sum to at most budget, in product order, each
+    with its degree sum.  A candidate is skipped as soon as the slots
+    after it cannot fit in what is left of the budget, so no tuple is
+    built only to be dropped."""
+    k = len(arg_lists)
+    # min_rest[i]: the least degree that slots i, i+1, ... can add
+    min_rest = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        min_rest[i] = min_rest[i + 1] + min(n for _, n in arg_lists[i])
+    out = []
+    combo = [None] * k
+
+    def walk(i, used):
+        if i == k:
+            out.append((tuple(combo), used))
+            return
+        rest = min_rest[i + 1]
+        for item, n in arg_lists[i]:
+            if used + n + rest > budget:
+                continue
+            combo[i] = item
+            walk(i + 1, used + n)
+
+    walk(0, 0)
+    return out
 
 
 def enumerate_rh_basis(gens: GeneratorSet, r_min=-3, n_max=12):
     """Per-bidegree monomial basis of the truncated resolution: dict
     (res, internal) -> list of words."""
-    letters = enumerate_rh_letters(gens, r_min, n_max)
-    pool = []
-    for r in sorted(letters, reverse=True):
-        for l in letters[r]:
-            _, n = letter_bidegree(gens, l)
-            pool.append((r, n, l))
+    degree = {}
+    letters = enumerate_rh_letters(gens, r_min, n_max, degrees=degree)
+    pool = [(r, degree[l], l)
+            for r in sorted(letters, reverse=True) for l in letters[r]]
     basis = {}
 
     def build(prefix, res, internal):

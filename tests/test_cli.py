@@ -1,10 +1,13 @@
+import hashlib
 import io
 import json
 import os
 
 import pytest
 
-from loopcoh.cli import main
+from loopcoh.cli import _cache_key, _read_cache, main
+from loopcoh.config import parse_config
+from loopcoh.homology import BarComplex
 from loopcoh.koszul import oracle_dimensions
 from loopcoh.polynomial import GeneratorSet
 from loopcoh.rings import RingSpec
@@ -191,3 +194,64 @@ def test_command_errors_exit_with_report(tmp_path, monkeypatch, capsys,
     assert f"error: {name}: {exc}" in text
     captured = capsys.readouterr()
     assert "Traceback" not in text + captured.out + captured.err
+
+
+def _corrupt_entry(data):
+    # one boundary entry 1 -> 5, the digest line left as it was
+    return data.replace(b',"1"]', b',"5"]', 1)
+
+
+def _garbage(data):
+    return b"not a cache file\n{"
+
+
+def _wrong_shape(data):
+    # a well-formed entry with a valid digest whose first block has lost
+    # its last row
+    doc = json.loads(data.partition(b"\n")[2])
+    block = next(b for _, b in sorted(doc["boundary"].items()) if b)[0]
+    block["rows"] -= 1
+    block["entries"] = [e for e in block["entries"] if e[0] < block["rows"]]
+    payload = json.dumps(doc, sort_keys=True,
+                         separators=(",", ":")).encode()
+    digest = json.dumps({"sha256": hashlib.sha256(payload).hexdigest()})
+    return digest.encode() + b"\n" + payload
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_entry, _garbage,
+                                     _wrong_shape])
+def test_invalid_cache_entry_is_recomputed(tmp_path, capsys, corrupt):
+    cfg = z_single(tmp_path)
+    cache = tmp_path / "cache"
+    fresh = str(tmp_path / "fresh.json")
+    out = str(tmp_path / "out.json")
+    args = ["ranks", "--config", cfg, "--max-degree", "4"]
+    assert run(args + ["--json", fresh])[0] == 0
+    assert run(args + ["--cache-dir", str(cache)])[0] == 0
+    (entry,) = cache.iterdir()
+    data = entry.read_bytes()
+    assert corrupt(data) != data
+    entry.write_bytes(corrupt(data))
+    code, text = run(args + ["--cache-dir", str(cache), "--json", out])
+    assert code == 0
+    assert "torsion" not in text
+    assert open(out, "rb").read() == open(fresh, "rb").read()
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    # the entry was rewritten and is read back as valid
+    assert entry.read_bytes() == data
+    cx = BarComplex(parse_config(open(cfg).read()).gens, 4)
+    assert _read_cache(str(entry), cx) is not None
+
+
+def test_cache_key_ignores_cache_dir(tmp_path):
+    doc = {"ring": "Z", "generators": [{"name": "x2", "degree": 2}],
+           "bounds": {"max_degree": 6}}
+    plain = parse_config(json.dumps(doc))
+    here = parse_config(json.dumps(dict(doc, cache_dir="here")))
+    there = parse_config(json.dumps(dict(doc, cache_dir="there")))
+    assert _cache_key(plain, 6) == _cache_key(here, 6) == \
+        _cache_key(there, 6)
+    # a field that changes results still changes the key
+    other = parse_config(json.dumps(dict(doc, ring="Q")))
+    assert _cache_key(other, 6) != _cache_key(plain, 6)

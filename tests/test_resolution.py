@@ -176,3 +176,105 @@ def test_contraction_never_matches_two_cases():
     for words in basis.values():
         for word in words:
             res.contraction_s(gens, word)
+
+
+# -- letter enumeration against the product-then-filter reference ---------
+
+def reference_rh_letters(gens, r_min=-3, n_max=12):
+    """The letter enumeration as it was before degree-budget pruning:
+    every argument tuple is built, then filtered by internal degree."""
+    if r_min > 0:
+        raise res.ResolutionError("r_min must be <= 0")
+    letters = {0: [res.v_letter(i) for i in range(len(gens.names))
+                   if gens.degrees[i] <= n_max]}
+
+    def words_with(res_target, internal_cap):
+        pool = []
+        for r in range(0, res_target - 1, -1):
+            for l in letters.get(r, []):
+                pool.append((r, res.letter_bidegree(gens, l)[1], l))
+        out = []
+
+        def build(prefix, res_left, cap_left):
+            if prefix and res_left == 0:
+                out.append(tuple(prefix))
+            for r, n, l in pool:
+                if res_left - r < 0 or n > cap_left:
+                    continue
+                prefix.append(l)
+                build(prefix, res_left - r, cap_left - n)
+                prefix.pop()
+
+        build([], res_target, internal_cap)
+        return out
+
+    for target in range(-1, r_min - 1, -1):
+        found = []
+        if target % 2 == 0:
+            size = -target // 2 + 1
+            for combo in itertools.combinations_with_replacement(
+                    range(len(gens.names)), size):
+                if sum(gens.degrees[i] for i in combo) <= n_max:
+                    found.append(res.cup_letter(combo))
+        max_arity = -target + 1
+        for p in range(1, max_arity):
+            for q in range(1, max_arity - p + 1):
+                args_res_total = target + (p + q - 1)
+                if args_res_total > 0:
+                    continue
+                for dist in res._compositions(-args_res_total, p + q):
+                    arg_lists = []
+                    dead = False
+                    for r in dist:
+                        ws = words_with(-r, n_max)
+                        if not ws:
+                            dead = True
+                            break
+                        arg_lists.append(ws)
+                    if dead:
+                        continue
+                    for combo in itertools.product(*arg_lists):
+                        internal = sum(res.word_bidegree(gens, w)[1]
+                                       for w in combo)
+                        if internal > n_max:
+                            continue
+                        letter = res.e_letter(combo[:p], combo[p:])
+                        if res._is_nonnormal(letter):
+                            continue
+                        found.append(letter)
+        letters[target] = found
+    return letters
+
+
+Q = RingSpec.rationals()
+ENUMERATION_ALGEBRAS = {
+    "Z[x2,x4]": GeneratorSet(("x2", "x4"), (2, 4), Z),
+    "F2[u2,u3]": GeneratorSet(("u2", "u3"), (2, 3), F2),
+    "Q[x2,y2]": GeneratorSet(("x2", "y2"), (2, 2), Q),
+    "F2[v2,w2,t3,u3]": GeneratorSet(("v2", "w2", "t3", "u3"),
+                                    (2, 2, 3, 3), F2),
+}
+
+
+# F2[v2,w2,t3,u3] at (-3, 9) would make the reference build 2.3e9
+# argument tuples; resolution degree -3 is checked there at (-3, 6)
+@pytest.mark.parametrize("name, r_min, n_max", [
+    (name, r_min, n_max)
+    for name in ENUMERATION_ALGEBRAS
+    for r_min, n_max in ((-2, 8), (-3, 9))
+    if (name, r_min, n_max) != ("F2[v2,w2,t3,u3]", -3, 9)
+] + [("F2[v2,w2,t3,u3]", -3, 6)])
+def test_letters_match_product_then_filter_reference(name, r_min, n_max):
+    gens = ENUMERATION_ALGEBRAS[name]
+    degrees = {}
+    got = res.enumerate_rh_letters(gens, r_min, n_max, degrees=degrees)
+    assert got == reference_rh_letters(gens, r_min, n_max)
+    # the recorded internal degrees are those of letter_bidegree
+    assert degrees == {l: res.letter_bidegree(gens, l)[1]
+                       for ls in got.values() for l in ls}
+
+
+def test_letter_counts_pinned():
+    got = res.enumerate_rh_letters(f2gens(), r_min=-3, n_max=9)
+    assert {r: len(ls) for r, ls in got.items()} == \
+        {0: 2, -1: 35, -2: 82, -3: 83}
