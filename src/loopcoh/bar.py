@@ -55,19 +55,10 @@ def scale_element(x, c, ring):
     return {w: ring.mul(v, c) for w, v in x.items()}
 
 
-def element_degrees(gens, x):
-    return sorted({word_degree(gens, w) for w in x})
-
-
-def homogeneous_part(gens, x, n):
-    return {w: c for w, c in x.items() if word_degree(gens, w) == n}
-
-
-def bar_basis(gens: GeneratorSet, degree, max_weight=None):
+def bar_basis(gens: GeneratorSet, degree):
     """All bar words of the given degree, ordered by weight then by the
-    monomial order letterwise.  max_weight caps the word length; degree n
-    needs no more than n letters since every letter has degree >= 2."""
-    cap = degree if max_weight is None else min(max_weight, degree)
+    monomial order letterwise.  Degree n needs no more than n letters
+    since every letter has degree >= 2."""
     words = []
     letters = {d: gens.basis_in_degree(d) for d in range(2, degree + 2)}
 
@@ -83,7 +74,7 @@ def bar_basis(gens: GeneratorSet, degree, max_weight=None):
                 build(prefix, remaining - (d - 1), slots - 1)
                 prefix.pop()
 
-    for weight in range(0 if degree == 0 else 1, cap + 1):
+    for weight in range(0 if degree == 0 else 1, degree + 1):
         build([], degree, weight)
     return words
 

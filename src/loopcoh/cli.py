@@ -142,27 +142,24 @@ def _base_report(command, cfg, max_degree):
     }
 
 
-def _coeff_str(c):
-    return str(c)
-
-
 def _torsion_json(torsion):
     return {str(n): factors for n, factors in torsion.items()}
 
 
 def _coords_json(coords):
-    return {",".join(str(i) for i in s): _coeff_str(c)
+    return {",".join(str(i) for i in s): str(c)
             for s, c in sorted(coords.items())}
 
 
 def _emit(report, json_path):
+    if json_path is None:
+        return
     text = json.dumps(report, sort_keys=True, indent=2,
                       separators=(",", ": ")) + "\n"
-    if json_path is not None:
-        tmp = json_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, json_path)
+    tmp = json_path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, json_path)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +185,7 @@ def cmd_ranks(cfg, max_degree, out):
 def cmd_ring(cfg, max_degree, out):
     report = _base_report("ring", cfg, max_degree)
     table = cfg.op_table()
-    rt = RingTable(table, max_degree)
+    rt = RingTable(table, max_degree, _complex_for(cfg, max_degree))
     entries = []
     for (s1, s2) in sorted(rt.entries):
         e = rt.entries[(s1, s2)]

@@ -2,9 +2,9 @@
 
 The canonical structure built from a Sq1 table has Sq_{1,1} as the
 two-sided derivation extension of the generator rule and all higher
-operations zero; the higher operations are under-determined, so users may
-supply overrides, and the checkers report where the relation instances
-hold or fail instead of asserting a completion.
+operations zero; the higher operations are under-determined, so the
+checkers report where the relation instances hold or fail instead of
+asserting a completion.
 
 All relation checkers run in characteristic 2.
 """
@@ -57,13 +57,12 @@ class HirschOpTable:
 
     default_rule "sq11_derivation" wires (1,1) to sq11 and everything
     higher to zero; "zero" gives the trivial Hirsch structure whose bar
-    product is the plain shuffle.  Overrides are keyed on monomial
-    argument tuples and are mirrored to enforce the symmetry
-    Sq_{p,q}(a;b) = Sq_{q,p}(b;a).
+    product is the plain shuffle.  With arity_cap set, asking for a
+    higher operation of arity p + q above it raises MissingOperation.
     """
 
     def __init__(self, gens: GeneratorSet, sq1: Sq1Table | None = None,
-                 default_rule: str = "zero", overrides=None, arity_cap=None):
+                 default_rule: str = "zero", arity_cap=None):
         if default_rule not in ("zero", "sq11_derivation"):
             raise ValueError(f"unknown default_rule {default_rule!r}")
         if default_rule == "sq11_derivation":
@@ -75,50 +74,28 @@ class HirschOpTable:
         self.sq1 = sq1
         self.default_rule = default_rule
         self.arity_cap = arity_cap
-        self.overrides = {}
-        for (p, q, left, right), value in (overrides or {}).items():
-            if p >= 1 and q == 0 or p == 0 and q >= 1:
-                raise AlgebraError(
-                    f"E_({p},{q}) is fixed by the axioms and cannot be overridden")
-            key = (p, q, tuple(left), tuple(right))
-            self.overrides[key] = value
-            mirror = (q, p, tuple(right), tuple(left))
-            if mirror in (overrides or {}):
-                if (overrides or {})[mirror] != value:
-                    raise AlgebraError(
-                        f"override at {key} breaks Sq_(p,q)/Sq_(q,p) symmetry")
-            else:
-                self.overrides[mirror] = value
 
-    def mixed_shapes(self, p_max=None, q_max=None):
-        """Shapes (p, q) with p, q >= 1 at which some entry can be
-        nonzero; any other mixed shape evaluates to zero identically.
-        Used to prune block enumeration in bar products."""
-        shapes = set()
-        if self.default_rule == "sq11_derivation":
-            shapes.add((1, 1))
-        for (p, q, _, _) in self.overrides:
-            if p >= 1 and q >= 1:
-                shapes.add((p, q))
-        if p_max is not None:
-            shapes = {(p, q) for p, q in shapes
-                      if p <= p_max and q <= q_max}
-        return sorted(shapes)
+    def mixed_shapes(self, p_max, q_max):
+        """Shapes (p, q) with 1 <= p <= p_max and 1 <= q <= q_max at
+        which some entry can be nonzero; any other mixed shape evaluates
+        to zero identically.  Used to prune block enumeration in bar
+        products."""
+        if self.default_rule == "sq11_derivation" and p_max >= 1 \
+                and q_max >= 1:
+            return [(1, 1)]
+        return []
 
     @classmethod
     def trivial(cls, gens):
         return cls(gens, default_rule="zero")
 
     @classmethod
-    def sq_structure(cls, gens, sq1, overrides=None, arity_cap=None):
+    def sq_structure(cls, gens, sq1, arity_cap=None):
         return cls(gens, sq1=sq1, default_rule="sq11_derivation",
-                   overrides=overrides, arity_cap=arity_cap)
+                   arity_cap=arity_cap)
 
     def _monomial_entry(self, p, q, left_monos, right_monos) -> Polynomial:
         gens = self.gens
-        key = (p, q, tuple(left_monos), tuple(right_monos))
-        if key in self.overrides:
-            return self.overrides[key]
         if (p, q) == (1, 1) and self.default_rule == "sq11_derivation":
             return sq11(Polynomial.monomial(gens, left_monos[0]),
                         Polynomial.monomial(gens, right_monos[0]), self.sq1)

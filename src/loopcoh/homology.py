@@ -8,6 +8,13 @@ maps each block of degree n into the block of degree n+1 with the same
 vector, and all matrices are computed blockwise.  These blocks refine
 the blocks of constant s = n + weight, because s is the internal degree
 of the vector.  The boundary matrices hold only +-1 entries.
+
+The ring table reduces products on the same blocks.  Since d keeps the
+vector and every representative lies in one block of one degree, the
+span of the boundary image and the representatives is the direct sum of
+its block parts, so a cocycle lies in that span (over Z, in that
+lattice) exactly when each of its block parts lies in its block's part,
+and its class coordinates are those of its parts.
 """
 from __future__ import annotations
 
@@ -55,27 +62,43 @@ def _block_matrix(gens, dom_words, cod_words):
 
 
 class BarComplex:
-    """Degree-truncated bar complex with cached blockwise boundaries."""
+    """Degree-truncated bar complex with cached blockwise boundaries.
+    Each degree's words are enumerated the first time they are needed."""
 
     def __init__(self, gens: GeneratorSet, max_degree):
         self.gens = gens
         self.max_degree = max_degree
-        self._blocks = {n: _basis_by_block(gens, n)
-                        for n in range(0, max_degree + 2)}
+        self._blocks = {}
         self._matrices = {}
         self._diagonals = {}
+
+    def blocks(self, n):
+        """Words of degree n (0 <= n <= max_degree + 1), by exponent
+        vector."""
+        cached = self._blocks.get(n)
+        if cached is None:
+            cached = _basis_by_block(self.gens, n)
+            self._blocks[n] = cached
+        return cached
 
     def dimension(self, n):
         if n < 0 or n > self.max_degree + 1:
             return 0
-        return sum(len(ws) for ws in self._blocks[n].values())
+        return sum(len(ws) for ws in self.blocks(n).values())
 
-    def boundary_blocks(self, n):
-        """Matrices of d: C_n -> C_(n+1), one per exponent vector that
-        has words in both degrees, in the order of the vectors; d is zero
-        on the other blocks of C_n."""
+    def boundary_vectors(self, n):
+        """The exponent vectors with words in both degrees n and n+1, in
+        order: one per matrix of boundary_blocks(n).  d is zero on the
+        other blocks of C_n."""
         if n < 0 or n > self.max_degree:
             return []
+        cod = self.blocks(n + 1)
+        return [key for key in sorted(self.blocks(n)) if key in cod]
+
+    def boundary_blocks(self, n):
+        """Matrices of d: C_n -> C_(n+1), one per vector of
+        boundary_vectors(n); rows and columns follow the word lists of
+        blocks(n + 1) and blocks(n)."""
         cached = self._matrices.get(n)
         if cached is None:
             cached = [_block_matrix(self.gens, dom_words, cod_words)
@@ -86,16 +109,12 @@ class BarComplex:
     def block_shapes(self, n):
         """(rows, cols) of each matrix boundary_blocks(n) returns, in the
         same order, without building them."""
-        if n < 0 or n > self.max_degree:
-            return []
         return [(len(cod_words), len(dom_words))
                 for dom_words, cod_words in self._block_pairs(n)]
 
     def _block_pairs(self, n):
-        cod = self._blocks[n + 1]
-        return [(dom_words, cod[key])
-                for key, dom_words in sorted(self._blocks[n].items())
-                if key in cod]
+        return [(self.blocks(n)[key], self.blocks(n + 1)[key])
+                for key in self.boundary_vectors(n)]
 
     def _smith_diagonals(self, n):
         """Smith diagonal of every block of d: C_n -> C_(n+1),
@@ -125,15 +144,22 @@ class BarComplex:
                       for d in diag if d > 1)
 
 
+def _complex(gens, max_degree, cx):
+    """cx, which must be a BarComplex of gens truncated at max_degree, or
+    a new one when cx is None."""
+    if cx is None:
+        return BarComplex(gens, max_degree)
+    if cx.gens != gens or cx.max_degree != max_degree:
+        raise HomologyError("bar complex does not match the algebra or "
+                            "the degree bound")
+    return cx
+
+
 def homology_ranks(gens: GeneratorSet, max_degree, cx=None):
     """Per-degree free rank (and torsion over the integers) of the bar
     homology up to max_degree, on the complex cx when given (it must be
     a BarComplex of gens truncated at max_degree)."""
-    if cx is None:
-        cx = BarComplex(gens, max_degree)
-    elif cx.gens != gens or cx.max_degree != max_degree:
-        raise HomologyError("bar complex does not match the algebra or "
-                            "the degree bound")
+    cx = _complex(gens, max_degree, cx)
     ranks = []
     torsion = {}
     prev_rank = 0
@@ -173,89 +199,105 @@ def _element_vector(words_index, x):
 
 class RingTable:
     """Products of the canonical exterior classes under a bar product
-    induced by an operation table.
+    induced by an operation table, reduced on the blocks of the bar
+    complex cx (a BarComplex of the table's generators truncated at
+    max_degree; built when not given).
 
     classes: generator subsets (by declared index) with their cocycle
     representatives; entries: (S1, S2) -> dict with the reduced class
     coordinates and any flags raised on the way.
     """
 
-    def __init__(self, table: HirschOpTable, max_degree):
+    def __init__(self, table: HirschOpTable, max_degree, cx=None):
         self.table = table
         self.gens = table.gens
         self.ring = self.gens.ring
         self.max_degree = max_degree
+        self.cx = _complex(self.gens, max_degree, cx)
         self.subsets = _subsets_by_degree(self.gens, max_degree)
         self.reps = {}
+        # the subset whose representative lies in each (degree, vector)
+        # block: its vector is the subset's indicator.  One vector can
+        # hold words of several degrees.
+        self._rep_of = {}
+        n_gens = len(self.gens.names)
         for deg, subsets in self.subsets.items():
             for s in subsets:
                 self.reps[s] = bar.canonical_symmetric_cocycle(self.gens, s)
+                indicator = tuple(int(i in s) for i in range(n_gens))
+                self._rep_of[(deg, indicator)] = s
         self._solvers = {}
-        self._basis_cache = {}
         self.entries = {}
         self._build()
 
-    def _degree_basis(self, n):
-        cached = self._basis_cache.get(n)
-        if cached is None:
-            words = bar.bar_basis(self.gens, n)
-            cached = (words, {w: i for i, w in enumerate(words)})
-            self._basis_cache[n] = cached
-        return cached
-
     def _reduction_data(self, n):
-        """Boundary image columns of degree n plus representative
-        columns, for expressing cocycles in terms of classes."""
+        """Blocks of degree n by exponent vector: the index of the
+        block's words and the matrix of d from degree n-1 into it, for
+        expressing cocycles in terms of classes."""
         cached = self._solvers.get(n)
         if cached is not None:
             return cached
-        words, index = self._degree_basis(n)
-        ring = self.ring
-        image_cols = []
-        for w in bar.bar_basis(self.gens, n - 1):
-            dv = bar.bar_differential(self.gens, {w: ring.one()})
-            if dv:
-                image_cols.append(_element_vector(index, dv))
-        rep_subsets = self.subsets.get(n, [])
-        rep_cols = [_element_vector(index, self.reps[s])
-                    for s in rep_subsets]
-        cached = (image_cols, rep_subsets, rep_cols)
+        cx = self.cx
+        matrices = dict(zip(cx.boundary_vectors(n - 1),
+                            cx.boundary_blocks(n - 1)))
+        cached = {}
+        for key, words in cx.blocks(n).items():
+            m = matrices.get(key)
+            if m is None:
+                m = SparseMatrix.from_reduced(len(words), 0, self.ring, {},
+                                              dimension_cap=None)
+            cached[key] = ({w: i for i, w in enumerate(words)}, m)
         self._solvers[n] = cached
         return cached
 
     def reduce_cocycle(self, x):
         """Class coordinates {subset: coeff} of a cocycle, reduced per
-        homogeneous degree; returns (coords, flags)."""
+        homogeneous degree and, within a degree, per exponent-vector
+        block; a degree with a block that does not reduce is flagged and
+        contributes no coordinates.  Returns (coords, flags)."""
         ring = self.ring
+        parts = {}
+        for w, c in x.items():
+            n = bar.word_degree(self.gens, w)
+            key = _exponent_vector(self.gens, w)
+            parts.setdefault(n, {}).setdefault(key, {})[w] = c
         coords = {}
         flags = []
-        for n in bar.element_degrees(self.gens, x):
+        for n in sorted(parts):
             if n == 0:
-                if x.get((), None):
-                    flags.append("degree-0 component")
+                flags.append("degree-0 component")
                 continue
             if n > self.max_degree:
                 flags.append(f"component above degree cap ({n})")
                 continue
-            part = bar.homogeneous_part(self.gens, x, n)
-            _, index = self._degree_basis(n)
-            v = _element_vector(index, part)
-            image_cols, rep_subsets, rep_cols = self._reduction_data(n)
-            class_coeffs = self._class_coefficients(
-                image_cols, rep_cols, v, len(index))
-            if class_coeffs is None:
+            blocks = self._reduction_data(n)
+            found = {}
+            for key, part in sorted(parts[n].items()):
+                # a vector outside the complex has an empty index, so
+                # _element_vector raises before m is used
+                index, m = blocks.get(key, ({}, None))
+                v = _element_vector(index, part)
+                s = self._rep_of.get((n, key))
+                rep_cols = [] if s is None else \
+                    [_element_vector(index, self.reps[s])]
+                class_coeffs = self._class_coefficients(m, rep_cols, v)
+                if class_coeffs is None:
+                    found = None
+                    break
+                if rep_cols and not ring.is_zero(class_coeffs[0]):
+                    found[s] = class_coeffs[0]
+            if found is None:
                 flags.append(f"cocycle not reducible in degree {n}")
                 continue
-            for s, c in zip(rep_subsets, class_coeffs):
-                if not ring.is_zero(c):
-                    coords[s] = c
+            coords.update(found)
         return coords, flags
 
-    def _class_coefficients(self, image_cols, rep_cols, v, n_rows):
+    def _class_coefficients(self, m, rep_cols, v):
         """Coefficients of v on the representative columns modulo the
-        boundary image; None when v is not in the span (or, over the
-        integers, not integrally so)."""
+        column span of the boundary block m; None when v is not in the
+        span (or, over the integers, not integrally so)."""
         ring = self.ring
+        image_cols = m.columns()
         if ring.is_field:
             sol = solve_in_span(image_cols + rep_cols, v, ring)
             if sol is None:
@@ -284,11 +326,6 @@ class RingTable:
                 else:
                     residual.pop(i, None)
         if residual:
-            entries = {}
-            for j, col in enumerate(image_cols):
-                for i, val in col.items():
-                    entries[(i, j)] = val
-            m = SparseMatrix(n_rows, len(image_cols), ring, entries)
             _, in_image = reduce_modulo_image(residual, m)
             if not in_image:
                 return None
@@ -331,7 +368,8 @@ def _is_unit(ring, c):
 def exterior_verdict(table: HirschOpTable, max_degree, cx=None):
     """Decide whether the bar homology with the induced product is the
     exterior algebra on the desuspended generators up to max_degree.
-    cx is passed on to homology_ranks.
+    The ranks and the ring table share the bar complex cx (built when
+    not given).
 
     Returns a report with verdict exterior / not_exterior (with the
     first witness found, in a fixed deterministic order) or inconclusive
@@ -339,6 +377,7 @@ def exterior_verdict(table: HirschOpTable, max_degree, cx=None):
     """
     gens = table.gens
     ring = gens.ring
+    cx = _complex(gens, max_degree, cx)
     ranks = homology_ranks(gens, max_degree, cx)
     oracle = oracle_dimensions(gens, max_degree)
     report = {
@@ -361,7 +400,7 @@ def exterior_verdict(table: HirschOpTable, max_degree, cx=None):
                              "factors": ranks["torsion"][n]}
         return report
 
-    rt = RingTable(table, max_degree)
+    rt = RingTable(table, max_degree, cx)
     report["flags"] = sorted(
         {f for e in rt.entries.values() for f in e["flags"]})
     witness = None

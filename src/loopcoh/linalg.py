@@ -86,13 +86,6 @@ class SparseMatrix:
             rows[i][j] = v
         return rows
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.n_cols, self.n_rows, self.ring,
-            {(j, i): v for (i, j), v in self.entries.items()},
-            row_labels=self.col_labels, col_labels=self.row_labels,
-            dimension_cap=None)
-
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """self @ other."""
         if other.n_rows != self.n_cols:

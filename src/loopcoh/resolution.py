@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 
-from .hirsch_ops import HirschOpTable, MissingOperation
+from .bar import add_elements, add_into, scale_element
+from .hirsch_ops import HirschOpTable, _compositions
 from .polynomial import AlgebraError, GeneratorSet, Polynomial, Sq1Table
 from .rings import RingError
 
@@ -48,11 +49,6 @@ def e_letter(largs, rargs):
     if any(not w for w in largs + rargs):
         raise ResolutionError("empty word argument in E letter")
     return ("E", len(largs), len(rargs), largs + rargs)
-
-
-def e_args(letter):
-    _, p, q, args = letter
-    return args[:p], args[p:]
 
 
 def make_E_word(largs, rargs):
@@ -116,43 +112,6 @@ def letter_str(gens, letter):
 
 def word_str(gens, word):
     return ".".join(letter_str(gens, l) for l in word) if word else "1"
-
-
-# ---------------------------------------------------------------------------
-# element arithmetic
-
-def zero():
-    return {}
-
-
-def add_into(out, word, coeff, ring):
-    cur = ring.add(out.get(word, ring.zero()), coeff)
-    if ring.is_zero(cur):
-        out.pop(word, None)
-    else:
-        out[word] = cur
-    return out
-
-
-def add(x, y, ring):
-    out = dict(x)
-    for w, c in y.items():
-        add_into(out, w, c, ring)
-    return out
-
-
-def scale(x, c, ring):
-    if ring.is_zero(c):
-        return {}
-    return {w: ring.mul(v, c) for w, v in x.items()}
-
-
-def mul(x, y, ring):
-    out = {}
-    for wx, cx in x.items():
-        for wy, cy in y.items():
-            add_into(out, wx + wy, ring.mul(cx, cy), ring)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +282,6 @@ def _is_nonnormal(letter):
         return False
     _, p, q, args = letter
     return p == 1 and len(args[0]) == 1 and args[0][0][0] == "E"
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _relation_sum(side_left, aargs, bargs, cargs, skip_head=False):
@@ -662,22 +611,6 @@ def _is_eo(letter):
     return all(a < b for a, b in zip(idx, idx[1:]))
 
 
-def _leq_v_t(i, letter):
-    """v <= t comparison of a generator index against a letter: direct
-    for degree-0 letters, all-members for cup clusters; None when the
-    pair is incomparable."""
-    if _is_v0(letter):
-        return i <= letter[1]
-    if _is_cup(letter):
-        members = letter[1]
-        if all(i <= m for m in members):
-            return True
-        if all(i >= m for m in members):
-            return False
-        return None
-    return None
-
-
 def _eop_position(letter):
     """Index kappa (1-based) of the descending pair of an iteration whose
     entries start with a strictly ascending degree-0 prefix a_1 < ... <
@@ -911,8 +844,9 @@ def verify_siteration(gens: GeneratorSet, x, iteration_cap=8,
     def T(y):
         sd = contraction_element(gens, d.of_element(y))
         ds = d.of_element(contraction_element(gens, y))
-        out = add(sd, ds, ring)
-        return add(out, scale(y, ring.neg(ring.one()), ring), ring)
+        out = add_elements(sd, ds, ring)
+        return add_elements(out, scale_element(y, ring.neg(ring.one()), ring),
+                            ring)
 
     cur = dict(x)
     for n in range(1, iteration_cap + 1):
@@ -1067,21 +1001,21 @@ def check_hexagon(gens: GeneratorSet, i, j, k):
         return {word: coeff if coeff is not None else one}
 
     lhs = {}
-    lhs = add(lhs, elt((e_letter((a,), (b, c)),)), ring)
-    lhs = add(lhs, scale(elt((e_letter((a,), (c, b)),)),
-                         ring.neg(one), ring), ring)
-    lhs = add(lhs, elt((e_letter((a,), ((e_letter((b,), (c,)),),)),)),
-              ring)
+    lhs = add_elements(lhs, elt((e_letter((a,), (b, c)),)), ring)
+    lhs = add_elements(lhs, scale_element(elt((e_letter((a,), (c, b)),)),
+                                          ring.neg(one), ring), ring)
+    lhs = add_elements(
+        lhs, elt((e_letter((a,), ((e_letter((b,), (c,)),),)),)), ring)
     rhs = {}
-    rhs = add(rhs, elt((e_letter(((e_letter((a,), (b,)),),), (c,)),)),
-              ring)
-    rhs = add(rhs, elt((e_letter((a, b), (c,)),)), ring)
-    rhs = add(rhs, scale(elt((e_letter((b, a), (c,)),)),
-                         ring.neg(one), ring), ring)
+    rhs = add_elements(
+        rhs, elt((e_letter(((e_letter((a,), (b,)),),), (c,)),)), ring)
+    rhs = add_elements(rhs, elt((e_letter((a, b), (c,)),)), ring)
+    rhs = add_elements(rhs, scale_element(elt((e_letter((b, a), (c,)),)),
+                                          ring.neg(one), ring), ring)
     dl, dr = d.of_element(lhs), d.of_element(rhs)
     if dl == dr:
         return True
     if ring.char == 2:
         return normalize_element(dl, ring) == normalize_element(dr, ring)
-    diff = add(dl, scale(dr, ring.neg(one), ring), ring)
+    diff = add_elements(dl, scale_element(dr, ring.neg(one), ring), ring)
     return not diff

@@ -255,3 +255,24 @@ def test_cache_key_ignores_cache_dir(tmp_path):
     # a field that changes results still changes the key
     other = parse_config(json.dumps(dict(doc, ring="Q")))
     assert _cache_key(other, 6) != _cache_key(plain, 6)
+
+
+def test_ring_reads_and_fills_the_cache(tmp_path, capsys):
+    cfg = f2_pair(tmp_path)
+    cache = tmp_path / "cache"
+    fresh = str(tmp_path / "fresh.json")
+    out = str(tmp_path / "out.json")
+    args = ["ring", "--config", cfg]
+    assert run(args + ["--json", fresh])[0] == 0
+    expected = open(fresh, "rb").read()
+    for _ in ("cold", "warm"):
+        assert run(args + ["--cache-dir", str(cache), "--json", out])[0] == 0
+        assert open(out, "rb").read() == expected
+    (entry,) = cache.iterdir()
+    data = entry.read_bytes()
+    entry.write_bytes(_corrupt_entry(data))
+    assert run(args + ["--cache-dir", str(cache), "--json", out])[0] == 0
+    assert open(out, "rb").read() == expected
+    assert entry.read_bytes() == data
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from loopcoh.hirsch_ops import HirschOpTable
 from loopcoh.homology import (BarComplex, HomologyError, RingTable,
                               exterior_verdict, homology_ranks)
 from loopcoh.koszul import oracle_dimensions
-from loopcoh.linalg import SparseMatrix, column_echelon_basis
+from loopcoh.linalg import (SparseMatrix, column_echelon_basis,
+                            reduce_modulo_image, solve_in_span)
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
 
@@ -177,3 +180,163 @@ def test_homology_ranks_rejects_a_foreign_complex():
     other = GeneratorSet(("x2",), (2,), Q)
     with pytest.raises(HomologyError):
         homology_ranks(gens, 6, BarComplex(other, 6))
+
+
+def _reference_class_coefficients(image_cols, rep_cols, v, n_rows, ring):
+    if ring.is_field:
+        sol = solve_in_span(image_cols + rep_cols, v, ring)
+        return None if sol is None else sol[len(image_cols):]
+    sol = solve_in_span(
+        [{i: Q.normalize(c) for i, c in col.items()}
+         for col in image_cols + rep_cols],
+        {i: Q.normalize(c) for i, c in v.items()}, Q)
+    if sol is None:
+        return None
+    class_part = sol[len(image_cols):]
+    if any(c.denominator != 1 for c in class_part):
+        return None
+    class_part = [int(c) for c in class_part]
+    residual = dict(v)
+    for c, col in zip(class_part, rep_cols):
+        for i, val in col.items():
+            residual[i] = residual.get(i, 0) - c * val
+    residual = {i: c for i, c in residual.items() if c}
+    if residual:
+        m = SparseMatrix(n_rows, len(image_cols), ring,
+                         {(i, j): val for j, col in enumerate(image_cols)
+                          for i, val in col.items()})
+        if not reduce_modulo_image(residual, m)[1]:
+            return None
+    return class_part
+
+
+def reference_ring_entries(table, max_degree):
+    """The ring table reduced on whole degrees: each homogeneous part of
+    a product is solved against every boundary column of its degree,
+    from bar_basis and bar_differential, plus every representative of
+    that degree.  This is how RingTable reduced before it used the
+    exponent-vector blocks of BarComplex."""
+    gens = table.gens
+    ring = gens.ring
+
+    def deg(s):
+        return sum(gens.degrees[i] - 1 for i in s)
+
+    subsets = [s for k in range(1, len(gens.names) + 1)
+               for s in itertools.combinations(range(len(gens.names)), k)
+               if deg(s) <= max_degree]
+    reps = {s: bar.canonical_symmetric_cocycle(gens, s) for s in subsets}
+    data = {}
+
+    def degree_data(n):
+        if n not in data:
+            index = {w: i for i, w in enumerate(bar.bar_basis(gens, n))}
+            image = []
+            for w in bar.bar_basis(gens, n - 1):
+                dw = bar.bar_differential(gens, {w: ring.one()})
+                if dw:
+                    image.append({index[u]: c for u, c in dw.items()})
+            data[n] = (index, image, [s for s in subsets if deg(s) == n])
+        return data[n]
+
+    def reduce(x):
+        coords, flags = {}, []
+        for n in sorted({bar.word_degree(gens, w) for w in x}):
+            if n == 0:
+                flags.append("degree-0 component")
+                continue
+            if n > max_degree:
+                flags.append(f"component above degree cap ({n})")
+                continue
+            index, image, rep_subsets = degree_data(n)
+            v = {index[w]: c for w, c in x.items()
+                 if bar.word_degree(gens, w) == n}
+            rep_cols = [{index[w]: c for w, c in reps[s].items()}
+                        for s in rep_subsets]
+            coeffs = _reference_class_coefficients(image, rep_cols, v,
+                                                   len(index), ring)
+            if coeffs is None:
+                flags.append(f"cocycle not reducible in degree {n}")
+                continue
+            for s, c in zip(rep_subsets, coeffs):
+                if not ring.is_zero(c):
+                    coords[s] = c
+        return coords, flags
+
+    entries = {}
+    for s1 in sorted(reps):
+        for s2 in sorted(reps):
+            if deg(s1) + deg(s2) > max_degree:
+                continue
+            prod = bar.muE_product(table, reps[s1], reps[s2])
+            if bar.bar_differential(gens, prod):
+                entries[(s1, s2)] = {"coords": {},
+                                     "flags": ["product is not a cocycle"]}
+            else:
+                coords, flags = reduce(prod)
+                entries[(s1, s2)] = {"coords": coords, "flags": flags}
+    return entries
+
+
+def _trivial(ring, *gens):
+    names, degrees = zip(*gens)
+    return HirschOpTable.trivial(GeneratorSet(names, degrees, ring))
+
+
+def _sq(gens_pairs, rule):
+    names, degrees = zip(*gens_pairs)
+    gens = GeneratorSet(names, degrees, F2)
+    g = {n: Polynomial.generator(gens, n) for n in names}
+    images = {}
+    for name, factors in rule.items():
+        img = Polynomial.one(gens)
+        for f in factors:
+            img = img * g[f]
+        images[name] = img
+    return HirschOpTable.sq_structure(gens, Sq1Table(gens, images))
+
+
+@pytest.mark.parametrize("table, max_degree", [
+    (_trivial(Z, ("x2", 2)), 10),
+    (_trivial(Z, ("x2", 2), ("x4", 4)), 10),
+    (_trivial(Q, ("x2", 2), ("y2", 2)), 10),
+    (_trivial(F2, ("u2", 2)), 10),
+    (_trivial(F2, ("u2", 2), ("u3", 3)), 10),
+    (_sq((("u2", 2), ("u3", 3)), {"u2": ("u3",)}), 10),
+    (_trivial(F3, ("x2", 2), ("x4", 4)), 10),
+    (_trivial(Z, ("a2", 2), ("b2", 2), ("c4", 4)), 9),
+    (_sq((("u2", 2), ("u5", 5)), {"u5": ("u2", "u2", "u2")}), 9),
+    # [u3]*[u3] has a part [v2w2] in degree 3 whose exponent vector is
+    # that of the degree-2 representative of {v2, w2}
+    (_sq((("v2", 2), ("w2", 2), ("t3", 3), ("u3", 3)),
+         {"v2": ("t3",), "u3": ("v2", "w2")}), 8),
+], ids=["Z[x2]", "Z[x2,x4]", "Q[x2,y2]", "F2[u2]", "F2[u2,u3]",
+        "F2[u2,u3] sq1 u2=u3", "F3[x2,x4]", "Z[a2,b2,c4]",
+        "F2[u2,u5] sq1 u5=u2^3", "F2[v2,w2,t3,u3] sq1 v2=t3 u3=v2w2"])
+def test_block_reduction_matches_whole_degree_reference(table, max_degree):
+    assert RingTable(table, max_degree).entries == \
+        reference_ring_entries(table, max_degree)
+
+
+def test_ring_table_rejects_a_foreign_complex():
+    gens = GeneratorSet(("x2",), (2,), Z)
+    table = HirschOpTable.trivial(gens)
+    with pytest.raises(HomologyError):
+        RingTable(table, 6, BarComplex(gens, 5))
+    other = GeneratorSet(("x2",), (2,), Q)
+    with pytest.raises(HomologyError):
+        RingTable(table, 6, BarComplex(other, 6))
+
+
+def test_a_block_that_does_not_reduce_drops_its_whole_degree():
+    gens = GeneratorSet(("u2", "u3"), (2, 3), F2)
+    rt = RingTable(HirschOpTable.trivial(gens), 4)
+    u2, u3 = gens.generator_monomial(0), gens.generator_monomial(1)
+    # degree 1: the class of {u2}; degree 2: the class of {u3} plus
+    # [u2|u2], which is no cocycle and lies in a block with neither a
+    # boundary nor a representative
+    x = {(u2,): 1, (u3,): 1, (u2, u2): 1}
+    assert rt.reduce_cocycle(x) == (
+        {(0,): 1}, ["cocycle not reducible in degree 2"])
+    assert rt.reduce_cocycle({(u2,): 1, (u3,): 1}) == (
+        {(0,): 1, (1,): 1}, [])
