@@ -13,8 +13,7 @@ import itertools
 from operator import add, mul
 
 from .hirsch_ops import HirschOpTable
-from .polynomial import AlgebraError, GeneratorSet, Polynomial
-from .rings import RingError
+from .polynomial import GeneratorSet, Polynomial
 
 
 class BarError(Exception):
@@ -113,7 +112,9 @@ def muE_product(table: HirschOpTable, x, y):
     """Product of bar elements induced by the operation table: sum over
     simultaneous splittings of both factors into consecutive blocks, each
     mixed block evaluated through E and each pure block a single letter,
-    with Koszul signs on desuspended degrees.
+    with Koszul signs on desuspended degrees.  The mixed blocks are
+    memoised per table (HirschOpTable.block_terms), keyed by their
+    letters, so each is evaluated once for all word pairs and products.
 
     With the trivial table this is the shuffle product.
     """
@@ -146,40 +147,36 @@ def _accumulate_word_product(table, xw, yw, base, out):
     if not mixed_shapes:
         _shuffle_words(ring, xw, yw, xtail, yd, base, out)
         return
-    block_cache = {}
+    block_terms = table.block_terms
 
-    def walk(i, j, letters, par):
-        # letters: monomial tuples for pure letters, Polynomials for
-        # evaluated mixed blocks
+    def walk(i, j, letters, coeff, par):
+        # a mixed block with several terms branches into one path per
+        # term, carrying the product of the term coefficients in coeff
         if i == p and j == q:
-            coeff = base if par % 2 == 0 else ring.neg(base)
-            _emit_word(gens, letters, coeff, out)
+            add_into(out, tuple(letters),
+                     coeff if par % 2 == 0 else ring.neg(coeff), ring)
             return
         if i < p:
             letters.append(xw[i])
-            walk(i + 1, j, letters, par)
+            walk(i + 1, j, letters, coeff, par)
             letters.pop()
         if j < q:
             letters.append(yw[j])
-            walk(i, j + 1, letters, par + yd[j] * xtail[i])
+            walk(i, j + 1, letters, coeff, par + yd[j] * xtail[i])
             letters.pop()
         for a, b in mixed_shapes:
             if i + a > p or j + b > q:
                 continue
-            key = (a, b, i, j)
-            val = block_cache.get(key)
-            if val is None:
-                val = table.eval(a, b, list(xw[i:i + a]),
-                                 list(yw[j:j + b]))
-                block_cache[key] = val
-            if val.is_zero():
+            terms = block_terms(a, b, xw[i:i + a], yw[j:j + b])
+            if not terms:
                 continue
-            letters.append(val)
-            walk(i + a, j + b,
-                 letters, par + sum(yd[j:j + b]) * xtail[i + a])
-            letters.pop()
+            next_par = par + sum(yd[j:j + b]) * xtail[i + a]
+            for mono, c in terms:
+                letters.append(mono)
+                walk(i + a, j + b, letters, ring.mul(coeff, c), next_par)
+                letters.pop()
 
-    walk(0, 0, [], 0)
+    walk(0, 0, [], base, 0)
 
 
 def _shuffle_words(ring, xw, yw, xtail, yd, base, out):
@@ -210,25 +207,6 @@ def _shuffle_words(ring, xw, yw, xtail, yd, base, out):
             add_into(out, w, ring.neg(base), ring)
         elif m:
             add_into(out, w, ring.mul(base, ring.normalize(m)), ring)
-
-
-def _emit_word(gens, letters, coeff, out):
-    """Expand a letters list whose entries are monomial tuples or
-    Polynomials into bar words; the all-monomial case stays allocation
-    free."""
-    ring = gens.ring
-    if all(isinstance(l, tuple) for l in letters):
-        add_into(out, tuple(letters), coeff, ring)
-        return
-    expanded = [l.terms.items() if isinstance(l, Polynomial)
-                else (((l, ring.one()),)) for l in letters]
-    for combo in itertools.product(*expanded):
-        c = coeff
-        word = []
-        for mono, tc in combo:
-            c = ring.mul(c, tc)
-            word.append(mono)
-        add_into(out, tuple(word), c, ring)
 
 
 def shuffle_product(gens: GeneratorSet, x, y):
@@ -337,7 +315,12 @@ def induced_bar_map(src: GeneratorSet, dst: GeneratorSet, images, x):
                 for _ in range(e):
                     img = img * base
             polys.append(img)
-        _emit_word(dst, polys, coeff, out)
+        for combo in itertools.product(*(poly.terms.items()
+                                         for poly in polys)):
+            c = coeff
+            for _, tc in combo:
+                c = ring.mul(c, tc)
+            add_into(out, tuple(m for m, _ in combo), c, ring)
     return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .polynomial import (AlgebraError, GeneratorSet, Polynomial, Sq1Table,
-                         is_decomposable, sq1_apply)
+                         is_decomposable)
 from .rings import RingError
 
 
@@ -59,6 +59,9 @@ class HirschOpTable:
     higher to zero; "zero" gives the trivial Hirsch structure whose bar
     product is the plain shuffle.  With arity_cap set, asking for a
     higher operation of arity p + q above it raises MissingOperation.
+
+    A table is immutable once constructed: block_terms memoises its
+    values on that assumption.
     """
 
     def __init__(self, gens: GeneratorSet, sq1: Sq1Table | None = None,
@@ -74,6 +77,7 @@ class HirschOpTable:
         self.sq1 = sq1
         self.default_rule = default_rule
         self.arity_cap = arity_cap
+        self._block_terms = {}
 
     def mixed_shapes(self, p_max, q_max):
         """Shapes (p, q) with 1 <= p <= p_max and 1 <= q <= q_max at
@@ -132,6 +136,18 @@ class HirschOpTable:
             if not val.is_zero():
                 out = out + val.scale(coeff)
         return out
+
+    def block_terms(self, p, q, left_monos, right_monos):
+        """E_{p,q} on tuples of monomial tuples, as a tuple of
+        (monomial, coeff) terms (empty when the value is zero), evaluated
+        through eval once per table and argument tuple."""
+        key = (p, q, left_monos, right_monos)
+        terms = self._block_terms.get(key)
+        if terms is None:
+            terms = tuple(self.eval(p, q, left_monos, right_monos)
+                          .terms.items())
+            self._block_terms[key] = terms
+        return terms
 
 
 def _positive_basis(gens, max_degree):

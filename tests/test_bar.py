@@ -4,6 +4,7 @@ import pytest
 
 from loopcoh import bar
 from loopcoh.hirsch_ops import HirschOpTable
+from loopcoh.homology import RingTable
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
 
@@ -140,3 +141,173 @@ def test_induced_bar_map_identity():
         for w in bar.bar_basis(gens, n):
             x = {w: ring.one()}
             assert bar.induced_bar_map(gens, gens, images, x) == x
+
+
+def reference_muE_product(table, x, y):
+    """The twisted product as computed before its operation blocks were
+    memoised per table: each word pair keeps its own block cache, keyed
+    by the block's position (a, b, i, j), and a finished path expands the
+    evaluated blocks termwise into words."""
+    ring = table.gens.ring
+    out = {}
+    for xw, xc in x.items():
+        for yw, yc in y.items():
+            _reference_word_product(table, xw, yw, ring.mul(xc, yc), out)
+    return out
+
+
+def _reference_word_product(table, xw, yw, base, out):
+    gens = table.gens
+    ring = gens.ring
+    p, q = len(xw), len(yw)
+    if p == 0:
+        bar.add_into(out, yw, base, ring)
+        return
+    if q == 0:
+        bar.add_into(out, xw, base, ring)
+        return
+    xd = [gens.monomial_degree(m) - 1 for m in xw]
+    yd = [gens.monomial_degree(m) - 1 for m in yw]
+    xtail = [0] * (p + 1)
+    for i in range(p - 1, -1, -1):
+        xtail[i] = xtail[i + 1] + xd[i]
+    mixed_shapes = table.mixed_shapes(p, q)
+    if not mixed_shapes:
+        bar._shuffle_words(ring, xw, yw, xtail, yd, base, out)
+        return
+    block_cache = {}
+
+    def emit(letters, coeff):
+        expanded = [l.terms.items() if isinstance(l, Polynomial)
+                    else (((l, ring.one()),)) for l in letters]
+        for combo in itertools.product(*expanded):
+            c = coeff
+            for _, tc in combo:
+                c = ring.mul(c, tc)
+            bar.add_into(out, tuple(m for m, _ in combo), c, ring)
+
+    def walk(i, j, letters, par):
+        if i == p and j == q:
+            emit(letters, base if par % 2 == 0 else ring.neg(base))
+            return
+        if i < p:
+            letters.append(xw[i])
+            walk(i + 1, j, letters, par)
+            letters.pop()
+        if j < q:
+            letters.append(yw[j])
+            walk(i, j + 1, letters, par + yd[j] * xtail[i])
+            letters.pop()
+        for a, b in mixed_shapes:
+            if i + a > p or j + b > q:
+                continue
+            key = (a, b, i, j)
+            val = block_cache.get(key)
+            if val is None:
+                val = table.eval(a, b, list(xw[i:i + a]), list(yw[j:j + b]))
+                block_cache[key] = val
+            if val.is_zero():
+                continue
+            letters.append(val)
+            walk(i + a, j + b, letters, par + sum(yd[j:j + b]) * xtail[i + a])
+            letters.pop()
+
+    walk(0, 0, [], 0)
+
+
+def _sq_table(names, degrees, rule):
+    """An F2 Sq-structure table; rule maps a generator to the monomials
+    (as name tuples) whose sum is its Sq1 image."""
+    gens = GeneratorSet(names, degrees, F2)
+    images = {}
+    for name, monos in rule.items():
+        img = Polynomial.zero(gens)
+        for factors in monos:
+            term = Polynomial.one(gens)
+            for f in factors:
+                term = term * Polynomial.generator(gens, f)
+            img = img + term
+        images[name] = img
+    return HirschOpTable.sq_structure(gens, Sq1Table(gens, images))
+
+
+def _exterior_f2_table():
+    return _sq_table(("v2", "w2", "t3", "u3"), (2, 2, 3, 3),
+                     {"v2": [("t3",)], "u3": [("v2", "w2")]})
+
+
+SQ_TABLES = [
+    (lambda: _sq_table(("u2", "u3"), (2, 3), {"u2": [("u3",)]}), 10),
+    (lambda: _sq_table(("u2", "u5"), (2, 5),
+                       {"u5": [("u2", "u2", "u2")]}), 9),
+    (_exterior_f2_table, 8),
+    # Sq_{1,1}(u3; u3) = v2 w2 + v2^2: blocks with two terms
+    (lambda: _sq_table(("v2", "w2", "t3", "u3"), (2, 2, 3, 3),
+                       {"v2": [("t3",)],
+                        "u3": [("v2", "w2"), ("v2", "v2")]}), 8),
+]
+SQ_IDS = ["F2[u2,u3] sq1 u2=u3", "F2[u2,u5] sq1 u5=u2^3",
+          "F2[v2,w2,t3,u3] sq1 v2=t3 u3=v2w2",
+          "F2[v2,w2,t3,u3] sq1 v2=t3 u3=v2w2+v2^2"]
+
+
+@pytest.mark.parametrize("make_table, max_degree", SQ_TABLES, ids=SQ_IDS)
+def test_muE_matches_per_pair_reference_on_ring_table_products(
+        make_table, max_degree):
+    reps = RingTable(make_table(), max_degree).reps
+    table = make_table()
+    gens = table.gens
+
+    def deg(s):
+        return sum(gens.degrees[i] - 1 for i in s)
+
+    pairs = [(s1, s2) for s1 in sorted(reps) for s2 in sorted(reps)
+             if deg(s1) + deg(s2) <= max_degree]
+    assert pairs
+    for s1, s2 in pairs:
+        assert bar.muE_product(table, reps[s1], reps[s2]) == \
+            reference_muE_product(table, reps[s1], reps[s2]), (s1, s2)
+
+
+def test_the_multi_term_table_has_two_term_blocks():
+    table = SQ_TABLES[3][0]()
+    u3 = table.gens.generator_monomial(3)
+    assert len(table.block_terms(1, 1, (u3,), (u3,))) == 2
+
+
+@pytest.mark.parametrize("make_table, max_degree", SQ_TABLES, ids=SQ_IDS)
+def test_muE_matches_per_pair_reference_on_chain_map_words(make_table,
+                                                           max_degree):
+    """The products check_chain_map forms, x*y, dx*y and x*dy, for every
+    pair of basis words of total degree at most 6."""
+    table = make_table()
+    gens = table.gens
+    ring = gens.ring
+    words = [(n, w) for n in range(1, 6) for w in bar.bar_basis(gens, n)]
+    for nx, xw in words:
+        x = {xw: ring.one()}
+        dx = bar.bar_differential(gens, x)
+        for ny, yw in words:
+            if nx + ny > 6:
+                continue
+            y = {yw: ring.one()}
+            dy = bar.bar_differential(gens, y)
+            for a, b in ((x, y), (dx, y), (x, dy)):
+                assert bar.muE_product(table, a, b) == \
+                    reference_muE_product(table, a, b), (xw, yw)
+
+
+def test_ring_table_evaluates_each_block_once(monkeypatch):
+    calls = {}
+    evaluate = HirschOpTable.eval
+
+    def counting_eval(self, p, q, left, right):
+        key = (id(self), p, q, tuple(left), tuple(right))
+        calls[key] = calls.get(key, 0) + 1
+        return evaluate(self, p, q, left, right)
+
+    monkeypatch.setattr(HirschOpTable, "eval", counting_eval)
+    rt = RingTable(_exterior_f2_table(), 8)
+    assert len(rt.entries) == 190
+    assert len(calls) == 16
+    assert set(calls.values()) == {1}
