@@ -20,12 +20,8 @@ class BarError(Exception):
     pass
 
 
-def _degree(gens: GeneratorSet, mono) -> int:
-    return gens.monomial_degree(mono)
-
-
 def word_degree(gens, word) -> int:
-    return sum(_degree(gens, m) - 1 for m in word)
+    return sum(gens.monomial_degree(m) - 1 for m in word)
 
 
 def word_str(gens, word) -> str:
@@ -138,8 +134,8 @@ def _accumulate_word_product(table, xw, yw, base, out):
     if q == 0:
         add_into(out, xw, base, ring)
         return
-    xd = [_degree(gens, m) - 1 for m in xw]
-    yd = [_degree(gens, m) - 1 for m in yw]
+    xd = [gens.monomial_degree(m) - 1 for m in xw]
+    yd = [gens.monomial_degree(m) - 1 for m in yw]
     xtail = [0] * (p + 1)
     for i in range(p - 1, -1, -1):
         xtail[i] = xtail[i + 1] + xd[i]

@@ -4,7 +4,8 @@ text report (with timings) and an optional machine-readable JSON report
 
 Exit codes: 0 success, 1 outside the configured bounds or verdict not
 computable, 2 internal check failure or invalid input.  Every failure
-also writes a JSON report whose "errors" field names it.
+also writes a JSON report whose "errors" field names it, except a
+failure to write that report, which exits 2 with an error line.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import CONVENTION_VERSION
 from .bar import BarError, bar_basis, bar_differential, check_chain_map
@@ -25,7 +25,7 @@ from .hirsch_ops import (MissingOperation, check_derivation_relations,
 from .homology import (BarComplex, HomologyError, RingTable,
                        exterior_verdict, homology_ranks)
 from .koszul import oracle_dimensions
-from .linalg import ResourceCapError, SparseMatrix
+from .linalg import ResourceCapError
 from .polynomial import AlgebraError
 from .resolution import (Differential, ResolutionError, check_hexagon,
                          enumerate_rh_basis, verify_siteration, word_str)
@@ -33,27 +33,15 @@ from .rings import RingError
 
 
 # ---------------------------------------------------------------------------
-# boundary-matrix cache
+# block-invariant cache
 
 def _cache_key(cfg, max_degree):
-    # the block layout is part of the key, so that a file written with
+    # the entry layout is part of the key, so that a file written with
     # another layout is never read as this one
     payload = "|".join((cfg.canonical_json(), f"max_degree={max_degree}",
                         f"convention={CONVENTION_VERSION}",
-                        "blocks=exponent_vector"))
+                        "entry=block_invariants"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _matrix_to_json(m):
-    return {"rows": m.n_rows, "cols": m.n_cols,
-            "entries": [[i, j, str(c)] for (i, j), c in
-                        sorted(m.entries.items())]}
-
-
-def _matrix_from_json(doc, ring):
-    parse = Fraction if ring.kind == "rationals" else int
-    return SparseMatrix(doc["rows"], doc["cols"], ring,
-                        {(i, j): parse(c) for i, j, c in doc["entries"]})
 
 
 def _cache_document(path):
@@ -64,40 +52,53 @@ def _cache_document(path):
         payload = fh.read()
     if json.loads(header)["sha256"] != hashlib.sha256(payload).hexdigest():
         return None
-    # drop the bytes before parsing, so that only the text is held
-    # while the document is built
-    payload = payload.decode("utf-8")
     return json.loads(payload)
 
 
+def _valid_invariants(entry, shape, is_field):
+    """Whether entry is a [rows, cols, rank, factors] list that a block
+    of this shape can have: rank at most min(rows, cols), and at most
+    rank factors > 1, each dividing the next (none over a field)."""
+    rows, cols, rank, factors = entry
+    return [rows, cols] == list(shape) and \
+        all(type(x) is int for x in [rank] + factors) and \
+        0 <= rank <= min(shape) and \
+        len(factors) <= (0 if is_field else rank) and \
+        all(f > 1 for f in factors) and \
+        all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
 def _read_cache(path, cx):
-    """The boundary matrices of cx stored at path, by degree, or None
+    """The block invariants of cx stored at path, by degree, or None
     when the file is missing or unreadable, does not match its digest,
     or does not fit the blocks of cx."""
     try:
         doc = _cache_document(path)
         if doc is None:
             return None
-        boundary = doc["boundary"]
-        matrices = {}
+        invariants = {}
         for n in range(cx.max_degree + 1):
-            blocks = boundary[str(n)]
-            if [(b["rows"], b["cols"]) for b in blocks] != \
-                    cx.block_shapes(n):
+            entries = doc["blocks"][str(n)]
+            shapes = cx.block_shapes(n)
+            if len(entries) != len(shapes) or not all(
+                    _valid_invariants(e, s, cx.gens.ring.is_field)
+                    for e, s in zip(entries, shapes)):
                 return None
-            matrices[n] = [_matrix_from_json(b, cx.gens.ring)
-                           for b in blocks]
+            invariants[n] = [(rank, tuple(factors))
+                             for _, _, rank, factors in entries]
     except (OSError, ValueError, LookupError, TypeError):
         return None
-    return matrices
+    return invariants
 
 
 def _write_cache(path, cx):
-    """Store the boundary matrices of cx at path, atomically: a line
-    with the sha256 of the payload, then the payload."""
-    boundary = {str(n): [_matrix_to_json(m) for m in cx.boundary_blocks(n)]
-                for n in range(cx.max_degree + 1)}
-    payload = json.dumps({"boundary": boundary}, sort_keys=True,
+    """Store the block invariants of cx at path, atomically: a line with
+    the sha256 of the payload, then the payload."""
+    blocks = {str(n): [[rows, cols, rank, list(factors)]
+                       for (rows, cols), (rank, factors) in
+                       zip(cx.block_shapes(n), cx.block_invariants(n))]
+              for n in range(cx.max_degree + 1)}
+    payload = json.dumps({"blocks": blocks}, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
     header = json.dumps({"sha256": hashlib.sha256(payload).hexdigest()})
     tmp = path + ".tmp"
@@ -107,21 +108,23 @@ def _write_cache(path, cx):
 
 
 def _complex_for(cfg, max_degree):
-    """Bar complex with its boundary matrices restored from the cache
+    """Bar complex with its block invariants restored from the cache
     when a valid entry is there; otherwise they are computed and the
-    entry is (re)written.  Hit or miss never changes any computed
-    value."""
+    entry is (re)written.  An entry holds each boundary block's shape,
+    rank and invariant factors > 1, so a warm ranks run assembles no
+    matrix; ring and check-exterior still assemble the blocks their
+    products reach.  Hit or miss never changes any computed value."""
     cx = BarComplex(cfg.gens, max_degree)
     if cfg.cache_dir is None:
         return cx
     os.makedirs(cfg.cache_dir, exist_ok=True)
     path = os.path.join(cfg.cache_dir,
                         _cache_key(cfg, max_degree) + ".jsonl")
-    matrices = _read_cache(path, cx)
-    if matrices is None:
+    invariants = _read_cache(path, cx)
+    if invariants is None:
         _write_cache(path, cx)
     else:
-        cx._matrices.update(matrices)
+        cx._invariants.update(invariants)
     return cx
 
 
@@ -370,54 +373,60 @@ def build_parser():
     return parser
 
 
-def _fail(args, cfg, max_degree, exc, code, out):
-    """Report an error raised by a command: a text line and a JSON report
-    with the error named in its "errors" field; returns the exit code."""
-    message = f"{type(exc).__name__}: {exc}"
-    out.write("error: %s\n" % message)
-    report = _base_report(args.command, cfg, max_degree)
-    report["errors"] = [message]
-    _emit(report, args.json)
-    return code
-
-
-def main(argv=None, out=None):
-    out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+def _config(args):
+    """The job's config with the command-line overrides applied, and its
+    degree bound; raises ConfigError when the file cannot be read or
+    the job is invalid."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        out.write("error: %s\n" % exc)
-        return 2
-    try:
-        cfg = parse_config(text)
-    except ConfigError as exc:
-        report = {"command": args.command,
-                  "convention_version": CONVENTION_VERSION,
-                  "errors": exc.problems}
-        for p in exc.problems:
-            out.write("config error: %s\n" % p)
-        _emit(report, args.json)
-        return 2
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError([f"{type(exc).__name__}: {exc}"]) from exc
+    cfg = parse_config(text)
     if args.cache_dir is not None:
         cfg.cache_dir = args.cache_dir
     max_degree = args.max_degree if args.max_degree is not None \
         else cfg.bounds["max_degree"]
     if max_degree < 1:
-        out.write("error: max degree must be positive\n")
-        return 2
+        raise ConfigError(["max degree must be positive"])
+    return cfg, max_degree
+
+
+def _run(args, out):
+    """Run the command args name; returns its report and exit code."""
+    try:
+        cfg, max_degree = _config(args)
+    except ConfigError as exc:
+        for p in exc.problems:
+            out.write("config error: %s\n" % p)
+        return {"command": args.command,
+                "convention_version": CONVENTION_VERSION,
+                "errors": exc.problems}, 2
     t0 = time.perf_counter()
     try:
         report, code = COMMANDS[args.command](cfg, max_degree, out)
-    except ResourceCapError as exc:
-        return _fail(args, cfg, max_degree, exc, 1, out)
     except (AlgebraError, BarError, HomologyError, MissingOperation,
-            ResolutionError, RingError) as exc:
-        return _fail(args, cfg, max_degree, exc, 2, out)
-    elapsed = time.perf_counter() - t0
-    out.write("elapsed: %.2f s\n" % elapsed)
-    _emit(report, args.json)
+            OSError, ResolutionError, ResourceCapError, RingError) as exc:
+        # an OSError comes from making the cache directory or writing
+        # its entry
+        message = f"{type(exc).__name__}: {exc}"
+        out.write("error: %s\n" % message)
+        report = _base_report(args.command, cfg, max_degree)
+        report["errors"] = [message]
+        return report, 1 if isinstance(exc, ResourceCapError) else 2
+    out.write("elapsed: %.2f s\n" % (time.perf_counter() - t0))
+    return report, code
+
+
+def main(argv=None, out=None):
+    out = out or sys.stdout
+    args = build_parser().parse_args(argv)
+    report, code = _run(args, out)
+    try:
+        _emit(report, args.json)
+    except OSError as exc:
+        out.write("error: cannot write the JSON report: %s\n" % exc)
+        return 2
     return code
 
 

@@ -62,15 +62,17 @@ def _block_matrix(gens, dom_words, cod_words):
 
 
 class BarComplex:
-    """Degree-truncated bar complex with cached blockwise boundaries.
-    Each degree's words are enumerated the first time they are needed."""
+    """Degree-truncated bar complex.  Words, boundary blocks and block
+    invariants are computed the first time they are needed.  Ranks and
+    torsion read only the invariants, which a cache can restore without
+    assembling a block; the ring table assembles the blocks it reaches."""
 
     def __init__(self, gens: GeneratorSet, max_degree):
         self.gens = gens
         self.max_degree = max_degree
         self._blocks = {}
         self._matrices = {}
-        self._diagonals = {}
+        self._invariants = {}
 
     def blocks(self, n):
         """Words of degree n (0 <= n <= max_degree + 1), by exponent
@@ -116,20 +118,24 @@ class BarComplex:
         return [(self.blocks(n)[key], self.blocks(n + 1)[key])
                 for key in self.boundary_vectors(n)]
 
-    def _smith_diagonals(self, n):
-        """Smith diagonal of every block of d: C_n -> C_(n+1),
-        computed once and shared by boundary_rank and torsion (Z only)."""
-        cached = self._diagonals.get(n)
+    def block_invariants(self, n):
+        """(rank, factors) of every matrix of boundary_blocks(n), in the
+        same order, computed once: over Z from its Smith form, factors
+        being the invariant factors > 1; over a field its rank and ()."""
+        cached = self._invariants.get(n)
         if cached is None:
-            cached = [smith_normal_form(m)[0]
-                      for m in self.boundary_blocks(n)]
-            self._diagonals[n] = cached
+            cached = []
+            for m in self.boundary_blocks(n):
+                if m.ring.is_field:
+                    cached.append((rank_over_field(m), ()))
+                else:
+                    diagonal, rank = smith_normal_form(m)
+                    cached.append((rank, tuple(d for d in diagonal if d > 1)))
+            self._invariants[n] = cached
         return cached
 
     def boundary_rank(self, n):
-        if not self.gens.ring.is_field:
-            return sum(len(diag) for diag in self._smith_diagonals(n))
-        return sum(rank_over_field(m) for m in self.boundary_blocks(n))
+        return sum(rank for rank, _ in self.block_invariants(n))
 
     def torsion(self, n):
         """Torsion of H^n: the invariant factors > 1 of d: C_(n-1) -> C_n,
@@ -138,10 +144,8 @@ class BarComplex:
         [2, 3], not the single factor 6 of the whole matrix.  Empty over
         a field, and for S(U) over Z always empty: the homology there is
         the free exterior algebra on the desuspended generators."""
-        if self.gens.ring.is_field:
-            return []
-        return sorted(d for diag in self._smith_diagonals(n - 1)
-                      for d in diag if d > 1)
+        return sorted(d for _, factors in self.block_invariants(n - 1)
+                      for d in factors)
 
 
 def _complex(gens, max_degree, cx):

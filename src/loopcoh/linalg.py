@@ -80,12 +80,6 @@ class SparseMatrix:
             cols[j][i] = v
         return cols
 
-    def rows(self):
-        rows = [dict() for _ in range(self.n_rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """self @ other."""
         if other.n_rows != self.n_cols:
@@ -463,12 +457,6 @@ def smith_normal_form(m: SparseMatrix):
 def rank_over_integers(m: SparseMatrix) -> int:
     diagonal, rank = smith_normal_form(m)
     return rank
-
-
-def torsion_factors(m: SparseMatrix):
-    """Invariant factors > 1 (the reported torsion list)."""
-    diagonal, _ = smith_normal_form(m)
-    return tuple(d for d in diagonal if d > 1)
 
 
 def solve_in_span(columns, v, ring: RingSpec):

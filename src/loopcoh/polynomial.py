@@ -257,16 +257,6 @@ class Sq1Table:
     def image_of(self, i: int) -> Polynomial:
         return self.images.get(i, Polynomial.zero(self.gens))
 
-    def sq1sq1_warnings(self):
-        """Sq1 o Sq1 = 0 is a Steenrod axiom the constructions never use;
-        report generators violating it instead of rejecting the table."""
-        bad = []
-        for i in range(len(self.gens)):
-            img = sq1_apply(self.image_of(i), self)
-            if not img.is_zero():
-                bad.append((self.gens.names[i], img))
-        return bad
-
 
 def sq1_apply(p: Polynomial, table: Sq1Table) -> Polynomial:
     """Derivation extension of the Sq1 table (char-2 Cartan formula)."""

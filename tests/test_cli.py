@@ -43,6 +43,12 @@ def run(args):
     return code, out.getvalue()
 
 
+def _assert_report(json_path, command, errors):
+    report = json.loads(open(json_path).read())
+    assert report == {"command": command, "convention_version": 1,
+                      "errors": errors}
+
+
 def test_ranks_exit_zero(tmp_path):
     cfg = z_single(tmp_path)
     json_path = str(tmp_path / "out.json")
@@ -101,8 +107,14 @@ def test_invalid_config_exit_two(tmp_path):
 
 
 def test_missing_file_exit_two(tmp_path):
-    code, _ = run(["ranks", "--config", str(tmp_path / "nope.json")])
+    json_path = str(tmp_path / "out.json")
+    code, text = run(["ranks", "--config", str(tmp_path / "nope.json"),
+                      "--json", json_path])
     assert code == 2
+    (message,) = json.loads(open(json_path).read())["errors"]
+    assert message.startswith("FileNotFoundError: ")
+    _assert_report(json_path, "ranks", [message])
+    assert "config error: " + message in text
 
 
 def test_max_degree_override(tmp_path):
@@ -197,29 +209,42 @@ def test_command_errors_exit_with_report(tmp_path, monkeypatch, capsys,
 
 
 def _corrupt_entry(data):
-    # one boundary entry 1 -> 5, the digest line left as it was
-    return data.replace(b',"1"]', b',"5"]', 1)
+    # one block gains the invariant factor 5, the digest line left as
+    # it was
+    return data.replace(b',[]]', b',[5]]', 1)
 
 
 def _garbage(data):
     return b"not a cache file\n{"
 
 
-def _wrong_shape(data):
-    # a well-formed entry with a valid digest whose first block has lost
-    # its last row
+def _redigested(data, edit):
+    """data with edit applied to the [rows, cols, rank, factors] list of
+    its first block, under a valid digest of the new payload."""
     doc = json.loads(data.partition(b"\n")[2])
-    block = next(b for _, b in sorted(doc["boundary"].items()) if b)[0]
-    block["rows"] -= 1
-    block["entries"] = [e for e in block["entries"] if e[0] < block["rows"]]
+    edit(next(b for _, b in sorted(doc["blocks"].items()) if b)[0])
     payload = json.dumps(doc, sort_keys=True,
                          separators=(",", ":")).encode()
     digest = json.dumps({"sha256": hashlib.sha256(payload).hexdigest()})
     return digest.encode() + b"\n" + payload
 
 
+def _wrong_shape(data):
+    # the first block gains a row
+    def edit(block):
+        block[0] += 1
+    return _redigested(data, edit)
+
+
+def _rank_too_large(data):
+    # the first block's rank exceeds the smaller side of its shape
+    def edit(block):
+        block[2] = min(block[0], block[1]) + 1
+    return _redigested(data, edit)
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_entry, _garbage,
-                                     _wrong_shape])
+                                     _wrong_shape, _rank_too_large])
 def test_invalid_cache_entry_is_recomputed(tmp_path, capsys, corrupt):
     cfg = z_single(tmp_path)
     cache = tmp_path / "cache"
@@ -242,6 +267,79 @@ def test_invalid_cache_entry_is_recomputed(tmp_path, capsys, corrupt):
     assert entry.read_bytes() == data
     cx = BarComplex(parse_config(open(cfg).read()).gens, 4)
     assert _read_cache(str(entry), cx) is not None
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_warm_ranks_assembles_and_eliminates_nothing(tmp_path, monkeypatch,
+                                                     ring):
+    import loopcoh.homology as homology
+    cfg = write_config(tmp_path, {
+        "ring": ring,
+        "generators": [{"name": "x2", "degree": 2},
+                       {"name": "y2", "degree": 2}],
+        "bounds": {"max_degree": 6}})
+    args = ["ranks", "--config", cfg, "--cache-dir", str(tmp_path / "c")]
+    cold = str(tmp_path / "cold.json")
+    warm = str(tmp_path / "warm.json")
+    assert run(args + ["--json", cold])[0] == 0
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("a warm ranks run computed a block")
+
+    for name in ("_block_matrix", "smith_normal_form", "rank_over_field"):
+        monkeypatch.setattr(homology, name, fail)
+    assert run(args + ["--json", warm])[0] == 0
+    assert open(warm, "rb").read() == open(cold, "rb").read()
+
+
+def test_cache_dir_that_is_a_file_exits_with_report(tmp_path, capsys):
+    cfg = z_single(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    json_path = str(tmp_path / "out.json")
+    code, text = run(["ranks", "--config", cfg, "--cache-dir",
+                      str(blocker), "--json", json_path])
+    assert code == 2
+    report = json.loads(open(json_path).read())
+    (error,) = report["errors"]
+    assert error.startswith("FileExistsError: ")
+    assert "error: " + error in text
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_undecodable_config_exits_with_report(tmp_path):
+    config = tmp_path / "job.json"
+    config.write_bytes(b"\xff{}")
+    json_path = str(tmp_path / "out.json")
+    code, text = run(["ranks", "--config", str(config),
+                      "--json", json_path])
+    assert code == 2
+    (message,) = json.loads(open(json_path).read())["errors"]
+    assert message.startswith("UnicodeDecodeError: ")
+    _assert_report(json_path, "ranks", [message])
+    assert "config error: " + message in text
+
+
+def test_max_degree_zero_exits_with_report(tmp_path):
+    json_path = str(tmp_path / "out.json")
+    code, text = run(["oracle-compare", "--config", z_single(tmp_path),
+                      "--max-degree", "0", "--json", json_path])
+    assert code == 2
+    _assert_report(json_path, "oracle-compare",
+                   ["max degree must be positive"])
+    assert "config error: max degree must be positive" in text
+
+
+def test_unwritable_json_path_exits_two(tmp_path, capsys):
+    json_path = str(tmp_path / "nodir" / "out.json")
+    code, text = run(["ranks", "--config", z_single(tmp_path),
+                      "--json", json_path])
+    assert code == 2
+    assert "error: cannot write the JSON report" in text
+    assert not os.path.exists(json_path)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cache_key_ignores_cache_dir(tmp_path):

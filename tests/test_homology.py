@@ -10,7 +10,8 @@ from loopcoh.homology import (BarComplex, HomologyError, RingTable,
                               exterior_verdict, homology_ranks)
 from loopcoh.koszul import oracle_dimensions
 from loopcoh.linalg import (SparseMatrix, column_echelon_basis,
-                            reduce_modulo_image, solve_in_span)
+                            rank_over_field, reduce_modulo_image,
+                            smith_normal_form, solve_in_span)
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
 
@@ -58,6 +59,35 @@ def test_euler_characteristic_is_block_consistent():
     chi_h = sum((-1) ** n * r for n, r in enumerate(ranks))
     boundary_edge = cx.boundary_rank(6)
     assert chi_dim - (-1) ** 6 * 0 == chi_h + (-1) ** 6 * boundary_edge
+
+
+@pytest.mark.parametrize("ring", [Z, Q, F3])
+def test_block_invariants_match_each_block(ring):
+    gens = GeneratorSet(("x2", "x4"), (2, 4), ring)
+    cx = BarComplex(gens, 6)
+    for n in range(7):
+        got = cx.block_invariants(n)
+        blocks = cx.boundary_blocks(n)
+        assert len(got) == len(blocks)
+        for (rank, factors), m in zip(got, blocks):
+            if ring is Z:
+                diagonal, want = smith_normal_form(m)
+                assert factors == tuple(d for d in diagonal if d > 1)
+            else:
+                want = rank_over_field(m)
+                assert factors == ()
+            assert rank == want
+        assert cx.boundary_rank(n) == sum(r for r, _ in got)
+
+
+def test_torsion_lists_the_factors_of_every_block():
+    # invariants as a cache could hold them: d from degree 2 has two
+    # blocks, with invariant factors 2 and 3
+    gens = GeneratorSet(("x2", "y2"), (2, 2), Z)
+    cx = BarComplex(gens, 4)
+    cx._invariants[2] = [(1, (3,)), (2, (2,))]
+    assert cx.torsion(3) == [2, 3]
+    assert cx.boundary_rank(2) == 3
 
 
 def test_shuffle_ring_table_is_exterior_integer_pair():

@@ -1,10 +1,13 @@
-"""Every name a loopcoh module imports is used in that module."""
+"""Every name a loopcoh module imports is used in that module, and every
+function, method and class it defines is referenced somewhere in
+loopcoh or its tests."""
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "loopcoh"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "loopcoh"
 
 
 def unused_imports(source):
@@ -34,3 +37,46 @@ def test_the_scan_finds_unused_names():
                          ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(sources, users):
+    """Functions, methods and classes defined in sources (dunders
+    excepted) whose name no source in users takes as a Name or as an
+    attribute."""
+    defined = set()
+    for source in sources:
+        defined.update(
+            node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__")
+                     and node.name.endswith("__")))
+    used = set()
+    for source in users:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(defined - used)
+
+
+def test_the_scan_finds_unreferenced_definitions():
+    source = ("class A:\n"
+              "    def __init__(self): pass\n"
+              "    def used(self): pass\n"
+              "    def elsewhere(self): pass\n"
+              "    def unused(self): pass\n"
+              "class B: pass\n"
+              "def helper(): pass\n"
+              "def orphan(): pass\n"
+              "A().used(helper)\n")
+    other = "from m import A, orphan\nA().elsewhere()\n"
+    assert unreferenced_definitions([source], [source, other]) == \
+        ["B", "orphan", "unused"]
+
+
+def test_every_definition_is_referenced():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert unreferenced_definitions(sources, sources + tests) == []
