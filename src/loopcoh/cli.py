@@ -10,6 +10,7 @@ failure to write that report, which exits 2 with an error line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -20,7 +21,7 @@ import time
 from . import CONVENTION_VERSION
 from .bar import BarError, bar_basis, bar_differential, check_chain_map
 from .config import ConfigError, parse_config
-from .hirsch_ops import (MissingOperation, check_derivation_relations,
+from .hirsch_ops import (check_derivation_relations,
                          check_sq_specialization_cases)
 from .homology import (BarComplex, HomologyError, RingTable,
                        exterior_verdict, homology_ranks)
@@ -101,10 +102,22 @@ def _write_cache(path, cx):
     payload = json.dumps({"blocks": blocks}, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
     header = json.dumps({"sha256": hashlib.sha256(payload).hexdigest()})
+    _write_atomic(path, header.encode("utf-8") + b"\n" + payload)
+
+
+def _write_atomic(path, data):
+    """Write the bytes data to path through <path>.tmp and os.replace, so
+    that path never holds a partial file; the temporary file is removed
+    when the write or the replace fails."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header.encode("utf-8") + b"\n" + payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _complex_for(cfg, max_degree):
@@ -159,10 +172,7 @@ def _emit(report, json_path):
         return
     text = json.dumps(report, sort_keys=True, indent=2,
                       separators=(",", ": ")) + "\n"
-    tmp = json_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, json_path)
+    _write_atomic(json_path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +415,8 @@ def _run(args, out):
     t0 = time.perf_counter()
     try:
         report, code = COMMANDS[args.command](cfg, max_degree, out)
-    except (AlgebraError, BarError, HomologyError, MissingOperation,
-            OSError, ResolutionError, ResourceCapError, RingError) as exc:
+    except (AlgebraError, BarError, HomologyError, OSError,
+            ResolutionError, ResourceCapError, RingError) as exc:
         # an OSError comes from making the cache directory or writing
         # its entry
         message = f"{type(exc).__name__}: {exc}"

@@ -17,14 +17,6 @@ from .polynomial import (AlgebraError, GeneratorSet, Polynomial, Sq1Table,
 from .rings import RingError
 
 
-class MissingOperation(Exception):
-    """An operation arity is requested beyond the table's cap."""
-
-    def __init__(self, p, q):
-        self.p, self.q = p, q
-        super().__init__(f"no E_({p},{q}) entry available")
-
-
 def sq11(a: Polynomial, b: Polynomial, table: Sq1Table) -> Polynomial:
     """Sq_{1,1}: the both-sided derivation extension of the rule sending
     a pair of equal generators to its Sq1 image and distinct generators
@@ -55,28 +47,19 @@ def sq11(a: Polynomial, b: Polynomial, table: Sq1Table) -> Polynomial:
 class HirschOpTable:
     """Dispatch table for the operations E_{p,q} acting on H.
 
-    default_rule "sq11_derivation" wires (1,1) to sq11 and everything
-    higher to zero; "zero" gives the trivial Hirsch structure whose bar
-    product is the plain shuffle.  With arity_cap set, asking for a
-    higher operation of arity p + q above it raises MissingOperation.
+    With a Sq1 table, (1,1) is sq11 and everything higher is zero;
+    without one, the table is the trivial Hirsch structure whose bar
+    product is the plain shuffle.
 
     A table is immutable once constructed: block_terms memoises its
     values on that assumption.
     """
 
-    def __init__(self, gens: GeneratorSet, sq1: Sq1Table | None = None,
-                 default_rule: str = "zero", arity_cap=None):
-        if default_rule not in ("zero", "sq11_derivation"):
-            raise ValueError(f"unknown default_rule {default_rule!r}")
-        if default_rule == "sq11_derivation":
-            if sq1 is None:
-                raise AlgebraError("sq11_derivation needs a Sq1 table")
-            if gens.ring.char != 2:
-                raise RingError("the Sq structure exists only over F2")
+    def __init__(self, gens: GeneratorSet, sq1: Sq1Table | None = None):
+        if sq1 is not None and gens.ring.char != 2:
+            raise RingError("the Sq structure exists only over F2")
         self.gens = gens
         self.sq1 = sq1
-        self.default_rule = default_rule
-        self.arity_cap = arity_cap
         self._block_terms = {}
 
     def mixed_shapes(self, p_max, q_max):
@@ -84,27 +67,25 @@ class HirschOpTable:
         which some entry can be nonzero; any other mixed shape evaluates
         to zero identically.  Used to prune block enumeration in bar
         products."""
-        if self.default_rule == "sq11_derivation" and p_max >= 1 \
-                and q_max >= 1:
+        if self.sq1 is not None and p_max >= 1 and q_max >= 1:
             return [(1, 1)]
         return []
 
     @classmethod
     def trivial(cls, gens):
-        return cls(gens, default_rule="zero")
+        return cls(gens)
 
     @classmethod
-    def sq_structure(cls, gens, sq1, arity_cap=None):
-        return cls(gens, sq1=sq1, default_rule="sq11_derivation",
-                   arity_cap=arity_cap)
+    def sq_structure(cls, gens, sq1):
+        if sq1 is None:
+            raise AlgebraError("the Sq structure needs a Sq1 table")
+        return cls(gens, sq1)
 
     def _monomial_entry(self, p, q, left_monos, right_monos) -> Polynomial:
         gens = self.gens
-        if (p, q) == (1, 1) and self.default_rule == "sq11_derivation":
+        if (p, q) == (1, 1) and self.sq1 is not None:
             return sq11(Polynomial.monomial(gens, left_monos[0]),
                         Polynomial.monomial(gens, right_monos[0]), self.sq1)
-        if self.arity_cap is not None and p + q > self.arity_cap:
-            raise MissingOperation(p, q)
         return Polynomial.zero(gens)
 
     def eval(self, p, q, left, right) -> Polynomial:
@@ -186,8 +167,7 @@ def derivation_residual(table, p, q, left_monos, right_monos) -> Polynomial:
     return res
 
 
-def check_derivation_relations(table: HirschOpTable, degree_bound,
-                               pq_list=((2, 1), (1, 2)), arity_cap=4):
+def check_derivation_relations(table: HirschOpTable, degree_bound):
     """Evaluate the zero-differential instances of the E_{p,q} boundary
     formula over all basis tuples up to the degree bound; returns the
     violating tuples (violations are data, not errors)."""
@@ -196,9 +176,7 @@ def check_derivation_relations(table: HirschOpTable, degree_bound,
     gens = table.gens
     basis = _positive_basis(gens, degree_bound)
     violations = []
-    for p, q in pq_list:
-        if p + q > arity_cap:
-            continue
+    for p, q in ((2, 1), (1, 2)):
         for monos in itertools.product(basis, repeat=p + q):
             total = sum(gens.monomial_degree(m) for m in monos)
             if total > degree_bound:
@@ -266,28 +244,20 @@ def associativity_sides(table, k, l, r, a, b, c):
 
 
 def check_associativity_relation(table: HirschOpTable, k, l, r,
-                                 degree_bound, args=None):
-    """Compare the two nested sums of the associativity relation; returns
-    the argument tuples where they differ."""
+                                 degree_bound):
+    """Compare the two nested sums of the associativity relation over
+    all basis tuples up to the degree bound; returns the argument tuples
+    where they differ."""
     if table.gens.ring.char != 2:
         raise RingError("relation checkers run in characteristic 2 only")
     gens = table.gens
     violations = []
-    if args is not None:
-        tuples = [args]
-    else:
-        basis = _positive_basis(gens, degree_bound)
-        tuples = []
-        for monos in itertools.product(basis, repeat=k + l + r):
-            if sum(gens.monomial_degree(m) for m in monos) <= degree_bound:
-                tuples.append((monos[:k], monos[k:k + l], monos[k + l:]))
-    for a, b, c in tuples:
-        a = [m if isinstance(m, Polynomial) else Polynomial.monomial(gens, m)
-             for m in a]
-        b = [m if isinstance(m, Polynomial) else Polynomial.monomial(gens, m)
-             for m in b]
-        c = [m if isinstance(m, Polynomial) else Polynomial.monomial(gens, m)
-             for m in c]
+    basis = _positive_basis(gens, degree_bound)
+    for monos in itertools.product(basis, repeat=k + l + r):
+        if sum(gens.monomial_degree(m) for m in monos) > degree_bound:
+            continue
+        a, b, c = ([Polynomial.monomial(gens, m) for m in part]
+                   for part in (monos[:k], monos[k:k + l], monos[k + l:]))
         lhs, rhs = associativity_sides(table, k, l, r, a, b, c)
         if lhs != rhs:
             violations.append(((tuple(map(repr, a)), tuple(map(repr, b)),

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import (SparseMatrix, rank_over_field, rank_over_integers,
-                     smith_normal_form)
+from .linalg import SparseMatrix, rank_over_field, smith_normal_form
 from .polynomial import GeneratorSet
 
 
@@ -112,8 +111,7 @@ def oracle_small_resolution_check(gens: GeneratorSet, max_internal=10):
             if ring.is_field:
                 ranks[h] = rank_over_field(m)
             else:
-                ranks[h] = rank_over_integers(m)
-                diag, _ = smith_normal_form(m)
+                diag, ranks[h] = smith_normal_form(m)
                 if any(d not in (0, 1) for d in diag):
                     raise OracleError(
                         f"non-unimodular image at (h={h}, n={internal})")

@@ -4,10 +4,18 @@ Vectors are dicts {row_index: nonzero coefficient}; matrices store a
 column-major entry map.  Coset representatives are pinned down by a fixed
 pivot rule (lowest row index first) so homology-class identity tests are
 deterministic.
+
+Ranks and Smith forms pivot on units only (_peel_units): any nonzero
+residue over F_p, +-1 over Z and over Q, whose columns are first scaled
+to integers.  The sparsest column goes first, its pivot taken in the
+shortest row.  Each step is unimodular, so every pivot is an invariant
+factor 1; what no unit pivot reaches is left to a Euclidean Smith loop.
+F2 is the exception: its ranks come from bit-packed columns (_rank_gf2).
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from heapq import heapify, heappop, heappush
+from math import lcm
 
 from .rings import RingError, RingSpec
 
@@ -153,20 +161,17 @@ def column_echelon_basis(m: SparseMatrix):
 
 
 def rank_over_field(m: SparseMatrix) -> int:
-    """Exact matrix rank by Gaussian elimination over a field; over Q
-    without fractions (see _rank_integer_columns)."""
+    """Exact matrix rank over a field, by unit pivots (see _peel_units);
+    over Q on the columns scaled to integers, the residual's rank being
+    the length of its Smith form."""
     if not m.ring.is_field:
         raise RingError(f"rank_over_field called over {m.ring.describe()}")
     if m.ring.char == 2:
         return _rank_gf2(m)
     if m.ring.kind == "rationals":
-        return _rank_integer_columns(_integer_columns(m))
-    basis = {}
-    rank = 0
-    for col in m.columns():
-        if col and _echelon_insert(m.ring, col, basis) is not None:
-            rank += 1
-    return rank
+        pivots, residual = _peel_units(_integer_columns(m), 0)
+        return pivots + len(_euclidean_smith(residual))
+    return _peel_units(m.columns(), m.ring.char)[0]
 
 
 def _rank_gf2(m: SparseMatrix) -> int:
@@ -201,47 +206,55 @@ def _integer_columns(m: SparseMatrix):
     return cols
 
 
-def _rank_integer_columns(columns) -> int:
-    """Rank of integer columns by fraction-free elimination, column by
-    column (after Bareiss 1968, with gcds in place of his division by
-    the previous pivot).  A column v whose lowest row r is the pivot row
-    of a basis column b becomes a*v - c*b, where a/c is b[r]/v[r] in
-    lowest terms; when a is not a unit the result is divided by its
-    content.  Entries stay small, every step is exact, and the rank is
-    the rank over Q."""
-    basis = {}  # pivot row -> primitive integer column
-    for v in columns:
-        while v:
-            r = min(v)
-            b = basis.get(r)
-            if b is None:
-                basis[r] = _primitive(v)
-                break
-            a, c = b[r], v[r]
-            g = gcd(a, c)
-            a, c = a // g, c // g
-            if a == 1:
-                v = dict(v)
-            elif a == -1:
-                v = {i: -x for i, x in v.items()}
-            else:
-                v = {i: a * x for i, x in v.items()}
-            for i, y in b.items():
-                x = v.get(i, 0) - c * y
+def _peel_units(columns, p):
+    """Eliminate integer columns on unit pivots only: any nonzero residue
+    mod the prime p, or +-1 when p is 0.  The sparsest column goes first,
+    its pivot taken in the shortest row; the pivot row is cleared from
+    the other columns, and the pivot row and column are dropped.  Every
+    step is unimodular, so the Smith form of the columns is a 1 for each
+    pivot plus the Smith form of the residual columns, which hold no
+    unit.  Returns (pivots, residual); the columns are consumed."""
+    cols = {j: c for j, c in enumerate(columns) if c}
+    rows = {}
+    for j, c in cols.items():
+        for i in c:
+            rows.setdefault(i, set()).add(j)
+    heap = [(len(c), j) for j, c in cols.items()]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        n, j = heappop(heap)
+        c = cols.get(j)
+        if c is None or len(c) != n:
+            continue  # stale: the column has gone or changed since
+        units = [i for i, v in c.items() if p or v in (1, -1)]
+        if not units:
+            continue  # back on the heap only if another pivot changes it
+        r = min(units, key=lambda i: (len(rows[i]), i))
+        del cols[j]
+        for i in c:
+            rows[i].discard(j)
+        inv = pow(c.pop(r), -1, p) if p else c.pop(r)
+        for k in rows.pop(r):
+            ck = cols[k]
+            f = ck.pop(r) * inv
+            for i, v in c.items():
+                x = ck.get(i, 0) - f * v
+                if p:
+                    x %= p
                 if x:
-                    v[i] = x
+                    if i not in ck:
+                        rows[i].add(k)
+                    ck[i] = x
                 else:
-                    del v[i]
-            if a not in (1, -1):
-                v = _primitive(v)
-    return len(basis)
-
-
-def _primitive(v):
-    g = content(v.values())
-    if g == 1:
-        return v
-    return {i: x // g for i, x in v.items()}
+                    del ck[i]
+                    rows[i].discard(k)
+            if ck:
+                heappush(heap, (len(ck), k))
+            else:
+                del cols[k]
+        pivots += 1
+    return pivots, list(cols.values())
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +372,25 @@ def smith_normal_form(m: SparseMatrix):
     """Invariant factors of an integer matrix.
 
     Returns (diagonal, rank) with diagonal = (d_1, ..., d_r), d_i > 0 and
-    d_1 | d_2 | ... | d_r.
+    d_1 | d_2 | ... | d_r: a 1 for each unit pivot of _peel_units, then
+    the Euclidean Smith form of the residual.
     """
     if m.ring.kind != "integers":
         raise RingError("smith_normal_form needs the integer ring")
+    pivots, residual = _peel_units(m.columns(), 0)
+    diagonal = (1,) * pivots + _euclidean_smith(residual)
+    return diagonal, len(diagonal)
+
+
+def _euclidean_smith(columns):
+    """Sorted invariant factors of integer columns, by Euclidean row and
+    column operations on any pivot."""
     rows = {}
     cols = {}
-    for (i, j), val in m.entries.items():
-        rows.setdefault(i, {})[j] = val
-        cols.setdefault(j, {})[i] = val
+    for j, col in enumerate(columns):
+        for i, val in col.items():
+            rows.setdefault(i, {})[j] = val
+            cols.setdefault(j, {})[i] = val
 
     def set_entry(i, j, val):
         if val:
@@ -394,15 +417,9 @@ def smith_normal_form(m: SparseMatrix):
 
     diagonal = []
     while rows:
-        # pivot: smallest absolute value, ties by position for determinism;
-        # the scan stops after the first row that holds a unit
-        pi, pj, pv = None, None, None
-        for i in rows:
-            for j, val in rows[i].items():
-                if pv is None or (abs(val), i, j) < (abs(pv), pi, pj):
-                    pi, pj, pv = i, j, val
-            if pv in (1, -1):
-                break
+        # pivot: smallest absolute value, ties by position
+        _, pi, pj = min((abs(val), i, j)
+                        for i in rows for j, val in rows[i].items())
         # clear the pivot row and column
         while True:
             moved = False
@@ -432,31 +449,16 @@ def smith_normal_form(m: SparseMatrix):
             if not moved:
                 break
         pv = rows[pi][pj]
-        # divisibility: pivot must divide every remaining entry; a unit
-        # divides them all
-        offender = None
-        if pv not in (1, -1):
-            for i in rows:
-                if i == pi:
-                    continue
-                for j, val in rows[i].items():
-                    if val % pv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+        # divisibility: the pivot must divide every remaining entry
+        offender = next((i for i in rows if i != pi
+                         and any(val % pv for val in rows[i].values())),
+                        None)
         if offender is not None:
             row_op(offender, pi, 1)
             continue
         diagonal.append(abs(pv))
         set_entry(pi, pj, 0)
-    diagonal.sort()
-    return tuple(diagonal), len(diagonal)
-
-
-def rank_over_integers(m: SparseMatrix) -> int:
-    diagonal, rank = smith_normal_form(m)
-    return rank
+    return tuple(sorted(diagonal))
 
 
 def solve_in_span(columns, v, ring: RingSpec):
@@ -514,10 +516,3 @@ def solve_in_span(columns, v, ring: RingSpec):
     for i, c in coeffs.items():
         out[i] = c
     return out
-
-
-def content(values):
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g

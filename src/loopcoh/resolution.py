@@ -420,10 +420,10 @@ def _rewrite_in_word(word, pos, ring):
     return {w: c for w, c in out.items() if c != 0}
 
 
-def normalize_element(x, ring, step_cap=NORMALIZE_STEP_CAP):
+def normalize_element(x, ring):
     """Rewrite until no word contains a non-normal letter; idempotent.
-    Raises after step_cap rewrites, or when a shape with unpinned signs
-    occurs away from F2."""
+    Raises after NORMALIZE_STEP_CAP rewrites, or when a shape with
+    unpinned signs occurs away from F2."""
     if not x:
         return {}
     work = dict(x)
@@ -438,9 +438,9 @@ def normalize_element(x, ring, step_cap=NORMALIZE_STEP_CAP):
         if target is None:
             return work
         steps += 1
-        if steps > step_cap:
+        if steps > NORMALIZE_STEP_CAP:
             raise ResolutionError(
-                f"normalization exceeded {step_cap} rewrites; "
+                f"normalization exceeded {NORMALIZE_STEP_CAP} rewrites; "
                 f"offending word: {target[0]!r}")
         w, pos = target
         coeff = work.pop(w)
@@ -997,8 +997,8 @@ def check_hexagon(gens: GeneratorSet, i, j, k):
     a, b, c = ((v_letter(t),) for t in (i, j, k))
     d = Differential(gens)
 
-    def elt(word, coeff=None):
-        return {word: coeff if coeff is not None else one}
+    def elt(word):
+        return {word: one}
 
     lhs = {}
     lhs = add_elements(lhs, elt((e_letter((a,), (b, c)),)), ring)

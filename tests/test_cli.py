@@ -181,7 +181,7 @@ def test_check_exterior_fills_the_cache(tmp_path):
 @pytest.mark.parametrize("name, args, code", [
     ("ResourceCapError", ("boom",), 1),
     ("ResolutionError", ("boom",), 2),
-    ("MissingOperation", (3, 4), 2),
+    ("OSError", ("boom",), 2),
     ("RingError", ("boom",), 2),
     ("HomologyError", ("boom",), 2),
     ("BarError", ("boom",), 2),
@@ -189,8 +189,10 @@ def test_check_exterior_fills_the_cache(tmp_path):
 ])
 def test_command_errors_exit_with_report(tmp_path, monkeypatch, capsys,
                                          name, args, code):
+    import builtins
+
     import loopcoh.cli as cli
-    exc = getattr(cli, name)(*args)
+    exc = getattr(cli if hasattr(cli, name) else builtins, name)(*args)
 
     def fail(*_args, **_kwargs):
         raise exc
@@ -340,6 +342,32 @@ def test_unwritable_json_path_exits_two(tmp_path, capsys):
     assert not os.path.exists(json_path)
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_json_path_that_is_a_directory_leaves_no_temp_file(tmp_path):
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    code, text = run(["ranks", "--config", z_single(tmp_path),
+                      "--json", str(outdir)])
+    assert code == 2
+    assert "error: cannot write the JSON report" in text
+    assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+
+
+def test_cache_entry_that_is_a_directory_leaves_no_temp_file(tmp_path):
+    cache = tmp_path / "cache"
+    json_path = str(tmp_path / "out.json")
+    args = ["ranks", "--config", z_single(tmp_path), "--max-degree", "4",
+            "--cache-dir", str(cache)]
+    assert run(args)[0] == 0
+    (entry,) = cache.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    code, text = run(args + ["--json", json_path])
+    assert code == 2
+    (error,) = json.loads(open(json_path).read())["errors"]
+    assert error.startswith("IsADirectoryError: ")
+    assert list(cache.iterdir()) == [entry]
 
 
 def test_cache_key_ignores_cache_dir(tmp_path):

@@ -1,7 +1,6 @@
 import pytest
 
-from loopcoh.hirsch_ops import (HirschOpTable, MissingOperation,
-                                check_associativity_relation,
+from loopcoh.hirsch_ops import (HirschOpTable, check_associativity_relation,
                                 check_derivation_relations,
                                 check_sq_specialization_cases, sq11,
                                 sq1_decomposability_verdict)

@@ -1,6 +1,7 @@
-"""Every name a loopcoh module imports is used in that module, and every
+"""Every name a loopcoh module imports is used in that module, every
 function, method and class it defines is referenced somewhere in
-loopcoh or its tests."""
+loopcoh or its tests, and every parameter default it declares is
+overridden by some call there."""
 import ast
 import pathlib
 
@@ -80,3 +81,97 @@ def test_every_definition_is_referenced():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert unreferenced_definitions(sources, sources + tests) == []
+
+
+
+def _defaults(node, scope=()):
+    """(callee names, dotted name, positional parameters, parameters with
+    a default) of every function defined under node; self and cls are
+    dropped from a method, and a class names its __init__ as a callee."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            names = {child.name}
+            if isinstance(node, ast.ClassDef):
+                if not any(getattr(d, "id", None) == "staticmethod"
+                           for d in child.decorator_list):
+                    positional = positional[1:]
+                if child.name == "__init__":
+                    names.add(node.name)
+            defaults = positional[len(positional) - len(args.defaults):]
+            defaults += [a.arg for a, d in
+                         zip(args.kwonlyargs, args.kw_defaults) if d]
+            yield names, ".".join(scope + (child.name,)), positional, \
+                defaults
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield from _defaults(child, scope + (child.name,))
+        else:
+            yield from _defaults(child, scope)
+
+
+def _calls(node, cls=None):
+    """(callee name, positional count, keywords, starred) of every call
+    under node; cls(...) in a class body names that class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            f = child.func
+            name = getattr(f, "id", getattr(f, "attr", None))
+            keywords = {k.arg for k in child.keywords}
+            yield (cls if name == "cls" else name, len(child.args),
+                   keywords, None in keywords or any(
+                       isinstance(a, ast.Starred) for a in child.args))
+        yield from _calls(child, child.name
+                          if isinstance(child, ast.ClassDef) else cls)
+
+
+def unpassed_defaults(sources, users):
+    """Parameters with a default, of functions defined in sources, that
+    no call in users passes by keyword or by position, as dotted names
+    (outer.inner.param, Class.method.param).  Calls are matched to
+    definitions by callee name only, and a call with *args or **kwargs
+    passes every parameter, so a name clash can hide an unused
+    parameter but never flags a used one."""
+    calls = {}
+    for source in users:
+        for name, *call in _calls(ast.parse(source)):
+            calls.setdefault(name, []).append(call)
+    unpassed = []
+    for source in sources:
+        for names, dotted, positional, defaults in _defaults(
+                ast.parse(source)):
+            found = [c for n in names for c in calls.get(n, ())]
+            for param in defaults:
+                index = positional.index(param) if param in positional \
+                    else float("inf")
+                if not any(starred or param in keywords or index < count
+                           for count, keywords, starred in found):
+                    unpassed.append(f"{dotted}.{param}")
+    return sorted(unpassed)
+
+
+def test_the_scan_finds_unpassed_defaults():
+    source = ("def f(a, b=1, c=2, *, d=3):\n"
+              "    def inner(x, y=0): return x\n"
+              "    return inner(a)\n"
+              "class A:\n"
+              "    def __init__(self, p=0, q=0): pass\n"
+              "    def m(self, r=0, s=0): pass\n"
+              "    @classmethod\n"
+              "    def make(cls, t=0): return cls(q=t)\n"
+              "    @staticmethod\n"
+              "    def st(u=0): pass\n"
+              "def g(v=0, w=0): pass\n"
+              "f(1, 2)\nA(1).m(s=1)\nA.st(0)\ng(*[])\n")
+    other = "import m\nm.f(0, c=1)\n"
+    assert unpassed_defaults([source], [source]) == \
+        ["A.m.r", "A.make.t", "f.c", "f.d", "f.inner.y"]
+    assert unpassed_defaults([source], [source, other]) == \
+        ["A.m.r", "A.make.t", "f.d", "f.inner.y"]
+
+
+def test_every_default_is_passed():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert unpassed_defaults(sources, sources + tests) == []

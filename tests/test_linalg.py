@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcoh.linalg import (SparseMatrix, column_echelon_basis, content,
-                            hermite_column_basis, rank_over_field,
-                            rank_over_integers, reduce_modulo_image,
+from loopcoh.linalg import (SparseMatrix, _euclidean_smith, _peel_units,
+                            column_echelon_basis, hermite_column_basis,
+                            rank_over_field, reduce_modulo_image,
                             smith_normal_form, solve_in_span)
 from loopcoh.rings import RingSpec
 
 Z = RingSpec.integers()
 Q = RingSpec.rationals()
 F2 = RingSpec.prime_field(2)
+F3 = RingSpec.prime_field(3)
 F5 = RingSpec.prime_field(5)
 
 
@@ -40,7 +41,7 @@ def test_rank_over_field_identity():
 
 def test_rank_over_integers_vs_rationals():
     rows = [[2, 4, 0], [1, 2, 1], [3, 6, 1]]
-    assert rank_over_integers(dense(rows, Z)) == \
+    assert smith_normal_form(dense(rows, Z))[1] == \
         rank_over_field(dense(rows, Q))
 
 
@@ -86,11 +87,6 @@ def test_column_echelon_basis_spans():
     assert len(basis) == 2
 
 
-def test_content():
-    assert content([4, -6, 10]) == 2
-    assert content([0, 0]) == 0
-
-
 def test_compose_shapes():
     a = dense([[1, 2]], Z)
     b = dense([[3], [4]], Z)
@@ -105,7 +101,7 @@ def test_compose_shapes():
 def test_random_integer_rank_matches_rational(seed):
     rng = random.Random(seed)
     rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-    assert rank_over_integers(dense(rows, Z)) == \
+    assert smith_normal_form(dense(rows, Z))[1] == \
         rank_over_field(dense(rows, Q))
 
 
@@ -140,3 +136,27 @@ def test_rational_rank_matches_fraction_echelon(seed, n_rows, n_cols):
                                          for j, col in enumerate(cols)
                                          for i, c in enumerate(col) if c})
     assert rank_over_field(m) == len(column_echelon_basis(m))
+
+
+def test_unit_peeling_matches_the_euclidean_reference():
+    # entries from a set with non-units, so that some draws leave a
+    # residual to the Euclidean loop; the test asserts that some do
+    residuals = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 8).flatmap(lambda n_cols: st.lists(
+        st.lists(st.sampled_from([0, 1, -1, 2, -2, 3, 4, 6]),
+                 min_size=n_cols, max_size=n_cols),
+        min_size=1, max_size=8)))
+    def check(rows):
+        m = dense(rows, Z)
+        residuals.append(bool(_peel_units(m.columns(), 0)[1]))
+        diagonal = _euclidean_smith(m.columns())
+        assert smith_normal_form(m) == (diagonal, len(diagonal))
+        for ring in (Q, F3, F5):
+            field_m = dense(rows, ring)
+            assert rank_over_field(field_m) == \
+                len(column_echelon_basis(field_m))
+
+    check()
+    assert any(residuals)
