@@ -21,7 +21,8 @@ class BarError(Exception):
 
 
 def word_degree(gens, word) -> int:
-    return sum(gens.monomial_degree(m) - 1 for m in word)
+    degrees = gens.degrees
+    return sum(sum(map(mul, m, degrees)) for m in word) - len(word)
 
 
 def word_str(gens, word) -> str:

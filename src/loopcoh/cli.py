@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import itertools
 import json
 import os
@@ -36,13 +35,20 @@ from .rings import RingError
 # ---------------------------------------------------------------------------
 # block-invariant cache
 
+def _sha256(data):
+    """Hex sha256 of the bytes data.  hashlib is imported here, so that a
+    job without a cache does not pay for loading it."""
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
+
+
 def _cache_key(cfg, max_degree):
     # the entry layout is part of the key, so that a file written with
     # another layout is never read as this one
     payload = "|".join((cfg.canonical_json(), f"max_degree={max_degree}",
                         f"convention={CONVENTION_VERSION}",
                         "entry=block_invariants"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256(payload.encode("utf-8"))
 
 
 def _cache_document(path):
@@ -51,7 +57,7 @@ def _cache_document(path):
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
-    if json.loads(header)["sha256"] != hashlib.sha256(payload).hexdigest():
+    if json.loads(header)["sha256"] != _sha256(payload):
         return None
     return json.loads(payload)
 
@@ -101,7 +107,7 @@ def _write_cache(path, cx):
               for n in range(cx.max_degree + 1)}
     payload = json.dumps({"blocks": blocks}, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
-    header = json.dumps({"sha256": hashlib.sha256(payload).hexdigest()})
+    header = json.dumps({"sha256": _sha256(payload)})
     _write_atomic(path, header.encode("utf-8") + b"\n" + payload)
 
 

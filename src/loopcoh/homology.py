@@ -19,12 +19,15 @@ and its class coordinates are those of its parts.
 from __future__ import annotations
 
 import itertools
+from math import comb, prod
+from operator import mul, sub
 
 from . import bar
 from .hirsch_ops import HirschOpTable
 from .koszul import oracle_dimensions
-from .linalg import (SparseMatrix, rank_over_field, reduce_modulo_image,
-                     smith_normal_form, solve_in_span)
+from .linalg import (DEFAULT_DIMENSION_CAP, ResourceCapError, SparseMatrix,
+                     rank_over_field, reduce_modulo_image, smith_normal_form,
+                     solve_in_span)
 from .polynomial import GeneratorSet
 from .rings import RingSpec
 
@@ -37,12 +40,50 @@ def _exponent_vector(gens, word):
     return tuple(map(sum, zip(*word))) if word else gens.unit_monomial()
 
 
-def _basis_by_block(gens, degree):
-    """Bar words of the given degree, grouped by total exponent vector."""
-    blocks = {}
-    for w in bar.bar_basis(gens, degree):
-        blocks.setdefault(_exponent_vector(gens, w), []).append(w)
-    return blocks
+def _vectors(degrees, n):
+    """The exponent vectors v with s(v) - |v| <= n, where s(v) is the
+    internal degree and |v| the exponent sum: every vector a word of
+    degree n can have, since a letter of internal degree d adds d - 1."""
+    if not degrees:
+        yield ()
+        return
+    d = degrees[0] - 1
+    for e in range(n // d + 1):
+        for rest in _vectors(degrees[1:], n - e * d):
+            yield (e,) + rest
+
+
+def _composition_count(v, k):
+    """The number of ordered compositions of v into k nonzero parts, by
+    inclusion-exclusion over the parts forced to be zero."""
+    return sum((-1) ** j * comb(k, j) *
+               prod(comb(e + k - j - 1, k - j - 1) for e in v)
+               for j in range(k))
+
+
+def _block_words(letters, v, k):
+    """The words of k letters with total exponent vector v, in the order
+    of bar.bar_basis.  letters(rest) lists each letter m that can start a
+    word of vector rest, in letter order, with rest - m and its exponent
+    sum."""
+    if k == 0:
+        return [()]
+    out = []
+    prefix = []
+
+    def build(rest, k):
+        if k == 1:
+            out.append((*prefix, rest))
+            return
+        for m, tail, size in letters(rest):
+            # the k - 1 letters after m are nonzero
+            if size >= k - 1:
+                prefix.append(m)
+                build(tail, k - 1)
+                prefix.pop()
+
+    build(v, k)
+    return out
 
 
 def _block_matrix(gens, dom_words, cod_words):
@@ -61,32 +102,90 @@ def _block_matrix(gens, dom_words, cod_words):
                                      col_labels=dom_words)
 
 
+def _matrix_invariants(m):
+    """(rank, factors) of m: over Z from its Smith form, factors being
+    the invariant factors > 1; over a field its rank and ()."""
+    if m.ring.is_field:
+        return rank_over_field(m), ()
+    diagonal, rank = smith_normal_form(m)
+    return rank, tuple(d for d in diagonal if d > 1)
+
+
 class BarComplex:
-    """Degree-truncated bar complex.  Words, boundary blocks and block
-    invariants are computed the first time they are needed.  Ranks and
-    torsion read only the invariants, which a cache can restore without
-    assembling a block; the ring table assembles the blocks it reaches."""
+    """Degree-truncated bar complex, worked on one exponent-vector block
+    at a time.  Block sizes are counted without listing words; the words
+    of a block are enumerated only when its matrix is assembled.
+
+    A permutation sigma of generators of equal degree is an automorphism
+    of S(U), and it maps the block of vector v onto the block of sigma v.
+    It commutes with d, because it commutes with the addition of
+    exponent tuples, and it keeps every sign, because it preserves the
+    degree of each letter.  So the blocks of one orbit have the same
+    shape, rank and invariant factors, and block_invariants eliminates
+    one representative per orbit: the vector with its exponents sorted
+    descending within each group of equal-degree generators.
+
+    Ranks and torsion read only the invariants, which a cache can
+    restore without assembling a block; the ring table assembles the
+    blocks it reaches through block_matrix."""
 
     def __init__(self, gens: GeneratorSet, max_degree):
         self.gens = gens
         self.max_degree = max_degree
-        self._blocks = {}
-        self._matrices = {}
+        self._counts = {}
+        self._letters = {}
         self._invariants = {}
+        groups = {}
+        for i, d in enumerate(gens.degrees):
+            groups.setdefault(d, []).append(i)
+        self._groups = list(groups.values())
 
-    def blocks(self, n):
-        """Words of degree n (0 <= n <= max_degree + 1), by exponent
-        vector."""
-        cached = self._blocks.get(n)
+    def counts(self, n):
+        """The number of words of degree n (n >= 0) in each block, by
+        exponent vector; a block of vector v has s(v) - n letters."""
+        cached = self._counts.get(n)
         if cached is None:
-            cached = _basis_by_block(self.gens, n)
-            self._blocks[n] = cached
+            degrees = self.gens.degrees
+            if n == 0:
+                cached = {self.gens.unit_monomial(): 1}
+            else:
+                cached = {}
+                for v in _vectors(degrees, n):
+                    k = sum(map(mul, v, degrees)) - n
+                    if 1 <= k <= sum(v):
+                        cached[v] = _composition_count(v, k)
+            self._counts[n] = cached
         return cached
+
+    def _letters_of(self, rest):
+        """The nonzero monomials m <= rest in the letter order of
+        bar.bar_basis (by degree, then exponents descending
+        lexicographically, as basis_in_degree lists them), each with
+        rest - m and its exponent sum."""
+        cached = self._letters.get(rest)
+        if cached is None:
+            cached = []
+            for m in sorted(itertools.product(*(range(e, -1, -1)
+                                                for e in rest)),
+                            key=self.gens.monomial_degree):
+                if any(m):
+                    tail = tuple(map(sub, rest, m))
+                    cached.append((m, tail, sum(tail)))
+            self._letters[rest] = cached
+        return cached
+
+    def words(self, n, v):
+        """The words of degree n with exponent vector v, in the order of
+        bar.bar_basis; empty when there is no such block."""
+        if v not in self.counts(n):
+            return []
+        return _block_words(self._letters_of, v,
+                            sum(map(mul, v, self.gens.degrees)) - n)
 
     def dimension(self, n):
         if n < 0 or n > self.max_degree + 1:
             return 0
-        return sum(len(ws) for ws in self.blocks(n).values())
+        return sum(self.counts(n).values())
 
     def boundary_vectors(self, n):
         """The exponent vectors with words in both degrees n and n+1, in
@@ -94,43 +193,59 @@ class BarComplex:
         other blocks of C_n."""
         if n < 0 or n > self.max_degree:
             return []
-        cod = self.blocks(n + 1)
-        return [key for key in sorted(self.blocks(n)) if key in cod]
+        cod = self.counts(n + 1)
+        return [v for v in sorted(self.counts(n)) if v in cod]
+
+    def block_matrix(self, n, v):
+        """The matrix of d from the block of vector v in degree n to the
+        one in degree n+1; rows and columns follow words(n + 1, v) and
+        words(n, v)."""
+        return _block_matrix(self.gens, self.words(n, v),
+                             self.words(n + 1, v))
 
     def boundary_blocks(self, n):
         """Matrices of d: C_n -> C_(n+1), one per vector of
-        boundary_vectors(n); rows and columns follow the word lists of
-        blocks(n + 1) and blocks(n)."""
-        cached = self._matrices.get(n)
-        if cached is None:
-            cached = [_block_matrix(self.gens, dom_words, cod_words)
-                      for dom_words, cod_words in self._block_pairs(n)]
-            self._matrices[n] = cached
-        return cached
+        boundary_vectors(n)."""
+        return [self.block_matrix(n, v) for v in self.boundary_vectors(n)]
 
     def block_shapes(self, n):
         """(rows, cols) of each matrix boundary_blocks(n) returns, in the
         same order, without building them."""
-        return [(len(cod_words), len(dom_words))
-                for dom_words, cod_words in self._block_pairs(n)]
+        dom, cod = self.counts(n), self.counts(n + 1)
+        return [(cod[v], dom[v]) for v in self.boundary_vectors(n)]
 
-    def _block_pairs(self, n):
-        return [(self.blocks(n)[key], self.blocks(n + 1)[key])
-                for key in self.boundary_vectors(n)]
+    def check_cap(self, n):
+        """Raise ResourceCapError when a block of d: C_n -> C_(n+1)
+        exceeds the dimension cap, naming the first such block, so that
+        a degree is refused as a whole whichever blocks are assembled."""
+        for rows, cols in self.block_shapes(n):
+            if max(rows, cols) > DEFAULT_DIMENSION_CAP:
+                raise ResourceCapError(f"matrix {rows}x{cols} exceeds cap "
+                                       f"{DEFAULT_DIMENSION_CAP}")
+
+    def _representative(self, v):
+        out = list(v)
+        for group in self._groups:
+            for i, e in zip(group, sorted((v[i] for i in group),
+                                          reverse=True)):
+                out[i] = e
+        return tuple(out)
 
     def block_invariants(self, n):
         """(rank, factors) of every matrix of boundary_blocks(n), in the
-        same order, computed once: over Z from its Smith form, factors
-        being the invariant factors > 1; over a field its rank and ()."""
+        same order, computed once per orbit (see the class docstring)."""
         cached = self._invariants.get(n)
         if cached is None:
+            self.check_cap(n)
+            by_orbit = {}
             cached = []
-            for m in self.boundary_blocks(n):
-                if m.ring.is_field:
-                    cached.append((rank_over_field(m), ()))
-                else:
-                    diagonal, rank = smith_normal_form(m)
-                    cached.append((rank, tuple(d for d in diagonal if d > 1)))
+            for v in self.boundary_vectors(n):
+                rep = self._representative(v)
+                inv = by_orbit.get(rep)
+                if inv is None:
+                    inv = _matrix_invariants(self.block_matrix(n, rep))
+                    by_orbit[rep] = inv
+                cached.append(inv)
             self._invariants[n] = cached
         return cached
 
@@ -234,24 +349,23 @@ class RingTable:
         self.entries = {}
         self._build()
 
-    def _reduction_data(self, n):
-        """Blocks of degree n by exponent vector: the index of the
-        block's words and the matrix of d from degree n-1 into it, for
-        expressing cocycles in terms of classes."""
-        cached = self._solvers.get(n)
+    def _reduction_data(self, n, key):
+        """The index of the words of the (n, key) block and the matrix of
+        d from degree n-1 into it, for expressing cocycles in terms of
+        classes; an empty index when there is no such block."""
+        cached = self._solvers.get((n, key))
         if cached is not None:
             return cached
         cx = self.cx
-        matrices = dict(zip(cx.boundary_vectors(n - 1),
-                            cx.boundary_blocks(n - 1)))
-        cached = {}
-        for key, words in cx.blocks(n).items():
-            m = matrices.get(key)
-            if m is None:
-                m = SparseMatrix.from_reduced(len(words), 0, self.ring, {},
-                                              dimension_cap=None)
-            cached[key] = ({w: i for i, w in enumerate(words)}, m)
-        self._solvers[n] = cached
+        cx.check_cap(n - 1)
+        words = cx.words(n, key)
+        if words and key in cx.counts(n - 1):
+            m = cx.block_matrix(n - 1, key)
+        else:
+            m = SparseMatrix.from_reduced(len(words), 0, self.ring, {},
+                                          dimension_cap=None)
+        cached = ({w: i for i, w in enumerate(words)}, m)
+        self._solvers[(n, key)] = cached
         return cached
 
     def reduce_cocycle(self, x):
@@ -274,12 +388,11 @@ class RingTable:
             if n > self.max_degree:
                 flags.append(f"component above degree cap ({n})")
                 continue
-            blocks = self._reduction_data(n)
             found = {}
             for key, part in sorted(parts[n].items()):
                 # a vector outside the complex has an empty index, so
                 # _element_vector raises before m is used
-                index, m = blocks.get(key, ({}, None))
+                index, m = self._reduction_data(n, key)
                 v = _element_vector(index, part)
                 s = self._rep_of.get((n, key))
                 rep_cols = [] if s is None else \

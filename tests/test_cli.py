@@ -294,6 +294,42 @@ def test_warm_ranks_assembles_and_eliminates_nothing(tmp_path, monkeypatch,
     assert open(warm, "rb").read() == open(cold, "rb").read()
 
 
+def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
+        tmp_path, monkeypatch):
+    import loopcoh.homology as homology
+    doc = {"ring": "F2",
+           "generators": [{"name": n, "degree": d} for n, d in
+                          (("v2", 2), ("w2", 2), ("t3", 3), ("u3", 3))],
+           "sq1": {"v2": "t3", "u3": "v2 w2"},
+           "bounds": {"max_degree": 8}}
+    cfg = write_config(tmp_path, doc)
+    cx = BarComplex(parse_config(json.dumps(doc)).gens, 8)
+    assert sum(len(cx.block_shapes(n)) for n in range(9)) == 326
+    calls = {"_block_matrix": 0, "_block_words": 0}
+
+    def counted(name):
+        original = getattr(homology, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(homology, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    cache = ["--cache-dir", str(tmp_path / "c")]
+    # the 326 boundary blocks fall into 129 orbits of generators of
+    # equal degree
+    assert run(["ranks", "--config", cfg] + cache)[0] == 0
+    assert calls["_block_matrix"] == 129
+    calls.update(dict.fromkeys(calls, 0))
+    assert run(["ranks", "--config", cfg] + cache)[0] == 0
+    assert calls == {"_block_matrix": 0, "_block_words": 0}
+    # the ring table reaches 20 blocks, 8 of them with a boundary matrix
+    assert run(["check-exterior", "--config", cfg])[0] == 0
+    assert calls["_block_matrix"] == 129 + 8
+
+
 def test_cache_dir_that_is_a_file_exits_with_report(tmp_path, capsys):
     cfg = z_single(tmp_path)
     blocker = tmp_path / "blocker"

@@ -203,6 +203,94 @@ def test_exponent_vector_blocks_match_unsplit_matrix(gens):
     assert got["torsion"] == {}
 
 
+def _reference_basis_by_block(gens, degree):
+    """Bar words of the given degree, grouped by total exponent vector:
+    every word from bar_basis, in its order.  This is how BarComplex
+    listed its blocks before it counted them and enumerated the words of
+    assembled blocks only."""
+    blocks = {}
+    for w in bar.bar_basis(gens, degree):
+        vector = tuple(map(sum, zip(*w))) if w else gens.unit_monomial()
+        blocks.setdefault(vector, []).append(w)
+    return blocks
+
+
+def _reference_block_matrix(gens, dom_words, cod_words):
+    ring = gens.ring
+    index = {w: i for i, w in enumerate(cod_words)}
+    entries = {}
+    for col, w in enumerate(dom_words):
+        for out_w, c in bar.bar_differential(gens, {w: ring.one()}).items():
+            entries[(index[out_w], col)] = c
+    return SparseMatrix(len(cod_words), len(dom_words), ring, entries,
+                        row_labels=cod_words, col_labels=dom_words,
+                        dimension_cap=None)
+
+
+def _reference_invariants(m):
+    if m.ring.is_field:
+        return rank_over_field(m), ()
+    diagonal, rank = smith_normal_form(m)
+    return rank, tuple(d for d in diagonal if d > 1)
+
+
+def assert_blocks_match_reference(gens, max_degree):
+    """Every block of every degree, listed, assembled and eliminated on
+    its own, against BarComplex's counts, words, matrices and the
+    invariants it copies along each orbit."""
+    cx = BarComplex(gens, max_degree)
+    blocks = [_reference_basis_by_block(gens, n)
+              for n in range(max_degree + 2)]
+    for n in range(max_degree + 2):
+        assert sorted(cx.counts(n)) == sorted(blocks[n])
+        for v, words in blocks[n].items():
+            assert cx.counts(n)[v] == len(words)
+            assert cx.words(n, v) == words
+        assert cx.dimension(n) == sum(map(len, blocks[n].values()))
+    for n in range(max_degree + 1):
+        vectors = [v for v in sorted(blocks[n]) if v in blocks[n + 1]]
+        assert cx.boundary_vectors(n) == vectors
+        matrices = [_reference_block_matrix(gens, blocks[n][v],
+                                            blocks[n + 1][v])
+                    for v in vectors]
+        assert cx.block_shapes(n) == [(m.n_rows, m.n_cols)
+                                      for m in matrices]
+        want = [_reference_invariants(m) for m in matrices]
+        assert cx.block_invariants(n) == want
+        for got, m in zip(cx.boundary_blocks(n), matrices):
+            assert (got.row_labels, got.col_labels, got.entries) == \
+                (m.row_labels, m.col_labels, m.entries)
+        assert cx.torsion(n + 1) == sorted(d for _, fs in want for d in fs)
+
+
+@st.composite
+def algebras_with_repeated_degrees(draw):
+    ring = draw(st.sampled_from([Z, Q, F2, F3]))
+    # odd degrees need characteristic two; a group of equal degrees need
+    # not be contiguous
+    degrees = [2, 3] if ring == F2 else [2, 4]
+    degs = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=4))
+    names = tuple(f"g{i}" for i in range(len(degs)))
+    return GeneratorSet(names, tuple(degs), ring)
+
+
+@settings(max_examples=30, deadline=None)
+@given(algebras_with_repeated_degrees())
+@example(GeneratorSet(("a", "b", "c"), (2, 4, 2), Z))
+@example(GeneratorSet(("a", "b", "c", "d"), (3, 2, 3, 2), F2))
+def test_orbit_invariants_match_every_block(gens):
+    assert_blocks_match_reference(gens, 6)
+
+
+@pytest.mark.parametrize("gens, max_degree", [
+    (GeneratorSet(("x2", "y2"), (2, 2), Q), 9),
+    (GeneratorSet(("v2", "w2", "t3", "u3"), (2, 2, 3, 3), F2), 8),
+    (GeneratorSet(("a2", "b2", "c2"), (2, 2, 2), Z), 6),
+], ids=["Q[x2,y2]", "F2[v2,w2,t3,u3]", "Z[a2,b2,c2]"])
+def test_orbit_invariants_match_every_block_pinned(gens, max_degree):
+    assert_blocks_match_reference(gens, max_degree)
+
+
 def test_homology_ranks_rejects_a_foreign_complex():
     gens = GeneratorSet(("x2",), (2,), Z)
     with pytest.raises(HomologyError):
