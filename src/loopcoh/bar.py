@@ -109,76 +109,124 @@ def muE_product(table: HirschOpTable, x, y):
     """Product of bar elements induced by the operation table: sum over
     simultaneous splittings of both factors into consecutive blocks, each
     mixed block evaluated through E and each pure block a single letter,
-    with Koszul signs on desuspended degrees.  The mixed blocks are
-    memoised per table (HirschOpTable.block_terms), keyed by their
-    letters, so each is evaluated once for all word pairs and products.
+    with Koszul signs on desuspended degrees.  Returns a fresh dict.
 
-    With the trivial table this is the shuffle product.
+    With the trivial table this is the shuffle product, taken word pair
+    by word pair (_shuffle_words).  Otherwise it is taken on elements by
+    _factored_product, whose sub-products are memoised per table
+    (HirschOpTable.products), as are the mixed blocks
+    (HirschOpTable.block_terms).
     """
     gens = table.gens
     ring = gens.ring
+    shapes = table.mixed_shapes(max(map(len, x), default=0),
+                                max(map(len, y), default=0))
+    if shapes:
+        return dict(_factored_product(table, shapes, x, y))
     out = {}
+    ys = [(yw, yc, [gens.monomial_degree(m) - 1 for m in yw])
+          for yw, yc in y.items()]
     for xw, xc in x.items():
-        for yw, yc in y.items():
+        xtail = [0]
+        for m in reversed(xw):
+            xtail.append(xtail[-1] + gens.monomial_degree(m) - 1)
+        xtail.reverse()
+        for yw, yc, yd in ys:
             base = ring.mul(xc, yc)
-            _accumulate_word_product(table, xw, yw, base, out)
+            if xw and yw:
+                _shuffle_words(ring, xw, yw, xtail, yd, base, out)
+            else:
+                add_into(out, xw or yw, base, ring)
     return out
 
 
-def _accumulate_word_product(table, xw, yw, base, out):
+def _factored_product(table, shapes, x, y):
+    """x*y for a table with mixed blocks of the given shapes, memoised in
+    table.products; the caller must not change the dict returned.
+
+    Every splitting starts with one move: the empty word of either
+    factor, a leading letter of x, a leading letter of y, or a mixed
+    block.  So x*y is the sum over the moves of the move's letter
+    followed by the product of what the move leaves.  A move that
+    passes y-letters of odd total degree over the rest of x carries the
+    sign (-1)^|rest|, so the rests are split by the parity of their
+    desuspended degree."""
+    key = (frozenset(x.items()), frozenset(y.items()))
+    memo = table.products
+    out = memo.get(key)
+    if out is not None:
+        return out
     gens = table.gens
     ring = gens.ring
-    p, q = len(xw), len(yw)
-    if p == 0:
-        add_into(out, yw, base, ring)
-        return
-    if q == 0:
-        add_into(out, xw, base, ring)
-        return
-    xd = [gens.monomial_degree(m) - 1 for m in xw]
-    yd = [gens.monomial_degree(m) - 1 for m in yw]
-    xtail = [0] * (p + 1)
-    for i in range(p - 1, -1, -1):
-        xtail[i] = xtail[i + 1] + xd[i]
-    mixed_shapes = table.mixed_shapes(p, q)
-    if not mixed_shapes:
-        _shuffle_words(ring, xw, yw, xtail, yd, base, out)
-        return
-    block_terms = table.block_terms
+    out = {}
+    x0, y0 = x.get(()), y.get(())
+    if x0 is not None:
+        for w, c in y.items():
+            add_into(out, w, ring.mul(x0, c), ring)
+        x = {w: c for w, c in x.items() if w}
+    if y0 is not None:
+        for w, c in x.items():
+            add_into(out, w, ring.mul(c, y0), ring)
+        y = {w: c for w, c in y.items() if w}
+    if x and y:
+        one = ring.one()
+        for (m,), rest in _heads(x, 1).items():
+            _prefix_into(out, m, one, _factored_product(table, shapes,
+                                                        rest, y), ring)
+        for (m,), rest in _heads(y, 1).items():
+            for sign, part in _signed_parts(gens, x, (m,)):
+                _prefix_into(out, m, sign, _factored_product(table, shapes,
+                                                             part, rest),
+                             ring)
+        for a, b in shapes:
+            y_heads = _heads(y, b)
+            for xp, x_rest in _heads(x, a).items():
+                for yp, y_rest in y_heads.items():
+                    terms = table.block_terms(a, b, xp, yp)
+                    if not terms:
+                        continue
+                    for sign, part in _signed_parts(gens, x_rest, yp):
+                        prod = _factored_product(table, shapes, part, y_rest)
+                        for m, tc in terms:
+                            _prefix_into(out, m, ring.mul(sign, tc), prod,
+                                         ring)
+    memo[key] = out
+    return out
 
-    def walk(i, j, letters, coeff, par):
-        # a mixed block with several terms branches into one path per
-        # term, carrying the product of the term coefficients in coeff
-        if i == p and j == q:
-            add_into(out, tuple(letters),
-                     coeff if par % 2 == 0 else ring.neg(coeff), ring)
-            return
-        if i < p:
-            letters.append(xw[i])
-            walk(i + 1, j, letters, coeff, par)
-            letters.pop()
-        if j < q:
-            letters.append(yw[j])
-            walk(i, j + 1, letters, coeff, par + yd[j] * xtail[i])
-            letters.pop()
-        for a, b in mixed_shapes:
-            if i + a > p or j + b > q:
-                continue
-            terms = block_terms(a, b, xw[i:i + a], yw[j:j + b])
-            if not terms:
-                continue
-            next_par = par + sum(yd[j:j + b]) * xtail[i + a]
-            for mono, c in terms:
-                letters.append(mono)
-                walk(i + a, j + b, letters, ring.mul(coeff, c), next_par)
-                letters.pop()
 
-    walk(0, 0, [], base, 0)
+def _heads(x, a):
+    """The words of x with at least a letters, grouped by their first a
+    letters: {prefix: {rest: coeff}}."""
+    out = {}
+    for w, c in x.items():
+        if len(w) >= a:
+            out.setdefault(w[:a], {})[w[a:]] = c
+    return out
+
+
+def _signed_parts(gens, x, letters):
+    """x as (sign, part) pairs, with sign (-1)^(|letters| |w|) on the
+    desuspended degrees of the letters and of each word w of the part."""
+    ring = gens.ring
+    one = ring.one()
+    if word_degree(gens, letters) % 2 == 0:
+        return [(one, x)]
+    parts = ({}, {})
+    for w, c in x.items():
+        parts[word_degree(gens, w) % 2][w] = c
+    return [(s, p) for s, p in zip((one, ring.neg(one)), parts) if p]
+
+
+def _prefix_into(out, m, coeff, x, ring):
+    """out += coeff * [m | x]."""
+    for w, c in x.items():
+        add_into(out, (m,) + w, ring.mul(coeff, c), ring)
 
 
 def _shuffle_words(ring, xw, yw, xtail, yd, base, out):
-    """Pure-shuffle fast path: enumerate interleavings iteratively
-    instead of through the splitting recursion."""
+    """The shuffle product of two nonempty words, added into out times
+    base: every interleaving, enumerated iteratively, with its Koszul
+    sign."""
     p, q = len(xw), len(yw)
     total = p + q
     acc = {}

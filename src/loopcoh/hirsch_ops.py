@@ -51,8 +51,10 @@ class HirschOpTable:
     without one, the table is the trivial Hirsch structure whose bar
     product is the plain shuffle.
 
-    A table is immutable once constructed: block_terms memoises its
-    values on that assumption.
+    A table is immutable once constructed, and two memos rely on that:
+    block_terms memoises the mixed blocks, and products holds the
+    sub-products bar.muE_product forms on elements, keyed by the pair
+    of frozen element item sets.
     """
 
     def __init__(self, gens: GeneratorSet, sq1: Sq1Table | None = None):
@@ -61,6 +63,7 @@ class HirschOpTable:
         self.gens = gens
         self.sq1 = sq1
         self._block_terms = {}
+        self.products = {}
 
     def mixed_shapes(self, p_max, q_max):
         """Shapes (p, q) with 1 <= p <= p_max and 1 <= q <= q_max at

@@ -126,8 +126,8 @@ class BarComplex:
     descending within each group of equal-degree generators.
 
     Ranks and torsion read only the invariants, which a cache can
-    restore without assembling a block; the ring table assembles the
-    blocks it reaches through block_matrix."""
+    restore without assembling a block; the ring table assembles only
+    the blocks it reaches, from their words."""
 
     def __init__(self, gens: GeneratorSet, max_degree):
         self.gens = gens
@@ -360,7 +360,7 @@ class RingTable:
         cx.check_cap(n - 1)
         words = cx.words(n, key)
         if words and key in cx.counts(n - 1):
-            m = cx.block_matrix(n - 1, key)
+            m = _block_matrix(self.gens, cx.words(n - 1, key), words)
         else:
             m = SparseMatrix.from_reduced(len(words), 0, self.ring, {},
                                           dimension_cap=None)

@@ -1,7 +1,7 @@
 """Exact sparse linear algebra over Z, Q, and prime fields.
 
 Vectors are dicts {row_index: nonzero coefficient}; matrices store a
-column-major entry map.  Coset representatives are pinned down by a fixed
+sparse entry map keyed (row, col).  Coset representatives are pinned down by a fixed
 pivot rule (lowest row index first) so homology-class identity tests are
 deterministic.
 

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopcoh import bar
 from loopcoh.hirsch_ops import HirschOpTable
@@ -295,6 +297,89 @@ def test_muE_matches_per_pair_reference_on_chain_map_words(make_table,
             for a, b in ((x, y), (dx, y), (x, dy)):
                 assert bar.muE_product(table, a, b) == \
                     reference_muE_product(table, a, b), (xw, yw)
+
+
+class _SignedTable(HirschOpTable):
+    """A table over Z whose mixed blocks of shapes (1,1), (1,2) and (2,1)
+    are the product of their letters minus twice the first letter, so
+    that blocks of several shapes, terms and coefficients, and the
+    Koszul signs of the twisted product, all show.  It satisfies no
+    Hirsch relation; it only exercises the product's bookkeeping."""
+
+    def mixed_shapes(self, p_max, q_max):
+        return [(a, b) for a, b in ((1, 1), (1, 2), (2, 1))
+                if a <= p_max and b <= q_max]
+
+    def _monomial_entry(self, p, q, left_monos, right_monos):
+        gens = self.gens
+        letters = Polynomial.one(gens)
+        for m in left_monos + right_monos:
+            letters = letters * Polynomial.monomial(gens, m)
+        return letters + Polynomial.monomial(gens, left_monos[0], -2)
+
+
+PRODUCT_TABLES = [make for make, _ in SQ_TABLES] + [
+    lambda: _SignedTable(GeneratorSet(("a2", "b4"), (2, 4), Z))]
+PRODUCT_IDS = SQ_IDS + ["Z[a2,b4] signed blocks"]
+
+
+@pytest.mark.parametrize("make_table", PRODUCT_TABLES, ids=PRODUCT_IDS)
+def test_muE_matches_per_pair_reference_on_non_homogeneous_elements(
+        make_table):
+    """Elements drawn from the words of degrees 0 to 4.  The test asserts
+    that the draws mix degrees of both parities, include the empty word
+    and, on the last two tables, meet blocks with two terms."""
+    table = make_table()
+    gens = table.gens
+    ring = gens.ring
+    words = [w for n in range(5) for w in bar.bar_basis(gens, n)]
+    coeffs = sorted({ring.normalize(c) for c in (1, -1, 2)} - {0})
+    element = st.dictionaries(st.sampled_from(words),
+                              st.sampled_from(coeffs), min_size=1,
+                              max_size=6)
+    met = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(element, element)
+    def check(x, y):
+        for elt in (x, y):
+            if len({bar.word_degree(gens, w) % 2 for w in elt}) == 2:
+                met.add("both parities")
+            if () in elt:
+                met.add("empty word")
+        letters = [{m for w in elt for m in w} for elt in (x, y)]
+        if any(len(table.block_terms(1, 1, (a,), (b,))) > 1
+               for a in letters[0] for b in letters[1]):
+            met.add("several terms")
+        assert bar.muE_product(table, x, y) == \
+            reference_muE_product(table, x, y)
+
+    check()
+    assert met >= {"both parities", "empty word"}
+    if make_table in PRODUCT_TABLES[3:]:
+        assert "several terms" in met
+
+
+def test_products_are_fresh_and_memoised_per_table():
+    """muE_product hands out a new dict each time, and a table's memo
+    of sub-products serves that table only."""
+    multi = SQ_TABLES[3][0]()
+    gens = multi.gens
+    v2, w2, t3, u3 = (gens.generator_monomial(i) for i in range(4))
+    x = {(u3,): 1, (v2, u3): 1, (t3, w2): 1}
+    y = {(u3,): 1, (t3,): 1, (u3, v2): 1}
+    expected = reference_muE_product(multi, x, y)
+    first = bar.muE_product(multi, x, y)
+    assert first == expected
+    first.clear()
+    first[(u3, u3, u3)] = 1
+    assert bar.muE_product(multi, x, y) == expected
+    single = SQ_TABLES[2][0]()
+    assert single.gens.names == gens.names
+    results = [bar.muE_product(t, x, y) for t in (single, multi)]
+    assert results[0] == reference_muE_product(single, x, y)
+    assert results[1] == expected
+    assert results[0] != results[1]
 
 
 def test_ring_table_evaluates_each_block_once(monkeypatch):

@@ -325,9 +325,11 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
     calls.update(dict.fromkeys(calls, 0))
     assert run(["ranks", "--config", cfg] + cache)[0] == 0
     assert calls == {"_block_matrix": 0, "_block_words": 0}
-    # the ring table reaches 20 blocks, 8 of them with a boundary matrix
+    # the ring table reaches 20 blocks, 8 of them with a boundary matrix;
+    # it lists the words of each block once, and those of the 8 domains
     assert run(["check-exterior", "--config", cfg])[0] == 0
     assert calls["_block_matrix"] == 129 + 8
+    assert calls["_block_words"] == 2 * 129 + 20 + 8
 
 
 def test_cache_dir_that_is_a_file_exits_with_report(tmp_path, capsys):
