@@ -13,7 +13,7 @@ import itertools
 from operator import add, mul
 
 from .hirsch_ops import HirschOpTable
-from .polynomial import GeneratorSet, Polynomial
+from .polynomial import GeneratorSet
 
 
 class BarError(Exception):
@@ -259,11 +259,6 @@ def shuffle_product(gens: GeneratorSet, x, y):
     return muE_product(table, x, y)
 
 
-def single_letter(gens, poly: Polynomial):
-    """The one-letter element [p] of a polynomial, expanded termwise."""
-    return {(m,): c for m, c in poly.terms.items()}
-
-
 def canonical_symmetric_cocycle(gens: GeneratorSet, indices):
     """Sum over all orderings of the given generator multiset of the
     corresponding one-letter-per-generator word, with Koszul signs.
@@ -285,87 +280,6 @@ def canonical_symmetric_cocycle(gens: GeneratorSet, indices):
                     par += degs[perm[a]] * degs[perm[b]]
         coeff = ring.one() if par % 2 == 0 else ring.neg(ring.one())
         add_into(out, word, coeff, ring)
-    return out
-
-
-def corrected_cocycle_small(table: HirschOpTable, indices):
-    """Cocycle representative for a set of 2 or 3 distinct generators
-    under a nontrivial operation table, correcting the symmetric sum by
-    lower-weight words built from E_{1,1} and E_{1,2} values.
-
-    Only characteristic 2 and at most three generators are supported.
-    """
-    gens = table.gens
-    ring = gens.ring
-    if ring.char != 2:
-        raise BarError("corrected cocycles implemented over F2 only")
-    if len(set(indices)) != len(indices):
-        raise BarError("generator indices must be distinct")
-    k = len(indices)
-    polys = [Polynomial.generator(gens, gens.names[i]) for i in indices]
-    if k == 1:
-        return single_letter(gens, polys[0])
-    out = canonical_symmetric_cocycle(gens, indices)
-    e11 = lambda a, b: table.eval(1, 1, [a], [b])
-    if k == 2:
-        a, b = polys
-        out = add_elements(out, single_letter(gens, e11(a, b)), ring)
-        return out
-    if k == 3:
-        a1, a2, a3 = polys
-        # two-letter words: one cup-one pair and one free letter, summed
-        # over the splittings that keep letter blocks increasing
-        for (i, j), (l,) in (((0, 1), (2,)), ((0, 2), (1,)),
-                             ((1, 2), (0,))):
-            pair = e11(polys[i], polys[j])
-            free = polys[l]
-            for word_elt in (_two_letter(gens, pair, free),
-                             _two_letter(gens, free, pair)):
-                out = add_elements(out, word_elt, ring)
-        # one-letter correction
-        corr = e11(a1, e11(a2, a3)) \
-            + table.eval(1, 2, [a1], [a2, a3]) \
-            + table.eval(1, 2, [a1], [a3, a2])
-        out = add_elements(out, single_letter(gens, corr), ring)
-        return out
-    raise BarError("corrected cocycles for more than 3 generators "
-                   "are not implemented")
-
-
-def _two_letter(gens, p1: Polynomial, p2: Polynomial):
-    ring = gens.ring
-    out = {}
-    for m1, c1 in p1.terms.items():
-        for m2, c2 in p2.terms.items():
-            add_into(out, (m1, m2), ring.mul(c1, c2), ring)
-    return out
-
-
-def induced_bar_map(src: GeneratorSet, dst: GeneratorSet, images, x):
-    """Apply an algebra map (generator -> Polynomial over dst) letterwise
-    to a bar element; raises with a witness if a letter's image fails to
-    be computable (the map must be defined on every generator)."""
-    ring = dst.ring
-    out = {}
-    for word, coeff in x.items():
-        polys = []
-        for mono in word:
-            img = Polynomial.one(dst)
-            for g, e in enumerate(mono):
-                if e == 0:
-                    continue
-                base = images.get(src.names[g])
-                if base is None:
-                    raise BarError(f"no image for generator {src.names[g]}")
-                for _ in range(e):
-                    img = img * base
-            polys.append(img)
-        for combo in itertools.product(*(poly.terms.items()
-                                         for poly in polys)):
-            c = coeff
-            for _, tc in combo:
-                c = ring.mul(c, tc)
-            add_into(out, tuple(m for m, _ in combo), c, ring)
     return out
 
 

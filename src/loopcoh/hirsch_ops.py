@@ -47,9 +47,11 @@ def sq11(a: Polynomial, b: Polynomial, table: Sq1Table) -> Polynomial:
 class HirschOpTable:
     """Dispatch table for the operations E_{p,q} acting on H.
 
-    With a Sq1 table, (1,1) is sq11 and everything higher is zero;
-    without one, the table is the trivial Hirsch structure whose bar
-    product is the plain shuffle.
+    Over F2 the only mixed operation that can be nonzero is E_{1,1}:
+    with a Sq1 table it is sq11, and every other mixed shape is zero.
+    Without one, the table is the trivial Hirsch structure whose bar
+    product is the plain shuffle.  So eval has three cases: the
+    identity, sq11 and zero.
 
     A table is immutable once constructed, and two memos rely on that:
     block_terms memoises the mixed blocks, and products holds the
@@ -84,42 +86,24 @@ class HirschOpTable:
             raise AlgebraError("the Sq structure needs a Sq1 table")
         return cls(gens, sq1)
 
-    def _monomial_entry(self, p, q, left_monos, right_monos) -> Polynomial:
-        gens = self.gens
-        if (p, q) == (1, 1) and self.sq1 is not None:
-            return sq11(Polynomial.monomial(gens, left_monos[0]),
-                        Polynomial.monomial(gens, right_monos[0]), self.sq1)
-        return Polynomial.zero(gens)
-
     def eval(self, p, q, left, right) -> Polynomial:
-        """E_{p,q} on p left and q right arguments, multilinear in each.
+        """E_{p,q} on p left and q right arguments, multilinear in each:
+        the identity at (1,0) and (0,1), sq11 at (1,1) when a Sq1 table
+        is set (sq11 is bilinear, so it takes whole polynomials), and
+        zero at every other shape.
 
         Arguments may be Polynomials or monomial tuples.
         """
-        gens = self.gens
-        ring = gens.ring
-        left = [a if isinstance(a, Polynomial) else Polynomial.monomial(gens, a)
-                for a in left]
-        right = [b if isinstance(b, Polynomial) else Polynomial.monomial(gens, b)
-                 for b in right]
         if len(left) != p or len(right) != q:
             raise AlgebraError(f"E_({p},{q}) got {len(left)}+{len(right)} arguments")
-        if (p, q) == (1, 0):
-            return left[0]
-        if (p, q) == (0, 1):
-            return right[0]
-        if q == 0 or p == 0:
-            return Polynomial.zero(gens)
-        out = Polynomial.zero(gens)
-        for combo in itertools.product(*(a.terms.items() for a in left + right)):
-            coeff = ring.one()
-            for _, c in combo:
-                coeff = ring.mul(coeff, c)
-            monos = [m for m, _ in combo]
-            val = self._monomial_entry(p, q, tuple(monos[:p]), tuple(monos[p:]))
-            if not val.is_zero():
-                out = out + val.scale(coeff)
-        return out
+        gens = self.gens
+        args = [a if isinstance(a, Polynomial) else Polynomial.monomial(gens, a)
+                for a in (*left, *right)]
+        if (p, q) in ((1, 0), (0, 1)):
+            return args[0]
+        if (p, q) == (1, 1) and self.sq1 is not None:
+            return sq11(args[0], args[1], self.sq1)
+        return Polynomial.zero(gens)
 
     def block_terms(self, p, q, left_monos, right_monos):
         """E_{p,q} on tuples of monomial tuples, as a tuple of
@@ -134,40 +118,48 @@ class HirschOpTable:
         return terms
 
 
-def _positive_basis(gens, max_degree):
-    out = []
-    for n in range(2, max_degree + 1):
-        out.extend(gens.basis_in_degree(n))
-    return out
-
-
 def _merge(monos, i):
     merged = tuple(a + b for a, b in zip(monos[i], monos[i + 1]))
     return monos[:i] + (merged,) + monos[i + 2:]
+
+
+def _quadratic_tail(table, u, v):
+    """Sum of E(u[:i]; v[:j]) E(u[i:]; v[j:]) over the splittings of
+    (u; v) into a head and a tail, neither of them empty."""
+    p, q = len(u), len(v)
+    out = Polynomial.zero(table.gens)
+    for i in range(p + 1):
+        for j in range(q + 1):
+            if (i, j) in ((0, 0), (p, q)):
+                continue
+            head = table.eval(i, j, u[:i], v[:j])
+            if head.is_zero():
+                continue
+            tail = table.eval(p - i, q - j, u[i:], v[j:])
+            if not tail.is_zero():
+                out = out + head * tail
+    return out
 
 
 def derivation_residual(table, p, q, left_monos, right_monos) -> Polynomial:
     """Right-hand side of the differential formula for E_{p,q} with the
     internal-differential terms dropped (H has d = 0): adjacent merges
     plus the quadratic tail, excluding the extreme splittings."""
-    gens = table.gens
-    res = Polynomial.zero(gens)
+    res = Polynomial.zero(table.gens)
     for i in range(p - 1):
         res = res + table.eval(p - 1, q, _merge(left_monos, i), right_monos)
     for j in range(q - 1):
         res = res + table.eval(p, q - 1, left_monos, _merge(right_monos, j))
-    for i in range(p + 1):
-        for j in range(q + 1):
-            if (i, j) in ((0, 0), (p, q)):
-                continue
-            head = table.eval(i, j, left_monos[:i], right_monos[:j])
-            if head.is_zero():
-                continue
-            tail = table.eval(p - i, q - j, left_monos[i:], right_monos[j:])
-            if tail.is_zero():
-                continue
-            res = res + head * tail
-    return res
+    return res + _quadratic_tail(table, left_monos, right_monos)
+
+
+def _basis_tuples(gens, length, degree_bound):
+    """Tuples of `length` positive-degree basis monomials whose degrees
+    sum to at most degree_bound, in itertools.product order."""
+    basis = [(m, n) for n in range(2, degree_bound + 1)
+             for m in gens.basis_in_degree(n)]
+    return [monos for monos, _ in
+            _product_within([basis] * length, degree_bound)]
 
 
 def check_derivation_relations(table: HirschOpTable, degree_bound):
@@ -176,14 +168,9 @@ def check_derivation_relations(table: HirschOpTable, degree_bound):
     violating tuples (violations are data, not errors)."""
     if table.gens.ring.char != 2:
         raise RingError("relation checkers run in characteristic 2 only")
-    gens = table.gens
-    basis = _positive_basis(gens, degree_bound)
     violations = []
     for p, q in ((2, 1), (1, 2)):
-        for monos in itertools.product(basis, repeat=p + q):
-            total = sum(gens.monomial_degree(m) for m in monos)
-            if total > degree_bound:
-                continue
+        for monos in _basis_tuples(table.gens, p + q, degree_bound):
             res = derivation_residual(table, p, q, monos[:p], monos[p:])
             if not res.is_zero():
                 violations.append(((p, q), monos, res))
@@ -201,49 +188,82 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _nested_sum(table, outer_is_left, k, l, r, a, b, c):
+def _product_within(arg_lists, budget):
+    """The tuples of itertools.product over lists of (item, degree)
+    pairs whose degrees sum to at most budget, in product order, each
+    with its degree sum.  A candidate is skipped as soon as the slots
+    after it cannot fit in what is left of the budget, so no tuple is
+    built only to be dropped."""
+    if not all(arg_lists):
+        return []
+    k = len(arg_lists)
+    # min_rest[i]: the least degree that slots i, i+1, ... can add
+    min_rest = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        min_rest[i] = min_rest[i + 1] + min(n for _, n in arg_lists[i])
+    out = []
+    combo = [None] * k
+
+    def walk(i, used):
+        if i == k:
+            out.append((tuple(combo), used))
+            return
+        rest = min_rest[i + 1]
+        for item, n in arg_lists[i]:
+            if used + n + rest > budget:
+                continue
+            combo[i] = item
+            walk(i + 1, used + n)
+
+    walk(0, 0)
+    return out
+
+
+def block_splittings(left, right):
+    """Every way to cut (left; right) into consecutive blocks, none of
+    them empty on both sides, each as a list of (left block, right
+    block) pairs: by number of blocks, then by the compositions of
+    len(left) and of len(right) in _compositions order."""
+    n_left, n_right = len(left), len(right)
+    for nblocks in range(1, n_left + n_right + 1):
+        for ks in _compositions(n_left, nblocks):
+            for ls in _compositions(n_right, nblocks):
+                if any(k + l == 0 for k, l in zip(ks, ls)):
+                    continue
+                blocks = []
+                i = j = 0
+                for k, l in zip(ks, ls):
+                    blocks.append((left[i:i + k], right[j:j + l]))
+                    i += k
+                    j += l
+                yield blocks
+
+
+def _nested_sum(table, outer_is_left, a, b, c):
     """One side of the associativity relation for E-expressions.
 
     outer_is_left: sum of E_{p,r}(blocks(a,b); c); otherwise
     E_{k,q}(a; blocks(b,c)).
     """
-    gens = table.gens
-    out = Polynomial.zero(gens)
-    if outer_is_left:
-        inner_left, inner_right, outer_tail = a, b, c
-    else:
-        inner_left, inner_right, outer_tail = b, c, a
-    n_left, n_right = len(inner_left), len(inner_right)
-    for nblocks in range(1, n_left + n_right + 1):
-        for ks in _compositions(n_left, nblocks):
-            for ls in _compositions(n_right, nblocks):
-                if any(ki + li == 0 for ki, li in zip(ks, ls)):
-                    continue
-                blocks = []
-                ai = bi = 0
-                zero = False
-                for ki, li in zip(ks, ls):
-                    val = table.eval(ki, li, inner_left[ai:ai + ki],
-                                     inner_right[bi:bi + li])
-                    ai += ki
-                    bi += li
-                    if val.is_zero():
-                        zero = True
-                        break
-                    blocks.append(val)
-                if zero:
-                    continue
-                if outer_is_left:
-                    out = out + table.eval(nblocks, r, blocks, outer_tail)
-                else:
-                    out = out + table.eval(k, nblocks, outer_tail, blocks)
+    out = Polynomial.zero(table.gens)
+    for split in block_splittings(*((a, b) if outer_is_left else (b, c))):
+        blocks = []
+        for bl, br in split:
+            val = table.eval(len(bl), len(br), bl, br)
+            if val.is_zero():
+                break
+            blocks.append(val)
+        else:
+            if outer_is_left:
+                out = out + table.eval(len(blocks), len(c), blocks, c)
+            else:
+                out = out + table.eval(len(a), len(blocks), a, blocks)
     return out
 
 
-def associativity_sides(table, k, l, r, a, b, c):
-    lhs = _nested_sum(table, True, k, l, r, a, b, c)
-    rhs = _nested_sum(table, False, k, l, r, a, b, c)
-    return lhs, rhs
+def associativity_sides(table, a, b, c):
+    return (_nested_sum(table, True, a, b, c),
+            _nested_sum(table, False, a, b, c))
 
 
 def check_associativity_relation(table: HirschOpTable, k, l, r,
@@ -255,13 +275,10 @@ def check_associativity_relation(table: HirschOpTable, k, l, r,
         raise RingError("relation checkers run in characteristic 2 only")
     gens = table.gens
     violations = []
-    basis = _positive_basis(gens, degree_bound)
-    for monos in itertools.product(basis, repeat=k + l + r):
-        if sum(gens.monomial_degree(m) for m in monos) > degree_bound:
-            continue
+    for monos in _basis_tuples(gens, k + l + r, degree_bound):
         a, b, c = ([Polynomial.monomial(gens, m) for m in part]
                    for part in (monos[:k], monos[k:k + l], monos[k + l:]))
-        lhs, rhs = associativity_sides(table, k, l, r, a, b, c)
+        lhs, rhs = associativity_sides(table, a, b, c)
         if lhs != rhs:
             violations.append(((tuple(map(repr, a)), tuple(map(repr, b)),
                                 tuple(map(repr, c))), lhs, rhs))
@@ -282,18 +299,14 @@ def _shuffles(xs, ys):
         yield (ys[0],) + rest
 
 
-def _sq_of_shuffles(table, p, q, us, vs, shuffle_left):
-    """Sq_{p,q} evaluated on a formal shuffle sum placed in one slot."""
-    gens = table.gens
-    out = Polynomial.zero(gens)
-    if shuffle_left:
-        head, tail = us, vs
-        for word in _shuffles(head[0], head[1]):
-            out = out + table.eval(p, q, list(word), list(tail))
-    else:
-        head, tail = us, vs
-        for word in _shuffles(tail[0], tail[1]):
-            out = out + table.eval(p, q, list(head), list(word))
+def _sq_of_shuffles(table, left, right, shuffle_left):
+    """Sq evaluated on a formal shuffle sum placed in one slot: the
+    slot (left when shuffle_left, else right) holds a pair of tuples,
+    and each of their shuffles fills it in turn."""
+    out = Polynomial.zero(table.gens)
+    for word in _shuffles(*(left if shuffle_left else right)):
+        u, v = (word, right) if shuffle_left else (left, word)
+        out = out + table.eval(len(u), len(v), list(u), list(v))
     return out
 
 
@@ -306,25 +319,11 @@ def specialization_sides(table, a, b, c, u, v):
     u, v: tuples of Polynomials (the derivation instance).
     Returns (rhs_assoc, rhs_deriv).
     """
-    gens = table.gens
-    k, l, r = len(a), len(b), len(c)
-    p, q = len(u), len(v)
-    full_l, full_r = associativity_sides(table, k, l, r, a, b, c)
-    head_l = _sq_of_shuffles(table, k + l, r, (a, b), c, True)
-    head_r = _sq_of_shuffles(table, k, l + r, a, (b, c), False)
+    full_l, full_r = associativity_sides(table, a, b, c)
+    head_l = _sq_of_shuffles(table, (a, b), c, True)
+    head_r = _sq_of_shuffles(table, a, (b, c), False)
     rhs_assoc = (full_l + head_l) + (full_r + head_r)  # char 2 subtraction
-    rhs_deriv = Polynomial.zero(gens)
-    for i in range(p + 1):
-        for j in range(q + 1):
-            if (i, j) in ((0, 0), (p, q)):
-                continue
-            head = table.eval(i, j, u[:i], v[:j])
-            if head.is_zero():
-                continue
-            tail = table.eval(p - i, q - j, u[i:], v[j:])
-            if not tail.is_zero():
-                rhs_deriv = rhs_deriv + head * tail
-    return rhs_assoc, rhs_deriv
+    return rhs_assoc, _quadratic_tail(table, u, v)
 
 
 def check_sq_specialization_cases(table: HirschOpTable, degree_bound):

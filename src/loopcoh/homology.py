@@ -362,8 +362,7 @@ class RingTable:
         if words and key in cx.counts(n - 1):
             m = _block_matrix(self.gens, cx.words(n - 1, key), words)
         else:
-            m = SparseMatrix.from_reduced(len(words), 0, self.ring, {},
-                                          dimension_cap=None)
+            m = SparseMatrix.from_reduced(len(words), 0, self.ring, {})
         cached = ({w: i for i, w in enumerate(words)}, m)
         self._solvers[(n, key)] = cached
         return cached

@@ -27,16 +27,14 @@ class ResourceCapError(Exception):
 
 
 class SparseMatrix:
-    """Immutable sparse matrix; no explicit zeros are stored."""
+    """Sparse matrix; no explicit zeros are stored.  It takes any size:
+    the dimension cap is the caller's policy (BarComplex.check_cap
+    refuses a degree before any of its blocks is assembled)."""
 
     __slots__ = ("n_rows", "n_cols", "ring", "entries", "row_labels", "col_labels")
 
     def __init__(self, n_rows, n_cols, ring: RingSpec, entries=None,
-                 row_labels=None, col_labels=None,
-                 dimension_cap=DEFAULT_DIMENSION_CAP):
-        if dimension_cap is not None and max(n_rows, n_cols) > dimension_cap:
-            raise ResourceCapError(
-                f"matrix {n_rows}x{n_cols} exceeds cap {dimension_cap}")
+                 row_labels=None, col_labels=None):
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.ring = ring
@@ -53,14 +51,10 @@ class SparseMatrix:
 
     @classmethod
     def from_reduced(cls, n_rows, n_cols, ring: RingSpec, entries,
-                     row_labels=None, col_labels=None,
-                     dimension_cap=DEFAULT_DIMENSION_CAP):
+                     row_labels=None, col_labels=None):
         """Matrix over entries that are already in range, nonzero and
         reduced (residues in [0, p) over F_p), taken without copying.
         Over Q they may be Python ints: an int is an exact rational."""
-        if dimension_cap is not None and max(n_rows, n_cols) > dimension_cap:
-            raise ResourceCapError(
-                f"matrix {n_rows}x{n_cols} exceeds cap {dimension_cap}")
         m = cls.__new__(cls)
         m.n_rows = n_rows
         m.n_cols = n_cols
@@ -98,8 +92,7 @@ class SparseMatrix:
             for i, w in cols[k].items():
                 key = (i, j)
                 out[key] = out.get(key, 0) + v * w
-        return SparseMatrix(self.n_rows, other.n_cols, self.ring, out,
-                            dimension_cap=None)
+        return SparseMatrix(self.n_rows, other.n_cols, self.ring, out)
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 
 from .bar import add_elements, add_into, scale_element
-from .hirsch_ops import HirschOpTable, _compositions
+from .hirsch_ops import (HirschOpTable, _compositions, _product_within,
+                         block_splittings)
 from .polynomial import AlgebraError, GeneratorSet, Polynomial, Sq1Table
 from .rings import RingError
 
@@ -293,38 +294,23 @@ def _relation_sum(side_left, aargs, bargs, cargs, skip_head=False):
     when that term is the letter being rewritten).
     """
     out = {}
-    if side_left:
-        inner_l, inner_r, tail = aargs, bargs, cargs
-    else:
-        inner_l, inner_r, tail = bargs, cargs, aargs
-    n_l, n_r = len(inner_l), len(inner_r)
-    for nblocks in range(1, n_l + n_r + 1):
-        for ks in _compositions(n_l, nblocks):
-            for ls in _compositions(n_r, nblocks):
-                if any(a + b == 0 for a, b in zip(ks, ls)):
-                    continue
-                if skip_head and nblocks == 1:
-                    continue
-                blocks = []
-                ai = bi = 0
-                dead = False
-                for a, b in zip(ks, ls):
-                    w = make_E_word(inner_l[ai:ai + a],
-                                    inner_r[bi:bi + b])
-                    ai += a
-                    bi += b
-                    if w is None:
-                        dead = True
-                        break
-                    blocks.append(w)
-                if dead:
-                    continue
-                if side_left:
-                    new = make_E_word(tuple(blocks), tail)
-                else:
-                    new = make_E_word(tail, tuple(blocks))
-                if new is not None:
-                    out[new] = out.get(new, 0) ^ 1
+    inner = (aargs, bargs) if side_left else (bargs, cargs)
+    for split in block_splittings(*inner):
+        if skip_head and len(split) == 1:
+            continue
+        blocks = []
+        for bl, br in split:
+            w = make_E_word(bl, br)
+            if w is None:
+                break
+            blocks.append(w)
+        else:
+            if side_left:
+                new = make_E_word(tuple(blocks), cargs)
+            else:
+                new = make_E_word(aargs, tuple(blocks))
+            if new is not None:
+                out[new] = out.get(new, 0) ^ 1
     return {w: 1 for w, c in out.items() if c}
 
 
@@ -783,23 +769,15 @@ def _case3(gens, word):
     return None
 
 
-_differential_cache = {}
-
-
-def _differential_for(gens):
-    d = _differential_cache.get(gens)
-    if d is None:
-        d = _differential_cache[gens] = Differential(gens)
-    return d
-
-
-def contraction_s(gens: GeneratorSet, word):
+def contraction_s(d: Differential, word):
     """Degree (-1, 0) homotopy on a single word; exactly one case may
-    apply, otherwise the value is zero.
+    apply, otherwise the value is zero.  d is the differential of the
+    resolution the word lives in.
 
     The result is scaled so that the original word occurs in the
     differential of the result with coefficient one (the defining
     property that s inverts one summand of d exactly)."""
+    gens = d.gens
     results = []
     for tag, fn in (("pair", _case1), ("cup", _case2), ("split", _case3)):
         got = fn(gens, word)
@@ -815,8 +793,7 @@ def contraction_s(gens: GeneratorSet, word):
     out_word = results[0][1]
     if ring.char == 2:
         return {out_word: ring.one()}
-    image = normalize_element(
-        _differential_for(gens).of_element({out_word: ring.one()}), ring)
+    image = normalize_element(d.of_element({out_word: ring.one()}), ring)
     coeff = image.get(word, 0)
     if coeff == 0:
         raise ResolutionError(
@@ -825,11 +802,11 @@ def contraction_s(gens: GeneratorSet, word):
     return {out_word: ring.inv(coeff)}
 
 
-def contraction_element(gens, x):
-    ring = gens.ring
+def contraction_element(d: Differential, x):
+    ring = d.gens.ring
     out = {}
     for word, coeff in x.items():
-        for w, c in contraction_s(gens, word).items():
+        for w, c in contraction_s(d, word).items():
             add_into(out, w, ring.mul(coeff, c), ring)
     return out
 
@@ -842,8 +819,8 @@ def verify_siteration(gens: GeneratorSet, x, iteration_cap=8,
     d = differential or Differential(gens)
 
     def T(y):
-        sd = contraction_element(gens, d.of_element(y))
-        ds = d.of_element(contraction_element(gens, y))
+        sd = contraction_element(d, d.of_element(y))
+        ds = d.of_element(contraction_element(d, y))
         out = add_elements(sd, ds, ring)
         return add_elements(out, scale_element(y, ring.neg(ring.one()), ring),
                             ring)
@@ -921,8 +898,6 @@ def enumerate_rh_letters(gens: GeneratorSet, r_min=-3, n_max=12,
                     continue
                 for dist in _compositions(-args_res_total, p + q):
                     arg_lists = [words_with(-res) for res in dist]
-                    if not all(arg_lists):
-                        continue
                     for combo, n in _product_within(arg_lists, n_max):
                         letter = e_letter(combo[:p], combo[p:])
                         if _is_nonnormal(letter):
@@ -931,35 +906,6 @@ def enumerate_rh_letters(gens: GeneratorSet, r_min=-3, n_max=12,
                         degree[letter] = n
         letters[target] = found
     return letters
-
-
-def _product_within(arg_lists, budget):
-    """The tuples of itertools.product over lists of (item, degree)
-    pairs whose degrees sum to at most budget, in product order, each
-    with its degree sum.  A candidate is skipped as soon as the slots
-    after it cannot fit in what is left of the budget, so no tuple is
-    built only to be dropped."""
-    k = len(arg_lists)
-    # min_rest[i]: the least degree that slots i, i+1, ... can add
-    min_rest = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        min_rest[i] = min_rest[i + 1] + min(n for _, n in arg_lists[i])
-    out = []
-    combo = [None] * k
-
-    def walk(i, used):
-        if i == k:
-            out.append((tuple(combo), used))
-            return
-        rest = min_rest[i + 1]
-        for item, n in arg_lists[i]:
-            if used + n + rest > budget:
-                continue
-            combo[i] = item
-            walk(i + 1, used + n)
-
-    walk(0, 0)
-    return out
 
 
 def enumerate_rh_basis(gens: GeneratorSet, r_min=-3, n_max=12):

@@ -51,13 +51,6 @@ def test_bar_differential_squares_to_zero_small():
                 assert not dd, (gens.names, w)
 
 
-def test_single_letter_words():
-    gens = zgens()
-    x2 = Polynomial.generator(gens, "x2")
-    el = bar.single_letter(gens, x2)
-    assert list(el) == [((1, 0),)]
-
-
 def test_shuffle_graded_commutative():
     gens = zgens()
     ring = gens.ring
@@ -126,23 +119,6 @@ def test_canonical_symmetric_cocycle_is_a_cocycle():
         el = bar.canonical_symmetric_cocycle(gens, subset)
         assert el
         assert not bar.bar_differential(gens, el)
-
-
-def test_corrected_cocycle_small_two_letters():
-    gens = f2gens()
-    table = sq_table(gens)
-    el = bar.corrected_cocycle_small(table, (0, 1))
-    assert not bar.bar_differential(gens, el)
-
-
-def test_induced_bar_map_identity():
-    gens = zgens()
-    ring = gens.ring
-    images = {n: Polynomial.generator(gens, n) for n in gens.names}
-    for n in range(1, 6):
-        for w in bar.bar_basis(gens, n):
-            x = {w: ring.one()}
-            assert bar.induced_bar_map(gens, gens, images, x) == x
 
 
 def reference_muE_product(table, x, y):
@@ -310,12 +286,14 @@ class _SignedTable(HirschOpTable):
         return [(a, b) for a, b in ((1, 1), (1, 2), (2, 1))
                 if a <= p_max and b <= q_max]
 
-    def _monomial_entry(self, p, q, left_monos, right_monos):
+    def eval(self, p, q, left, right):
+        """The block on monomial tuples, the only arguments block_terms
+        and reference_muE_product pass."""
         gens = self.gens
         letters = Polynomial.one(gens)
-        for m in left_monos + right_monos:
+        for m in (*left, *right):
             letters = letters * Polynomial.monomial(gens, m)
-        return letters + Polynomial.monomial(gens, left_monos[0], -2)
+        return letters + Polynomial.monomial(gens, left[0], -2)
 
 
 PRODUCT_TABLES = [make for make, _ in SQ_TABLES] + [

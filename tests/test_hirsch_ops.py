@@ -1,13 +1,20 @@
-import pytest
+import itertools
 
-from loopcoh.hirsch_ops import (HirschOpTable, check_associativity_relation,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loopcoh.hirsch_ops import (HirschOpTable, block_splittings,
+                                check_associativity_relation,
                                 check_derivation_relations,
                                 check_sq_specialization_cases, sq11,
                                 sq1_decomposability_verdict)
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
+from test_bar import SQ_IDS, SQ_TABLES
 
 F2 = RingSpec.prime_field(2)
+Z = RingSpec.integers()
 
 
 def k_z2_2_gens():
@@ -136,3 +143,117 @@ def test_sq1_decomposability_verdict():
     sq1b = Sq1Table(gens2, {"u5": u2 * u2 * u2})
     ok, witnesses = sq1_decomposability_verdict(gens2, sq1b)
     assert ok and not witnesses
+
+
+def reference_eval(table, p, q, left, right):
+    """HirschOpTable.eval as it was before it took whole polynomials:
+    every argument expanded into its terms, and E_{p,q} evaluated on
+    each tuple of monomials, sq11 at (1,1) with a Sq1 table and zero at
+    every other mixed shape."""
+    gens = table.gens
+    ring = gens.ring
+    left = [a if isinstance(a, Polynomial) else Polynomial.monomial(gens, a)
+            for a in left]
+    right = [b if isinstance(b, Polynomial) else Polynomial.monomial(gens, b)
+             for b in right]
+    if (p, q) == (1, 0):
+        return left[0]
+    if (p, q) == (0, 1):
+        return right[0]
+    out = Polynomial.zero(gens)
+    if p == 0 or q == 0 or (p, q) != (1, 1) or table.sq1 is None:
+        return out
+    for combo in itertools.product(*(a.terms.items() for a in left + right)):
+        coeff = ring.one()
+        for _, c in combo:
+            coeff = ring.mul(coeff, c)
+        (m1, _), (m2, _) = combo
+        out = out + sq11(Polynomial.monomial(gens, m1),
+                         Polynomial.monomial(gens, m2),
+                         table.sq1).scale(coeff)
+    return out
+
+
+EVAL_TABLES = [make for make, _ in SQ_TABLES] + [
+    lambda: HirschOpTable.trivial(GeneratorSet(("x2", "x4"), (2, 4), Z))]
+EVAL_IDS = SQ_IDS + ["Z[x2,x4] trivial"]
+SHAPES = [(p, q) for p in range(4) for q in range(4 - p)]
+
+
+@pytest.mark.parametrize("make_table", EVAL_TABLES, ids=EVAL_IDS)
+def test_eval_matches_the_per_monomial_reference(make_table):
+    """eval on random multi-term polynomials, and on monomial tuples,
+    at every shape with p + q <= 3.  The test asserts that some draw
+    gives a nonzero E_{1,1} on arguments of several terms wherever the
+    table has a Sq1 table."""
+    table = make_table()
+    gens = table.gens
+    ring = gens.ring
+    monos = [m for n in range(2, 7) for m in gens.basis_in_degree(n)]
+    coeffs = sorted({ring.normalize(c) for c in (1, -1, 3)} - {0})
+
+    def poly(terms):
+        out = Polynomial.zero(gens)
+        for m, c in terms.items():
+            out = out + Polynomial.monomial(gens, m, c)
+        return out
+
+    argument = st.one_of(
+        st.sampled_from(monos),
+        st.dictionaries(st.sampled_from(monos), st.sampled_from(coeffs),
+                        max_size=4).map(poly))
+    met = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(argument, min_size=3, max_size=3))
+    def check(args):
+        for p, q in SHAPES:
+            left, right = args[:p], args[p:p + q]
+            got = table.eval(p, q, left, right)
+            assert got == reference_eval(table, p, q, left, right), (p, q)
+            if (p, q) == (1, 1) and not got.is_zero() and all(
+                    isinstance(a, Polynomial) and len(a.terms) > 1
+                    for a in args[:2]):
+                met.add("several terms")
+
+    check()
+    if table.sq1 is not None:
+        assert "several terms" in met
+
+
+def reference_splittings(left, right):
+    """Every sequence of block sizes (k_i, l_i), none (0, 0), that sums
+    to (len(left), len(right)): by number of blocks, then in
+    itertools.product order of the k's and of the l's."""
+    p, q = len(left), len(right)
+    for n in range(1, p + q + 1):
+        for ks in itertools.product(range(p + 1), repeat=n):
+            if sum(ks) != p:
+                continue
+            for ls in itertools.product(range(q + 1), repeat=n):
+                if sum(ls) != q or (0, 0) in zip(ks, ls):
+                    continue
+                i = j = 0
+                blocks = []
+                for k, l in zip(ks, ls):
+                    blocks.append((left[i:i + k], right[j:j + l]))
+                    i += k
+                    j += l
+                yield blocks
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(4)
+                                  for q in range(4)])
+def test_block_splittings_lists_every_cut_once_in_order(p, q):
+    left = tuple(f"a{i}" for i in range(p))
+    right = tuple(f"b{j}" for j in range(q))
+    got = list(block_splittings(left, right))
+    assert got == list(reference_splittings(left, right))
+    assert len({tuple(s) for s in got}) == len(got)
+    for split in got:
+        assert all(bl or br for bl, br in split)
+        assert sum((bl for bl, _ in split), ()) == left
+        assert sum((br for _, br in split), ()) == right
+    # the cuts with a block empty on one side are listed too
+    if p and q:
+        assert any(not bl or not br for split in got for bl, br in split)

@@ -148,7 +148,7 @@ def _unsplit_boundary(gens, n):
     cod = bar.bar_basis(gens, n + 1)
     index = {w: i for i, w in enumerate(cod)}
     m = SparseMatrix(len(cod), len(dom), ring, row_labels=cod,
-                     col_labels=dom, dimension_cap=None)
+                     col_labels=dom)
     for j, w in enumerate(dom):
         e = 0
         for i in range(len(w) - 1):
@@ -195,8 +195,7 @@ def test_exponent_vector_blocks_match_unsplit_matrix(gens):
         # slow reference rank: Fraction echelon of the unsplit matrix,
         # read over Q when the ring is Z
         ref = whole if gens.ring.is_field else \
-            SparseMatrix(whole.n_rows, whole.n_cols, Q, whole.entries,
-                         dimension_cap=None)
+            SparseMatrix(whole.n_rows, whole.n_cols, Q, whole.entries)
         assert cx.boundary_rank(n) == len(column_echelon_basis(ref))
     got = homology_ranks(gens, max_degree, cx)
     assert got["ranks"] == oracle_dimensions(gens, max_degree)
@@ -223,8 +222,7 @@ def _reference_block_matrix(gens, dom_words, cod_words):
         for out_w, c in bar.bar_differential(gens, {w: ring.one()}).items():
             entries[(index[out_w], col)] = c
     return SparseMatrix(len(cod_words), len(dom_words), ring, entries,
-                        row_labels=cod_words, col_labels=dom_words,
-                        dimension_cap=None)
+                        row_labels=cod_words, col_labels=dom_words)
 
 
 def _reference_invariants(m):

@@ -1,7 +1,8 @@
 """Every name a loopcoh module imports is used in that module, every
 function, method and class it defines is referenced somewhere in
-loopcoh or its tests, and every parameter default it declares is
-overridden by some call there."""
+loopcoh or its tests, every parameter default it declares is
+overridden by some call there, and no module keeps mutable state in a
+global."""
 import ast
 import pathlib
 
@@ -175,3 +176,55 @@ def test_every_default_is_passed():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert unpassed_defaults(sources, sources + tests) == []
+
+
+_MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                  "Counter"}
+
+
+def module_mutable_state(source):
+    """Lowercase names that a module binds at its top level to a dict,
+    list or set: a display, a comprehension or a call of one of those
+    types.  Upper-case names are constants by convention."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        mutable = isinstance(value, (ast.Dict, ast.List, ast.Set,
+                                     ast.DictComp, ast.ListComp,
+                                     ast.SetComp)) or (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None))
+            in _MUTABLE_CALLS)
+        if mutable:
+            found.extend(t.id for t in targets
+                         if isinstance(t, ast.Name) and t.id != t.id.upper())
+    return sorted(found)
+
+
+def test_the_scan_finds_module_mutable_state():
+    source = ("import collections\n"
+              "LIMITS = {'a': 1}\n"
+              "_cache = {}\n"
+              "seen: set = set()\n"
+              "order = collections.OrderedDict()\n"
+              "squares = [i * i for i in range(3)]\n"
+              "name = 'x'\n"
+              "pair = (1, 2)\n"
+              "def f():\n"
+              "    local = {}\n"
+              "    return local\n"
+              "class A:\n"
+              "    table = {}\n")
+    assert module_mutable_state(source) == \
+        ["_cache", "order", "seen", "squares"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_keeps_mutable_state(path):
+    assert module_mutable_state(path.read_text()) == []

@@ -83,17 +83,17 @@ def test_normalize_is_idempotent():
 
 
 def test_contraction_single_cases():
-    gens = f2gens()
+    d = res.Differential(f2gens())
     u2, u3 = res.v_letter(0), res.v_letter(1)
     # ascending pair of degree-0 letters: cup-one insertion
-    got = res.contraction_s(gens, (u2, u3))
+    got = res.contraction_s(d, (u2, u3))
     e = res.e_letter(((u2,),), ((u3,),))
     assert got == {(e,): 1}
     # descending pair: no case applies
-    assert res.contraction_s(gens, (u3, u2)) == {}
+    assert res.contraction_s(d, (u3, u2)) == {}
     # iteration with a descent becomes a cup-two cluster
     eop = res.e_letter(((u2,),), ((u2,),))
-    got = res.contraction_s(gens, (eop,))
+    got = res.contraction_s(d, (eop,))
     assert got == {(res.cup_letter((0, 0)),): 1}
 
 
@@ -104,7 +104,7 @@ def test_contraction_inverts_one_summand_of_d():
     basis = res.enumerate_rh_basis(gens, r_min=-2, n_max=8)
     for words in basis.values():
         for word in words:
-            sx = res.contraction_s(gens, word)
+            sx = res.contraction_s(d, word)
             if not sx:
                 continue
             (out_word, coeff), = sx.items()
@@ -172,10 +172,11 @@ def test_contraction_never_matches_two_cases():
     # contraction_s raises if the three cases overlap; sweeping the
     # truncated basis proves they are mutually exclusive there
     gens = f2gens()
+    d = res.Differential(gens)
     basis = res.enumerate_rh_basis(gens, r_min=-3, n_max=9)
     for words in basis.values():
         for word in words:
-            res.contraction_s(gens, word)
+            res.contraction_s(d, word)
 
 
 # -- letter enumeration against the product-then-filter reference ---------
