@@ -16,10 +16,6 @@ from .hirsch_ops import HirschOpTable
 from .polynomial import GeneratorSet
 
 
-class BarError(Exception):
-    pass
-
-
 def word_degree(gens, word) -> int:
     degrees = gens.degrees
     return sum(sum(map(mul, m, degrees)) for m in word) - len(word)

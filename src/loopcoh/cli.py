@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import CONVENTION_VERSION
-from .bar import BarError, bar_basis, bar_differential, check_chain_map
+from .bar import bar_basis, bar_differential, check_chain_map
 from .config import ConfigError, parse_config
 from .hirsch_ops import (check_derivation_relations,
                          check_sq_specialization_cases)
@@ -421,8 +421,8 @@ def _run(args, out):
     t0 = time.perf_counter()
     try:
         report, code = COMMANDS[args.command](cfg, max_degree, out)
-    except (AlgebraError, BarError, HomologyError, OSError,
-            ResolutionError, ResourceCapError, RingError) as exc:
+    except (AlgebraError, HomologyError, OSError, ResolutionError,
+            ResourceCapError, RingError) as exc:
         # an OSError comes from making the cache directory or writing
         # its entry
         message = f"{type(exc).__name__}: {exc}"

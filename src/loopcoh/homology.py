@@ -14,7 +14,10 @@ vector and every representative lies in one block of one degree, the
 span of the boundary image and the representatives is the direct sum of
 its block parts, so a cocycle lies in that span (over Z, in that
 lattice) exactly when each of its block parts lies in its block's part,
-and its class coordinates are those of its parts.
+and its class coordinates are those of its parts.  Each block reached
+is factored once on unit pivots (linalg.unit_pivots); a part that its
+record cannot certify flags its degree, so the verdict is inconclusive,
+never wrong.
 """
 from __future__ import annotations
 
@@ -26,10 +29,9 @@ from . import bar
 from .hirsch_ops import HirschOpTable
 from .koszul import oracle_dimensions
 from .linalg import (DEFAULT_DIMENSION_CAP, ResourceCapError, SparseMatrix,
-                     rank_over_field, reduce_modulo_image, smith_normal_form,
-                     solve_in_span)
+                     rank_over_field, smith_normal_form, solve_in_span,
+                     unit_pivots)
 from .polynomial import GeneratorSet
-from .rings import RingSpec
 
 
 class HomologyError(Exception):
@@ -350,21 +352,19 @@ class RingTable:
         self._build()
 
     def _reduction_data(self, n, key):
-        """The index of the words of the (n, key) block and the matrix of
-        d from degree n-1 into it, for expressing cocycles in terms of
-        classes; an empty index when there is no such block."""
+        """The index of the words of the (n, key) block, the unit-pivot
+        record of the matrix of d from degree n-1 into it, and whether
+        that left a residual (see linalg.unit_pivots); the block is
+        factored once, and its index is empty when there is no such
+        block."""
         cached = self._solvers.get((n, key))
-        if cached is not None:
-            return cached
-        cx = self.cx
-        cx.check_cap(n - 1)
-        words = cx.words(n, key)
-        if words and key in cx.counts(n - 1):
-            m = _block_matrix(self.gens, cx.words(n - 1, key), words)
-        else:
-            m = SparseMatrix.from_reduced(len(words), 0, self.ring, {})
-        cached = ({w: i for i, w in enumerate(words)}, m)
-        self._solvers[(n, key)] = cached
+        if cached is None:
+            self.cx.check_cap(n - 1)
+            m = self.cx.block_matrix(n - 1, key)
+            pivots, residual = unit_pivots(m)
+            cached = ({w: i for i, w in enumerate(m.row_labels)}, pivots,
+                      bool(residual))
+            self._solvers[(n, key)] = cached
         return cached
 
     def reduce_cocycle(self, x):
@@ -389,63 +389,30 @@ class RingTable:
                 continue
             found = {}
             for key, part in sorted(parts[n].items()):
-                # a vector outside the complex has an empty index, so
-                # _element_vector raises before m is used
-                index, m = self._reduction_data(n, key)
-                v = _element_vector(index, part)
                 s = self._rep_of.get((n, key))
-                rep_cols = [] if s is None else \
-                    [_element_vector(index, self.reps[s])]
-                class_coeffs = self._class_coefficients(m, rep_cols, v)
-                if class_coeffs is None:
+                c = self._class_coefficient(n, key, part, s)
+                if c is None:
                     found = None
                     break
-                if rep_cols and not ring.is_zero(class_coeffs[0]):
-                    found[s] = class_coeffs[0]
+                if s is not None and not ring.is_zero(c):
+                    found[s] = c
             if found is None:
                 flags.append(f"cocycle not reducible in degree {n}")
                 continue
             coords.update(found)
         return coords, flags
 
-    def _class_coefficients(self, m, rep_cols, v):
-        """Coefficients of v on the representative columns modulo the
-        column span of the boundary block m; None when v is not in the
-        span (or, over the integers, not integrally so)."""
-        ring = self.ring
-        image_cols = m.columns()
-        if ring.is_field:
-            sol = solve_in_span(image_cols + rep_cols, v, ring)
-            if sol is None:
-                return None
-            return sol[len(image_cols):]
-        rationals = RingSpec.rationals()
-        rat_cols = [{i: rationals.normalize(c) for i, c in col.items()}
-                    for col in image_cols + rep_cols]
-        rat_v = {i: rationals.normalize(c) for i, c in v.items()}
-        sol = solve_in_span(rat_cols, rat_v, rationals)
-        if sol is None:
-            return None
-        class_part = sol[len(image_cols):]
-        if any(c.denominator != 1 for c in class_part):
-            return None
-        class_part = [int(c) for c in class_part]
-        # certify the remainder lies in the integral boundary lattice
-        residual = dict(v)
-        for c, col in zip(class_part, rep_cols):
-            if c == 0:
-                continue
-            for i, val in col.items():
-                cur = residual.get(i, 0) - c * val
-                if cur:
-                    residual[i] = cur
-                else:
-                    residual.pop(i, None)
-        if residual:
-            _, in_image = reduce_modulo_image(residual, m)
-            if not in_image:
-                return None
-        return class_part
+    def _class_coefficient(self, n, key, part, s):
+        """The coefficient of the class of subset s (None when the block
+        holds no representative) in the (n, key) block part of a
+        cocycle, modulo the boundaries into that block; None when the
+        part does not reduce, as linalg.solve_in_span decides on the
+        block's unit-pivot record.  A vector outside the complex has an
+        empty index, so _element_vector raises on its words."""
+        index, pivots, residual = self._reduction_data(n, key)
+        v = _element_vector(index, part)
+        rep = None if s is None else _element_vector(index, self.reps[s])
+        return solve_in_span(pivots, residual, v, rep, self.ring)
 
     def product(self, s1, s2):
         return self.entries.get((s1, s2))

@@ -1,16 +1,16 @@
 """Exact sparse linear algebra over Z, Q, and prime fields.
 
 Vectors are dicts {row_index: nonzero coefficient}; matrices store a
-sparse entry map keyed (row, col).  Coset representatives are pinned down by a fixed
-pivot rule (lowest row index first) so homology-class identity tests are
-deterministic.
+sparse entry map keyed (row, col).
 
-Ranks and Smith forms pivot on units only (_peel_units): any nonzero
-residue over F_p, +-1 over Z and over Q, whose columns are first scaled
-to integers.  The sparsest column goes first, its pivot taken in the
-shortest row.  Each step is unimodular, so every pivot is an invariant
-factor 1; what no unit pivot reaches is left to a Euclidean Smith loop.
-F2 is the exception: its ranks come from bit-packed columns (_rank_gf2).
+One kernel eliminates every matrix outside F2: _peel_units pivots on
+units only, any nonzero residue over F_p, +-1 over Z and over Q, whose
+columns are first scaled to integers.  The sparsest column goes first,
+its pivot taken in the shortest row.  Each step is unimodular, so every
+pivot is an invariant factor 1; what no unit pivot reaches is left to a
+Euclidean Smith loop.  Ranks and Smith forms count the pivots; the ring
+table keeps their record and replays it on the vectors it solves
+(solve_in_span).  F2 ranks come from bit-packed columns (_rank_gf2).
 """
 from __future__ import annotations
 
@@ -103,68 +103,18 @@ class SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# field elimination
-
-
-def _reduce_against(ring, v, basis):
-    """Subtract pivot-row multiples of fully reduced echelon basis from v."""
-    v = dict(v)
-    for r in sorted(basis):
-        c = v.get(r)
-        if c:
-            for i, w in basis[r].items():
-                x = ring.sub(v.get(i, 0), ring.mul(c, w))
-                if x == 0:
-                    v.pop(i, None)
-                else:
-                    v[i] = x
-    return v
-
-def _echelon_insert(ring, v, basis):
-    """Insert v into a reduced column-echelon basis; returns pivot or None."""
-    v = _reduce_against(ring, v, basis)
-    if not v:
-        return None
-    piv = min(v)
-    inv = ring.inv(v[piv])
-    v = {i: ring.mul(inv, w) for i, w in v.items()}
-    # keep the basis fully reduced at the new pivot row
-    for r, b in basis.items():
-        c = b.get(piv)
-        if c:
-            for i, w in v.items():
-                x = ring.sub(b.get(i, 0), ring.mul(c, w))
-                if x == 0:
-                    b.pop(i, None)
-                else:
-                    b[i] = x
-    basis[piv] = v
-    return piv
-
-
-def column_echelon_basis(m: SparseMatrix):
-    """Reduced column-echelon basis {pivot_row: column dict} of the column span."""
-    if not m.ring.is_field:
-        raise RingError("column_echelon_basis needs a field")
-    basis = {}
-    for col in m.columns():
-        if col:
-            _echelon_insert(m.ring, col, basis)
-    return basis
+# unit-pivot elimination
 
 
 def rank_over_field(m: SparseMatrix) -> int:
-    """Exact matrix rank over a field, by unit pivots (see _peel_units);
-    over Q on the columns scaled to integers, the residual's rank being
-    the length of its Smith form."""
+    """Exact matrix rank over a field: the number of unit pivots (see
+    unit_pivots) plus, over Q, the length of the residual's Smith form."""
     if not m.ring.is_field:
         raise RingError(f"rank_over_field called over {m.ring.describe()}")
     if m.ring.char == 2:
         return _rank_gf2(m)
-    if m.ring.kind == "rationals":
-        pivots, residual = _peel_units(_integer_columns(m), 0)
-        return pivots + len(_euclidean_smith(residual))
-    return _peel_units(m.columns(), m.ring.char)[0]
+    pivots, residual = unit_pivots(m)
+    return len(pivots) + len(_euclidean_smith(residual))
 
 
 def _rank_gf2(m: SparseMatrix) -> int:
@@ -199,6 +149,14 @@ def _integer_columns(m: SparseMatrix):
     return cols
 
 
+def unit_pivots(m: SparseMatrix):
+    """_peel_units on the columns of m: over F_p with p, over Z as they
+    are, over Q scaled to integers."""
+    cols = _integer_columns(m) if m.ring.kind == "rationals" \
+        else m.columns()
+    return _peel_units(cols, m.ring.char)
+
+
 def _peel_units(columns, p):
     """Eliminate integer columns on unit pivots only: any nonzero residue
     mod the prime p, or +-1 when p is 0.  The sparsest column goes first,
@@ -206,7 +164,10 @@ def _peel_units(columns, p):
     the other columns, and the pivot row and column are dropped.  Every
     step is unimodular, so the Smith form of the columns is a 1 for each
     pivot plus the Smith form of the residual columns, which hold no
-    unit.  Returns (pivots, residual); the columns are consumed."""
+    unit.  Returns (pivots, residual): pivots records (row, column,
+    inverse) for each pivot in order, the column without its pivot row
+    and the inverse of its pivot entry, as solve_in_span replays them.
+    The columns are consumed."""
     cols = {j: c for j, c in enumerate(columns) if c}
     rows = {}
     for j, c in cols.items():
@@ -214,7 +175,7 @@ def _peel_units(columns, p):
             rows.setdefault(i, set()).add(j)
     heap = [(len(c), j) for j, c in cols.items()]
     heapify(heap)
-    pivots = 0
+    pivots = []
     while heap:
         n, j = heappop(heap)
         c = cols.get(j)
@@ -246,115 +207,54 @@ def _peel_units(columns, p):
                 heappush(heap, (len(ck), k))
             else:
                 del cols[k]
-        pivots += 1
+        pivots.append((r, c, inv))
     return pivots, list(cols.values())
 
 
-# ---------------------------------------------------------------------------
-# integer forms
-
-
-def _hnf_insert(v, basis):
-    """Insert integer column v into a column-style Hermite basis.
-
-    basis maps pivot row -> column dict with positive pivot entry there and
-    no nonzero entries above it.
-    """
-    v = {i: c for i, c in v.items() if c}
-    while v:
-        r = min(v)
-        if r not in basis:
-            if v[r] < 0:
-                v = {i: -c for i, c in v.items()}
-            basis[r] = v
-            return
-        b = basis[r]
-        a, c = b[r], v[r]
-        if c % a == 0:
-            q = c // a
-            v = _int_axpy(v, -q, b)
-        else:
-            g, x, y = _xgcd(a, c)
-            new = _int_combine(x, b, y, v)
-            v = _int_combine(a // g, v, -(c // g), b)
-            basis[r] = new
-    return
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def _int_axpy(v, q, w):
-    out = dict(v)
-    for i, c in w.items():
-        x = out.get(i, 0) + q * c
+def _replay(pivots, v, p):
+    """v less the multiples of the pivot columns, taken in pivot order,
+    that clear it in each pivot row.  A pivot column is zero in the rows
+    of the pivots before it, so the result is the one vector congruent
+    to v modulo their span that is zero in every pivot row."""
+    v = dict(v)
+    for r, col, inv in pivots:
+        x = v.pop(r, 0)
         if x:
-            out[i] = x
-        else:
-            out.pop(i, None)
-    return out
+            f = x * inv
+            for i, w in col.items():
+                y = v.get(i, 0) - f * w
+                if p:
+                    y %= p
+                if y:
+                    v[i] = y
+                else:
+                    del v[i]
+    return v
 
 
-def _int_combine(x, v, y, w):
-    out = {}
-    for i in set(v) | set(w):
-        c = x * v.get(i, 0) + y * w.get(i, 0)
-        if c:
-            out[i] = c
-    return out
+def solve_in_span(pivots, residual, v, r, ring: RingSpec):
+    """The coefficient c with v - c*r in the span of some columns (over
+    Z, their lattice), from the pivots unit_pivots found in them;
+    residual is true when it left any column.  v and r are replayed on
+    the pivots (_replay), giving v' and r'.  c is 0 when v' is zero, and
+    otherwise v'/r' at the first row of r', where v' must equal c*r'.
 
-
-def hermite_column_basis(m: SparseMatrix):
-    """Column-style Hermite basis of the integer column lattice of m."""
-    if m.ring.kind != "integers":
-        raise RingError("hermite_column_basis needs integer entries")
-    basis = {}
-    for col in m.columns():
-        _hnf_insert(col, basis)
-    return basis
-
-
-def reduce_modulo_image(v, m: SparseMatrix, basis=None):
-    """Canonical representative of vector v modulo the column span of m.
-
-    v is a dict or a sequence of length m.n_rows.  Over a field the span is
-    the linear column space; over Z it is the column lattice.  Returns
-    (representative dict, in_image flag).
-    """
-    if not isinstance(v, dict):
-        if len(v) != m.n_rows:
-            raise ValueError(f"vector length {len(v)} != n_rows {m.n_rows}")
-        v = {i: c for i, c in enumerate(v) if c}
-    else:
-        if any(not 0 <= i < m.n_rows for i in v):
-            raise ValueError("vector index outside matrix rows")
-    ring = m.ring
-    v = {i: ring.normalize(c) for i, c in v.items() if ring.normalize(c) != 0}
-    if ring.is_field:
-        if basis is None:
-            basis = column_echelon_basis(m)
-        rep = _reduce_against(ring, v, basis)
-    elif ring.kind == "integers":
-        if basis is None:
-            basis = hermite_column_basis(m)
-        rep = dict(v)
-        for r in sorted(basis):
-            c = rep.get(r, 0)
-            h = basis[r][r]
-            q = c // h  # floor division: entries land in [0, h)
-            if q:
-                rep = _int_axpy(rep, -q, basis[r])
-    else:
-        raise RingError(f"reduce_modulo_image over {ring.describe()}")
-    return rep, not rep
+    Returns None when no c is certified: v' is not zero and r is None or
+    in the span (r' zero), or v' is no multiple c*r' (over Z, with c an
+    integer), or the columns left a residual, which is not searched."""
+    v = _replay(pivots, v, ring.char)
+    if not v:
+        return ring.zero()
+    if residual or r is None:
+        return None
+    r = _replay(pivots, r, ring.char)
+    if not r:
+        return None
+    i = min(r)
+    x = v.get(i, 0)
+    # over Z a quotient that is not exact fails the comparison
+    c = ring.mul(x, ring.inv(r[i])) if ring.is_field else x // r[i]
+    return c if v == {i: ring.mul(c, y) for i, y in r.items()} else None
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +265,13 @@ def smith_normal_form(m: SparseMatrix):
     """Invariant factors of an integer matrix.
 
     Returns (diagonal, rank) with diagonal = (d_1, ..., d_r), d_i > 0 and
-    d_1 | d_2 | ... | d_r: a 1 for each unit pivot of _peel_units, then
+    d_1 | d_2 | ... | d_r: a 1 for each unit pivot (unit_pivots), then
     the Euclidean Smith form of the residual.
     """
     if m.ring.kind != "integers":
         raise RingError("smith_normal_form needs the integer ring")
-    pivots, residual = _peel_units(m.columns(), 0)
-    diagonal = (1,) * pivots + _euclidean_smith(residual)
+    pivots, residual = unit_pivots(m)
+    diagonal = (1,) * len(pivots) + _euclidean_smith(residual)
     return diagonal, len(diagonal)
 
 
@@ -452,60 +352,3 @@ def _euclidean_smith(columns):
         diagonal.append(abs(pv))
         set_entry(pi, pj, 0)
     return tuple(sorted(diagonal))
-
-
-def solve_in_span(columns, v, ring: RingSpec):
-    """Solve sum_j x_j * columns[j] = v over a field.
-
-    columns is a list of dict vectors.  Returns the coefficient list or
-    None when v is outside the span.  Deterministic: pivots are chosen at
-    the lowest row index, columns taken in the given order.
-    """
-    if not ring.is_field:
-        raise RingError("solve_in_span needs a field")
-    basis = {}   # pivot row -> (vector, coeff expansion over column indices)
-    for j, col in enumerate(columns):
-        w = dict(col)
-        expr = {j: ring.one()}
-        for r in sorted(basis):
-            c = w.get(r)
-            if c:
-                bvec, bexpr = basis[r]
-                for i, x in bvec.items():
-                    y = ring.sub(w.get(i, 0), ring.mul(c, x))
-                    if y == 0:
-                        w.pop(i, None)
-                    else:
-                        w[i] = y
-                for i, x in bexpr.items():
-                    y = ring.sub(expr.get(i, 0), ring.mul(c, x))
-                    if y == 0:
-                        expr.pop(i, None)
-                    else:
-                        expr[i] = y
-        if w:
-            piv = min(w)
-            inv = ring.inv(w[piv])
-            w = {i: ring.mul(inv, c) for i, c in w.items()}
-            expr = {i: ring.mul(inv, c) for i, c in expr.items()}
-            basis[piv] = (w, expr)
-    res = {i: ring.normalize(c) for i, c in v.items() if ring.normalize(c) != 0}
-    coeffs = {}
-    for r in sorted(basis):
-        c = res.get(r)
-        if c:
-            bvec, bexpr = basis[r]
-            for i, x in bvec.items():
-                y = ring.sub(res.get(i, 0), ring.mul(c, x))
-                if y == 0:
-                    res.pop(i, None)
-                else:
-                    res[i] = y
-            for i, x in bexpr.items():
-                coeffs[i] = ring.add(coeffs.get(i, 0), ring.mul(c, x))
-    if res:
-        return None
-    out = [ring.zero()] * len(columns)
-    for i, c in coeffs.items():
-        out[i] = c
-    return out

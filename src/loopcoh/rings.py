@@ -107,9 +107,6 @@ class RingSpec:
             raise RingError("division by zero")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return self.normalize(a) == 0
 

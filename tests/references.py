@@ -1,0 +1,98 @@
+"""Slow references that the tests compare the engine against: a field
+echelon, which both ranks a matrix and solves in a column span, and
+membership of an integer column lattice by Smith forms."""
+from loopcoh.linalg import _euclidean_smith
+from loopcoh.rings import RingSpec
+
+Q = RingSpec.rationals()
+
+
+def echelon(columns, ring):
+    """Column echelon of dict columns over a field: {pivot row: (vector,
+    expression)}, each vector scaled to 1 at its pivot row, the lowest
+    row it holds, and zero at the pivot rows of the vectors before it;
+    its expression writes it as {column index: coefficient}.  Columns
+    are taken in order."""
+    basis = {}
+    for j, col in enumerate(columns):
+        w = dict(col)
+        expr = {j: ring.one()}
+        for r in sorted(basis):
+            c = w.get(r)
+            if c:
+                bvec, bexpr = basis[r]
+                _axpy(ring, w, c, bvec)
+                _axpy(ring, expr, c, bexpr)
+        if w:
+            piv = min(w)
+            inv = ring.inv(w[piv])
+            basis[piv] = ({i: ring.mul(inv, c) for i, c in w.items()},
+                          {i: ring.mul(inv, c) for i, c in expr.items()})
+    return basis
+
+
+def _axpy(ring, v, c, w):
+    """v -= c * w, in place, dropping the entries that cancel."""
+    for i, x in w.items():
+        y = ring.sub(v.get(i, 0), ring.mul(c, x))
+        if y == 0:
+            v.pop(i, None)
+        else:
+            v[i] = y
+
+
+def echelon_rank(m):
+    """The rank of a matrix over a field, from its column echelon."""
+    return len(echelon(m.columns(), m.ring))
+
+
+def span_solution(columns, v, ring):
+    """Coefficients x with sum_j x_j * columns[j] = v over a field, as a
+    list, or None when v is outside the span."""
+    basis = echelon(columns, ring)
+    res = {i: ring.normalize(c) for i, c in v.items()
+           if ring.normalize(c) != 0}
+    coeffs = [ring.zero()] * len(columns)
+    for r in sorted(basis):
+        c = res.get(r)
+        if c:
+            bvec, bexpr = basis[r]
+            _axpy(ring, res, c, bvec)
+            for i, x in bexpr.items():
+                coeffs[i] = ring.add(coeffs[i], ring.mul(c, x))
+    return None if res else coeffs
+
+
+def in_lattice(columns, v):
+    """Whether the integer vector v lies in the lattice the integer
+    columns span: adding it to them changes no invariant factor."""
+    return _euclidean_smith(list(columns) + [v]) == \
+        _euclidean_smith(columns)
+
+
+def class_coefficients(image_cols, rep_cols, v, ring):
+    """Coefficients of v on the representative columns modulo the span
+    of the image columns, or None when v is outside the span of both.
+    Over Z: solved over Q, then the coefficients must be integers and
+    the remainder must lie in the lattice of the image columns."""
+    if ring.is_field:
+        sol = span_solution(image_cols + rep_cols, v, ring)
+        return None if sol is None else sol[len(image_cols):]
+    sol = span_solution(
+        [{i: Q.normalize(c) for i, c in col.items()}
+         for col in image_cols + rep_cols],
+        {i: Q.normalize(c) for i, c in v.items()}, Q)
+    if sol is None:
+        return None
+    class_part = sol[len(image_cols):]
+    if any(c.denominator != 1 for c in class_part):
+        return None
+    class_part = [int(c) for c in class_part]
+    residual = dict(v)
+    for c, col in zip(class_part, rep_cols):
+        for i, val in col.items():
+            residual[i] = residual.get(i, 0) - c * val
+    residual = {i: c for i, c in residual.items() if c}
+    if residual and not in_lattice(image_cols, residual):
+        return None
+    return class_part

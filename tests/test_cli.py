@@ -184,7 +184,6 @@ def test_check_exterior_fills_the_cache(tmp_path):
     ("OSError", ("boom",), 2),
     ("RingError", ("boom",), 2),
     ("HomologyError", ("boom",), 2),
-    ("BarError", ("boom",), 2),
     ("AlgebraError", ("boom",), 2),
 ])
 def test_command_errors_exit_with_report(tmp_path, monkeypatch, capsys,
@@ -325,10 +324,11 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
     calls.update(dict.fromkeys(calls, 0))
     assert run(["ranks", "--config", cfg] + cache)[0] == 0
     assert calls == {"_block_matrix": 0, "_block_words": 0}
-    # the ring table reaches 20 blocks, 8 of them with a boundary matrix;
-    # it lists the words of each block once, and those of the 8 domains
+    # the ring table reaches 20 blocks and builds the matrix into each
+    # once, 8 of them from a nonempty domain; it lists the words of each
+    # block once, and those of the 8 domains
     assert run(["check-exterior", "--config", cfg])[0] == 0
-    assert calls["_block_matrix"] == 129 + 8
+    assert calls["_block_matrix"] == 129 + 20
     assert calls["_block_words"] == 2 * 129 + 20 + 8
 
 

@@ -9,11 +9,11 @@ from loopcoh.hirsch_ops import HirschOpTable
 from loopcoh.homology import (BarComplex, HomologyError, RingTable,
                               exterior_verdict, homology_ranks)
 from loopcoh.koszul import oracle_dimensions
-from loopcoh.linalg import (SparseMatrix, column_echelon_basis,
-                            rank_over_field, reduce_modulo_image,
-                            smith_normal_form, solve_in_span)
+from loopcoh.linalg import (SparseMatrix, rank_over_field, smith_normal_form,
+                            solve_in_span, unit_pivots)
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
+from references import class_coefficients, echelon_rank
 
 Z = RingSpec.integers()
 Q = RingSpec.rationals()
@@ -196,7 +196,7 @@ def test_exponent_vector_blocks_match_unsplit_matrix(gens):
         # read over Q when the ring is Z
         ref = whole if gens.ring.is_field else \
             SparseMatrix(whole.n_rows, whole.n_cols, Q, whole.entries)
-        assert cx.boundary_rank(n) == len(column_echelon_basis(ref))
+        assert cx.boundary_rank(n) == echelon_rank(ref)
     got = homology_ranks(gens, max_degree, cx)
     assert got["ranks"] == oracle_dimensions(gens, max_degree)
     assert got["torsion"] == {}
@@ -298,34 +298,6 @@ def test_homology_ranks_rejects_a_foreign_complex():
         homology_ranks(gens, 6, BarComplex(other, 6))
 
 
-def _reference_class_coefficients(image_cols, rep_cols, v, n_rows, ring):
-    if ring.is_field:
-        sol = solve_in_span(image_cols + rep_cols, v, ring)
-        return None if sol is None else sol[len(image_cols):]
-    sol = solve_in_span(
-        [{i: Q.normalize(c) for i, c in col.items()}
-         for col in image_cols + rep_cols],
-        {i: Q.normalize(c) for i, c in v.items()}, Q)
-    if sol is None:
-        return None
-    class_part = sol[len(image_cols):]
-    if any(c.denominator != 1 for c in class_part):
-        return None
-    class_part = [int(c) for c in class_part]
-    residual = dict(v)
-    for c, col in zip(class_part, rep_cols):
-        for i, val in col.items():
-            residual[i] = residual.get(i, 0) - c * val
-    residual = {i: c for i, c in residual.items() if c}
-    if residual:
-        m = SparseMatrix(n_rows, len(image_cols), ring,
-                         {(i, j): val for j, col in enumerate(image_cols)
-                          for i, val in col.items()})
-        if not reduce_modulo_image(residual, m)[1]:
-            return None
-    return class_part
-
-
 def reference_ring_entries(table, max_degree):
     """The ring table reduced on whole degrees: each homogeneous part of
     a product is solved against every boundary column of its degree,
@@ -369,8 +341,7 @@ def reference_ring_entries(table, max_degree):
                  if bar.word_degree(gens, w) == n}
             rep_cols = [{index[w]: c for w, c in reps[s].items()}
                         for s in rep_subsets]
-            coeffs = _reference_class_coefficients(image, rep_cols, v,
-                                                   len(index), ring)
+            coeffs = class_coefficients(image, rep_cols, v, ring)
             if coeffs is None:
                 flags.append(f"cocycle not reducible in degree {n}")
                 continue
@@ -432,6 +403,33 @@ def _sq(gens_pairs, rule):
 def test_block_reduction_matches_whole_degree_reference(table, max_degree):
     assert RingTable(table, max_degree).entries == \
         reference_ring_entries(table, max_degree)
+
+
+@pytest.mark.parametrize("table, max_degree", [
+    (_trivial(Z, ("a2", 2), ("b2", 2), ("c4", 4)), 9),
+    (_trivial(Q, ("x2", 2), ("y2", 2)), 10),
+    (_sq((("v2", 2), ("w2", 2), ("t3", 3), ("u3", 3)),
+         {"v2": ("t3",), "u3": ("v2", "w2")}), 8),
+], ids=["Z[a2,b2,c4]", "Q[x2,y2]", "F2[v2,w2,t3,u3] sq1 v2=t3 u3=v2w2"])
+def test_ring_table_factors_each_reached_block_once(monkeypatch, table,
+                                                    max_degree):
+    import loopcoh.homology as homology
+    factored = []
+    solves = []
+
+    def counted_pivots(m):
+        factored.append(m)
+        return unit_pivots(m)
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve_in_span(*args)
+
+    monkeypatch.setattr(homology, "unit_pivots", counted_pivots)
+    monkeypatch.setattr(homology, "solve_in_span", counted_solve)
+    rt = RingTable(table, max_degree)
+    # one factoring per block the solves reached, and more solves
+    assert len(factored) == len(rt._solvers) < len(solves)
 
 
 def test_ring_table_rejects_a_foreign_complex():

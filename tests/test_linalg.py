@@ -1,14 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopcoh.linalg import (SparseMatrix, _euclidean_smith, _peel_units,
-                            column_echelon_basis, hermite_column_basis,
-                            rank_over_field, reduce_modulo_image,
-                            smith_normal_form, solve_in_span)
+                            rank_over_field, smith_normal_form,
+                            solve_in_span, unit_pivots)
 from loopcoh.rings import RingSpec
+from references import class_coefficients, echelon_rank, in_lattice
 
 Z = RingSpec.integers()
 Q = RingSpec.rationals()
@@ -65,26 +66,43 @@ def test_torsion_factors_free_case():
     assert [d for d in diagonal if d > 1] == []
 
 
-def test_hermite_column_basis_detects_image():
+def solve(m, v, r):
+    """solve_in_span of v and r on the unit pivots of m."""
+    pivots, residual = unit_pivots(m)
+    return solve_in_span(pivots, bool(residual), v, r, m.ring)
+
+
+def test_a_residual_block_solves_only_what_its_pivots_span():
+    # {0: 2} holds no unit, so it is left in the residual
     m = dense([[2, 0], [0, 1]], Z)
-    basis = hermite_column_basis(m)
-    _, ok = reduce_modulo_image({0: 2, 1: 1}, m, basis)
-    assert ok
-    _, ok = reduce_modulo_image({0: 1}, m, basis)
-    assert not ok
+    pivots, residual = unit_pivots(m)
+    assert [row for row, _, _ in pivots] == [1] and residual == [{0: 2}]
+    # in the lattice, but outside what the pivots span: not certified
+    assert in_lattice(m.columns(), {0: 2, 1: 1})
+    assert solve(m, {0: 2, 1: 1}, None) is None
+    assert not in_lattice(m.columns(), {0: 1})
+    assert solve(m, {0: 1}, None) is None
+    assert solve(m, {1: 3}, None) == 0
 
 
 def test_solve_in_span():
-    cols = [{0: 1, 1: 1}, {1: 1}]
-    sol = solve_in_span(cols, {0: 1, 1: 2}, Q)
-    assert sol == [1, 1]
-    assert solve_in_span([{0: 1}], {1: 1}, Q) is None
+    # v = column + r
+    m = dense([[1], [1]], Q)
+    assert repr(solve(m, {0: 1, 1: 2}, {1: 1})) == "Fraction(1, 1)"
+    # v - column = r / 2: exact over Q, not over Z
+    assert solve(m, {0: 1, 1: 2}, {1: 2}) == Fraction(1, 2)
+    assert solve(dense([[1], [1]], Z), {0: 1, 1: 2}, {1: 2}) is None
+    assert solve(dense([[1], [0]], Q), {1: 1}, None) is None
 
 
-def test_column_echelon_basis_spans():
+def test_unit_pivots_span_the_columns():
     m = dense([[1, 1], [0, 1], [1, 0]], F2)
-    basis = column_echelon_basis(m)
-    assert len(basis) == 2
+    pivots, residual = unit_pivots(m)
+    assert len(pivots) == 2 and residual == []
+    # the sum of the columns, and a vector outside their span
+    assert solve(m, {1: 1, 2: 1}, None) == 0
+    assert solve(m, {0: 1}, None) is None
+    assert solve(m, {0: 1}, {0: 1}) == 1
 
 
 def test_compose_shapes():
@@ -119,7 +137,6 @@ def test_random_smith_product_is_determinant_like(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 7), st.integers(1, 7))
 def test_rational_rank_matches_fraction_echelon(seed, n_rows, n_cols):
-    from fractions import Fraction
     rng = random.Random(seed)
     # mostly zeros, small numerators and denominators, some repeated and
     # scaled columns so that ranks below full occur
@@ -135,7 +152,7 @@ def test_rational_rank_matches_fraction_echelon(seed, n_rows, n_cols):
     m = SparseMatrix(n_rows, n_cols, Q, {(i, j): c
                                          for j, col in enumerate(cols)
                                          for i, c in enumerate(col) if c})
-    assert rank_over_field(m) == len(column_echelon_basis(m))
+    assert rank_over_field(m) == echelon_rank(m)
 
 
 def test_unit_peeling_matches_the_euclidean_reference():
@@ -155,8 +172,62 @@ def test_unit_peeling_matches_the_euclidean_reference():
         assert smith_normal_form(m) == (diagonal, len(diagonal))
         for ring in (Q, F3, F5):
             field_m = dense(rows, ring)
-            assert rank_over_field(field_m) == \
-                len(column_echelon_basis(field_m))
+            assert rank_over_field(field_m) == echelon_rank(field_m)
 
     check()
     assert any(residuals)
+
+
+def test_block_solve_matches_the_reference():
+    # entries from a set with non-units, so that some blocks leave a
+    # residual, where the solve may fail to certify what the reference
+    # reduces; the test asserts that some do, and that coefficients
+    # other than zero and None occur
+    residuals = []
+    outcomes = set()
+    entries = st.sampled_from([0, 1, -1, 2, -2, 3, 4, 6])
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from([Z, Q, F2, F3]), st.integers(1, 6),
+           st.integers(0, 6), st.data())
+    def check(ring, n_rows, n_cols, data):
+        def vector():
+            return data.draw(st.lists(entries, min_size=n_rows,
+                                      max_size=n_rows))
+
+        def sparse(values):
+            return {i: ring.normalize(x) for i, x in enumerate(values)
+                    if ring.normalize(x) != 0}
+
+        cols = [vector() for _ in range(n_cols)]
+        r = data.draw(st.booleans()) and vector()
+        # v: a combination of the columns and r, plus noise in some
+        # draws, so that parts in and outside the span both occur
+        a = [data.draw(entries) for _ in range(n_cols + 1)]
+        v = [sum(x * col[i] for x, col in zip(a, cols)) +
+             (a[-1] * r[i] if r else 0) for i in range(n_rows)]
+        if data.draw(st.booleans()):
+            v = [x + y for x, y in zip(v, vector())]
+        scale = data.draw(st.sampled_from([1, 2, 3]))
+        v = sparse(Fraction(x, scale) if ring == Q else x for x in v)
+        r = sparse(r) if r else None
+        m = SparseMatrix(n_rows, n_cols, ring,
+                         {(i, j): x for j, col in enumerate(cols)
+                          for i, x in enumerate(col)})
+        pivots, residual = unit_pivots(m)
+        got = solve_in_span(pivots, bool(residual), v, r, ring)
+        want = class_coefficients(m.columns(), [] if r is None else [r],
+                                  v, ring)
+        if want is not None:
+            want = ring.zero() if r is None else want[0]
+        residuals.append(bool(residual))
+        outcomes.add("none" if got is None else "zero" if got == 0
+                     else "unit" if got in (1, -1) else "other")
+        if residual:
+            assert got is None or repr(got) == repr(want)
+        else:
+            assert repr(got) == repr(want)
+
+    check()
+    assert any(residuals)
+    assert outcomes == {"none", "zero", "unit", "other"}
