@@ -251,8 +251,7 @@ def _shuffle_words(ring, xw, yw, xtail, yd, base, out):
 
 
 def shuffle_product(gens: GeneratorSet, x, y):
-    table = HirschOpTable.trivial(gens)
-    return muE_product(table, x, y)
+    return muE_product(HirschOpTable(gens), x, y)
 
 
 def canonical_symmetric_cocycle(gens: GeneratorSet, indices):

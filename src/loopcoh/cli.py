@@ -186,8 +186,7 @@ def _emit(report, json_path):
 
 def cmd_ranks(cfg, max_degree, out):
     report = _base_report("ranks", cfg, max_degree)
-    data = homology_ranks(cfg.gens, max_degree,
-                          _complex_for(cfg, max_degree))
+    data = homology_ranks(_complex_for(cfg, max_degree))
     ranks = data["ranks"]
     torsion = _torsion_json(data["torsion"])
     report["ranks"] = ranks
@@ -204,7 +203,7 @@ def cmd_ranks(cfg, max_degree, out):
 def cmd_ring(cfg, max_degree, out):
     report = _base_report("ring", cfg, max_degree)
     table = cfg.op_table()
-    rt = RingTable(table, max_degree, _complex_for(cfg, max_degree))
+    rt = RingTable(table, _complex_for(cfg, max_degree))
     entries = []
     for (s1, s2) in sorted(rt.entries):
         e = rt.entries[(s1, s2)]
@@ -228,8 +227,7 @@ def cmd_ring(cfg, max_degree, out):
 def cmd_check_exterior(cfg, max_degree, out):
     report = _base_report("check-exterior", cfg, max_degree)
     table = cfg.op_table()
-    verdict = exterior_verdict(table, max_degree,
-                               _complex_for(cfg, max_degree))
+    verdict = exterior_verdict(table, _complex_for(cfg, max_degree))
     report["verdict"] = verdict["verdict"]
     report["ranks"] = verdict["ranks"]
     report["oracle"] = verdict["oracle"]
@@ -248,8 +246,7 @@ def cmd_check_exterior(cfg, max_degree, out):
 
 def cmd_oracle_compare(cfg, max_degree, out):
     report = _base_report("oracle-compare", cfg, max_degree)
-    data = homology_ranks(cfg.gens, max_degree,
-                          _complex_for(cfg, max_degree))
+    data = homology_ranks(_complex_for(cfg, max_degree))
     ranks = data["ranks"]
     torsion = _torsion_json(data["torsion"])
     oracle = oracle_dimensions(cfg.gens, max_degree)
@@ -346,9 +343,8 @@ def cmd_verify(cfg, max_degree, out):
             continue
         for word in words:
             checked += 1
-            got = verify_siteration(gens, {word: ring.one()},
-                                    cfg.bounds["iteration_cap"],
-                                    differential=d)
+            got = verify_siteration(d, {word: ring.one()},
+                                    cfg.bounds["iteration_cap"])
             if isinstance(got, dict):
                 bad.append({"word": word_str(gens, word)})
     suites.append(_suite("contraction_iteration", len(bad), checked, bad))

@@ -42,9 +42,7 @@ class JobConfig:
         return self.gens.ring
 
     def op_table(self) -> HirschOpTable:
-        if self.sq1 is None:
-            return HirschOpTable.trivial(self.gens)
-        return HirschOpTable.sq_structure(self.gens, self.sq1)
+        return HirschOpTable(self.gens, self.sq1)
 
     def canonical_json(self) -> str:
         """Stable serialization of the fields that affect results, used

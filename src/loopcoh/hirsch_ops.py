@@ -76,16 +76,6 @@ class HirschOpTable:
             return [(1, 1)]
         return []
 
-    @classmethod
-    def trivial(cls, gens):
-        return cls(gens)
-
-    @classmethod
-    def sq_structure(cls, gens, sq1):
-        if sq1 is None:
-            raise AlgebraError("the Sq structure needs a Sq1 table")
-        return cls(gens, sq1)
-
     def eval(self, p, q, left, right) -> Polynomial:
         """E_{p,q} on p left and q right arguments, multilinear in each:
         the identity at (1,0) and (0,1), sq11 at (1,1) when a Sq1 table
@@ -97,13 +87,13 @@ class HirschOpTable:
         if len(left) != p or len(right) != q:
             raise AlgebraError(f"E_({p},{q}) got {len(left)}+{len(right)} arguments")
         gens = self.gens
+        if p + q != 1 and ((p, q) != (1, 1) or self.sq1 is None):
+            return Polynomial.zero(gens)
         args = [a if isinstance(a, Polynomial) else Polynomial.monomial(gens, a)
                 for a in (*left, *right)]
-        if (p, q) in ((1, 0), (0, 1)):
+        if p + q == 1:
             return args[0]
-        if (p, q) == (1, 1) and self.sq1 is not None:
-            return sq11(args[0], args[1], self.sq1)
-        return Polynomial.zero(gens)
+        return sq11(args[0], args[1], self.sq1)
 
     def block_terms(self, p, q, left_monos, right_monos):
         """E_{p,q} on tuples of monomial tuples, as a tuple of

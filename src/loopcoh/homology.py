@@ -265,26 +265,13 @@ class BarComplex:
                       for d in factors)
 
 
-def _complex(gens, max_degree, cx):
-    """cx, which must be a BarComplex of gens truncated at max_degree, or
-    a new one when cx is None."""
-    if cx is None:
-        return BarComplex(gens, max_degree)
-    if cx.gens != gens or cx.max_degree != max_degree:
-        raise HomologyError("bar complex does not match the algebra or "
-                            "the degree bound")
-    return cx
-
-
-def homology_ranks(gens: GeneratorSet, max_degree, cx=None):
-    """Per-degree free rank (and torsion over the integers) of the bar
-    homology up to max_degree, on the complex cx when given (it must be
-    a BarComplex of gens truncated at max_degree)."""
-    cx = _complex(gens, max_degree, cx)
+def homology_ranks(cx: BarComplex):
+    """Per-degree free rank (and torsion over the integers) of the
+    homology of the bar complex cx, up to its degree bound."""
     ranks = []
     torsion = {}
     prev_rank = 0
-    for n in range(0, max_degree + 1):
+    for n in range(0, cx.max_degree + 1):
         rank_n = cx.boundary_rank(n)
         ranks.append(cx.dimension(n) - rank_n - prev_rank)
         tors = cx.torsion(n)
@@ -321,21 +308,22 @@ def _element_vector(words_index, x):
 class RingTable:
     """Products of the canonical exterior classes under a bar product
     induced by an operation table, reduced on the blocks of the bar
-    complex cx (a BarComplex of the table's generators truncated at
-    max_degree; built when not given).
+    complex cx of the table's generators, up to its degree bound.
 
     classes: generator subsets (by declared index) with their cocycle
     representatives; entries: (S1, S2) -> dict with the reduced class
     coordinates and any flags raised on the way.
     """
 
-    def __init__(self, table: HirschOpTable, max_degree, cx=None):
+    def __init__(self, table: HirschOpTable, cx: BarComplex):
+        if table.gens != cx.gens:
+            raise HomologyError("bar complex does not match the algebra")
         self.table = table
         self.gens = table.gens
         self.ring = self.gens.ring
-        self.max_degree = max_degree
-        self.cx = _complex(self.gens, max_degree, cx)
-        self.subsets = _subsets_by_degree(self.gens, max_degree)
+        self.max_degree = cx.max_degree
+        self.cx = cx
+        self.subsets = _subsets_by_degree(self.gens, self.max_degree)
         self.reps = {}
         # the subset whose representative lies in each (degree, vector)
         # block: its vector is the subset's indicator.  One vector can
@@ -448,21 +436,20 @@ def _is_unit(ring, c):
     return c in (1, -1)
 
 
-def exterior_verdict(table: HirschOpTable, max_degree, cx=None):
+def exterior_verdict(table: HirschOpTable, cx: BarComplex):
     """Decide whether the bar homology with the induced product is the
-    exterior algebra on the desuspended generators up to max_degree.
-    The ranks and the ring table share the bar complex cx (built when
-    not given).
+    exterior algebra on the desuspended generators, up to the degree
+    bound of the bar complex cx of the table's generators.  The ranks
+    and the ring table share cx.
 
     Returns a report with verdict exterior / not_exterior (with the
     first witness found, in a fixed deterministic order) or inconclusive
     when some ring entry was flagged.
     """
-    gens = table.gens
+    gens = cx.gens
     ring = gens.ring
-    cx = _complex(gens, max_degree, cx)
-    ranks = homology_ranks(gens, max_degree, cx)
-    oracle = oracle_dimensions(gens, max_degree)
+    ranks = homology_ranks(cx)
+    oracle = oracle_dimensions(gens, cx.max_degree)
     report = {
         "ranks": ranks["ranks"],
         "oracle": oracle,
@@ -483,7 +470,7 @@ def exterior_verdict(table: HirschOpTable, max_degree, cx=None):
                              "factors": ranks["torsion"][n]}
         return report
 
-    rt = RingTable(table, max_degree, cx)
+    rt = RingTable(table, cx)
     report["flags"] = sorted(
         {f for e in rt.entries.values() for f in e["flags"]})
     witness = None

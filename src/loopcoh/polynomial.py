@@ -172,10 +172,6 @@ class Polynomial:
         ring = self.gens.ring
         return Polynomial(self.gens, {m: ring.neg(c) for m, c in self.terms.items()})
 
-    def scale(self, c):
-        ring = self.gens.ring
-        return Polynomial(self.gens, {m: ring.mul(c, v) for m, v in self.terms.items()})
-
     def __mul__(self, other):
         self._check(other)
         ring = self.gens.ring
@@ -224,8 +220,7 @@ def is_decomposable(p: Polynomial) -> bool:
 
 
 class Sq1Table:
-    """Images of the generators under Sq1, extended elsewhere by the
-    Cartan formula.  Only available over F2."""
+    """Images of the generators under Sq1.  Only available over F2."""
 
     def __init__(self, gens: GeneratorSet, images: dict):
         if not gens.ring.has_two_torsion:
@@ -250,30 +245,6 @@ class Sq1Table:
                         "Sq1 image lands in an odd degree but the algebra "
                         "has no odd-degree elements")
 
-    @classmethod
-    def trivial(cls, gens):
-        return cls(gens, {})
-
     def image_of(self, i: int) -> Polynomial:
         return self.images.get(i, Polynomial.zero(self.gens))
 
-
-def sq1_apply(p: Polynomial, table: Sq1Table) -> Polynomial:
-    """Derivation extension of the Sq1 table (char-2 Cartan formula)."""
-    gens = p.gens
-    if gens.ring.char != 2:
-        raise RingError("sq1_apply needs the two-element field")
-    if table.gens != gens:
-        raise AlgebraError("Sq1 table belongs to a different algebra")
-    out = Polynomial.zero(gens)
-    for mono, c in p.terms.items():
-        for i, e in enumerate(mono):
-            if e % 2 == 0:
-                continue
-            img = table.image_of(i)
-            if img.is_zero():
-                continue
-            rest = list(mono)
-            rest[i] = e - 1
-            out = out + img * Polynomial.monomial(gens, rest, c)
-    return out

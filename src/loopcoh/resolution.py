@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 
 from .bar import add_elements, add_into, scale_element
-from .hirsch_ops import (HirschOpTable, _compositions, _product_within,
-                         block_splittings)
-from .polynomial import AlgebraError, GeneratorSet, Polynomial, Sq1Table
+from .hirsch_ops import _compositions, _product_within, block_splittings
+from .polynomial import GeneratorSet
 from .rings import RingError
 
 
@@ -435,116 +434,6 @@ def normalize_element(x, ring):
 
 
 # ---------------------------------------------------------------------------
-# projection, quotient, perturbation, f_nu
-
-def rho(gens: GeneratorSet, x) -> Polynomial:
-    """Send degree-0 words to the corresponding product in H and kill
-    every word containing a negative-degree letter."""
-    out = Polynomial.zero(gens)
-    for word, coeff in x.items():
-        if any(l[0] != "v" for l in word):
-            continue
-        poly = Polynomial.one(gens).scale(coeff)
-        for l in word:
-            poly = poly * Polynomial.generator(gens, gens.names[l[1]])
-        out = out + poly
-    return out
-
-
-def _letter_survives_nu(letter):
-    if letter[0] == "C":
-        idx = letter[1]
-        return len(idx) == 2 and idx[0] == idx[1]
-    if letter[0] == "E":
-        return all(_word_survives_nu(w) for w in letter[3])
-    return True
-
-
-def _word_survives_nu(word):
-    return all(_letter_survives_nu(l) for l in word)
-
-
-def quotient_nu(x):
-    """Project to the quotient by the ideal generated by cup clusters
-    other than the diagonal pairs a u2 a."""
-    return {w: c for w, c in x.items() if _word_survives_nu(w)}
-
-
-def p1_lift(gens: GeneratorSet, sq1: Sq1Table, i):
-    """Chosen degree-0 word lift of Sq1 of generator i: each monomial
-    becomes the word of its letters in ascending declared order."""
-    ring = gens.ring
-    img = sq1.image_of(i)
-    out = {}
-    for mono, coeff in img.terms.items():
-        word = []
-        for g, e in enumerate(mono):
-            word.extend([v_letter(g)] * e)
-        add_into(out, tuple(word), coeff, ring)
-    return out
-
-
-class PerturbedDifferential:
-    """d + h2 on the quotient resolution: h2 sends a diagonal cup pair
-    to the chosen lift of Sq1 of its generator and vanishes on all other
-    letters."""
-
-    def __init__(self, gens: GeneratorSet, sq1: Sq1Table):
-        if gens.ring.char != 2:
-            raise RingError("the perturbation lives over F2")
-        if sq1 is None:
-            raise AlgebraError("perturbation requires a Sq1 table")
-        self.gens = gens
-        self.sq1 = sq1
-        self.d = Differential(gens)
-
-    def h2_of_letter(self, letter):
-        if letter[0] == "C" and len(letter[1]) == 2 \
-                and letter[1][0] == letter[1][1]:
-            return p1_lift(self.gens, self.sq1, letter[1][0])
-        return {}
-
-    def of_element(self, x):
-        ring = self.gens.ring
-        out = self.d.of_element(quotient_nu(x))
-        out = quotient_nu(out)
-        for word, coeff in quotient_nu(x).items():
-            for i, letter in enumerate(word):
-                for w, c in self.h2_of_letter(letter).items():
-                    add_into(out, word[:i] + w + word[i + 1:],
-                             ring.mul(coeff, c), ring)
-        return out
-
-
-def f_nu(table: HirschOpTable, x) -> Polynomial:
-    """Multiplicative map to H: degree-0 letters go through rho, E
-    letters through the Sq operation of their shape, diagonal cup pairs
-    to zero."""
-    gens = table.gens
-    ring = gens.ring
-    out = Polynomial.zero(gens)
-    for word, coeff in x.items():
-        poly = Polynomial.one(gens).scale(coeff)
-        for letter in word:
-            poly = poly * _f_nu_letter(table, letter)
-            if poly.is_zero():
-                break
-        out = out + poly
-    return out
-
-
-def _f_nu_letter(table, letter) -> Polynomial:
-    gens = table.gens
-    if letter[0] == "v":
-        return Polynomial.generator(gens, gens.names[letter[1]])
-    if letter[0] == "C":
-        return Polynomial.zero(gens)
-    _, p, q, args = letter
-    images = [rho(gens, {w: gens.ring.one()}) for w in args]
-    return table.eval(p, q, images[:p], images[p:])
-
-
-# ---------------------------------------------------------------------------
 # contraction homotopy
 
 def _is_v0(letter):
@@ -811,12 +700,10 @@ def contraction_element(d: Differential, x):
     return out
 
 
-def verify_siteration(gens: GeneratorSet, x, iteration_cap=8,
-                      differential=None):
+def verify_siteration(d: Differential, x, iteration_cap):
     """Smallest n with (sd + ds - Id)^n = 0 on x, or a failure report
     carrying the residual."""
-    ring = gens.ring
-    d = differential or Differential(gens)
+    ring = d.gens.ring
 
     def T(y):
         sd = contraction_element(d, d.of_element(y))

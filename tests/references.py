@@ -1,7 +1,9 @@
 """Slow references that the tests compare the engine against: a field
-echelon, which both ranks a matrix and solves in a column span, and
-membership of an integer column lattice by Smith forms."""
+echelon, which both ranks a matrix and solves in a column span,
+membership of an integer column lattice by Smith forms, and the
+projection of the resolution onto H."""
 from loopcoh.linalg import _euclidean_smith
+from loopcoh.polynomial import Polynomial
 from loopcoh.rings import RingSpec
 
 Q = RingSpec.rationals()
@@ -96,3 +98,17 @@ def class_coefficients(image_cols, rep_cols, v, ring):
     if residual and not in_lattice(image_cols, residual):
         return None
     return class_part
+
+
+def rho(gens, x):
+    """The projection of a resolution element to H: a word of degree-0
+    letters goes to the product of their generators, and a word with
+    any other letter to zero."""
+    out = Polynomial.zero(gens)
+    for word, coeff in x.items():
+        if all(letter[0] == "v" for letter in word):
+            exponents = [0] * len(gens.names)
+            for letter in word:
+                exponents[letter[1]] += 1
+            out = out + Polynomial.monomial(gens, exponents, coeff)
+    return out

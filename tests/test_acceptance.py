@@ -16,7 +16,8 @@ import time
 from loopcoh import bar, cli, koszul, resolution as res
 from loopcoh.hirsch_ops import (HirschOpTable, check_associativity_relation,
                                 check_derivation_relations)
-from loopcoh.homology import RingTable, exterior_verdict, homology_ranks
+from loopcoh.homology import (BarComplex, RingTable, exterior_verdict,
+                              homology_ranks)
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
 
@@ -42,14 +43,14 @@ def _gens(spec):
 def _sq_table_u2u3():
     gens = _gens(RING_FAMILY[4])
     sq1 = Sq1Table(gens, {"u2": Polynomial.generator(gens, "u3")})
-    return HirschOpTable.sq_structure(gens, sq1)
+    return HirschOpTable(gens, sq1)
 
 
 def test_criterion_01_ranks_match_oracle_to_degree_ten():
     for spec in RING_FAMILY:
         gens = _gens(spec)
         start = time.monotonic()
-        got = homology_ranks(gens, 10)["ranks"]
+        got = homology_ranks(BarComplex(gens, 10))["ranks"]
         elapsed = time.monotonic() - start
         assert got == koszul.oracle_dimensions(gens, 10), gens.names
         assert elapsed <= 60.0, (gens.names, elapsed)
@@ -58,17 +59,18 @@ def test_criterion_01_ranks_match_oracle_to_degree_ten():
 def test_criterion_02_untwisted_product_is_exterior_without_torsion():
     for spec in (RING_FAMILY[0], RING_FAMILY[1], RING_FAMILY[2]):
         gens = _gens(spec)
-        verdict = exterior_verdict(HirschOpTable.trivial(gens), 10)
+        verdict = exterior_verdict(HirschOpTable(gens),
+                                   BarComplex(gens, 10))
         assert verdict["verdict"] == "exterior", gens.names
         assert verdict["torsion"] == {}, gens.names
 
 
 def test_criterion_03_indecomposable_twist_gives_nonzero_square():
     table = _sq_table_u2u3()
-    entry = RingTable(table, 8).product((0,), (0,))
+    entry = RingTable(table, BarComplex(table.gens, 8)).product((0,), (0,))
     # the square of the degree-one class is the degree-two class, not zero
     assert entry["coords"] == {(1,): 1}
-    verdict = exterior_verdict(table, 8)
+    verdict = exterior_verdict(table, BarComplex(table.gens, 8))
     assert verdict["verdict"] == "not_exterior"
     assert verdict["witness"]["kind"] == "square"
 
@@ -77,13 +79,13 @@ def test_criterion_04_trivial_or_decomposable_twist_stays_exterior():
     cases = []
     for spec in (RING_FAMILY[3], RING_FAMILY[4]):
         gens = _gens(spec)
-        cases.append(HirschOpTable.sq_structure(gens, Sq1Table.trivial(gens)))
+        cases.append(HirschOpTable(gens, Sq1Table(gens, {})))
     gens = GeneratorSet(("u2", "u5"), (2, 5), F2)
     u2 = Polynomial.generator(gens, "u2")
-    cases.append(HirschOpTable.sq_structure(
+    cases.append(HirschOpTable(
         gens, Sq1Table(gens, {"u5": u2 * u2 * u2})))
     for table in cases:
-        verdict = exterior_verdict(table, 8)
+        verdict = exterior_verdict(table, BarComplex(table.gens, 8))
         assert verdict["verdict"] == "exterior", table.gens.names
         assert verdict["flags"] == [], table.gens.names
 
@@ -115,7 +117,7 @@ def test_criterion_06_contraction_iteration_terminates_within_cap():
             if r not in (-1, -2):
                 continue
             for word in words:
-                got = res.verify_siteration(gens, {word: ring.one()}, 8, d)
+                got = res.verify_siteration(d, {word: ring.one()}, 8)
                 assert isinstance(got, int) and got <= 8, \
                     (gens.names, r, res.word_str(gens, word), got)
 
@@ -132,7 +134,7 @@ def test_criterion_07_operation_relations():
     gens = GeneratorSet(("v2", "w2", "t3", "u3"), (2, 2, 3, 3), F2)
     v2, w2, t3, u3 = (Polynomial.generator(gens, n) for n in gens.names)
     sq1 = Sq1Table(gens, {"v2": t3, "u3": v2 * w2})
-    table4 = HirschOpTable.sq_structure(gens, sq1)
+    table4 = HirschOpTable(gens, sq1)
     assert check_derivation_relations(table4, 8) == []
     violations = check_associativity_relation(table4, 1, 1, 1, 8)
     assert sorted(v[0] for v in violations) == \

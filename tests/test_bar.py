@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from loopcoh import bar
 from loopcoh.hirsch_ops import HirschOpTable
-from loopcoh.homology import RingTable
+from loopcoh.homology import BarComplex, RingTable
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
 
@@ -24,7 +24,7 @@ def f2gens():
 
 def sq_table(gens):
     sq1 = Sq1Table(gens, {"u2": Polynomial.generator(gens, "u3")})
-    return HirschOpTable.sq_structure(gens, sq1)
+    return HirschOpTable(gens, sq1)
 
 
 def test_bar_basis_degrees_and_weights():
@@ -81,7 +81,7 @@ def test_shuffle_associative():
 def test_muE_with_trivial_table_is_shuffle():
     gens = zgens()
     ring = gens.ring
-    table = HirschOpTable.trivial(gens)
+    table = HirschOpTable(gens)
     for nx in range(1, 5):
         for ny in range(1, 5):
             for xw in bar.bar_basis(gens, nx):
@@ -94,7 +94,7 @@ def test_muE_with_trivial_table_is_shuffle():
 
 def test_shuffle_is_chain_map():
     gens = zgens()
-    table = HirschOpTable.trivial(gens)
+    table = HirschOpTable(gens)
     for wx, wy in ((1, 1), (1, 2), (2, 1), (2, 2)):
         assert bar.check_chain_map(table, wx, wy, 7) == []
 
@@ -206,7 +206,7 @@ def _sq_table(names, degrees, rule):
                 term = term * Polynomial.generator(gens, f)
             img = img + term
         images[name] = img
-    return HirschOpTable.sq_structure(gens, Sq1Table(gens, images))
+    return HirschOpTable(gens, Sq1Table(gens, images))
 
 
 def _exterior_f2_table():
@@ -232,9 +232,9 @@ SQ_IDS = ["F2[u2,u3] sq1 u2=u3", "F2[u2,u5] sq1 u5=u2^3",
 @pytest.mark.parametrize("make_table, max_degree", SQ_TABLES, ids=SQ_IDS)
 def test_muE_matches_per_pair_reference_on_ring_table_products(
         make_table, max_degree):
-    reps = RingTable(make_table(), max_degree).reps
     table = make_table()
     gens = table.gens
+    reps = RingTable(make_table(), BarComplex(gens, max_degree)).reps
 
     def deg(s):
         return sum(gens.degrees[i] - 1 for i in s)
@@ -370,7 +370,8 @@ def test_ring_table_evaluates_each_block_once(monkeypatch):
         return evaluate(self, p, q, left, right)
 
     monkeypatch.setattr(HirschOpTable, "eval", counting_eval)
-    rt = RingTable(_exterior_f2_table(), 8)
+    table = _exterior_f2_table()
+    rt = RingTable(table, BarComplex(table.gens, 8))
     assert len(rt.entries) == 190
     assert len(calls) == 16
     assert set(calls.values()) == {1}

@@ -440,3 +440,98 @@ def test_ring_reads_and_fills_the_cache(tmp_path, capsys):
     assert entry.read_bytes() == data
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+
+
+# The four benchmark algebras, as perfbench/workloads.py builds them, with
+# its plain generator names.
+GOLDEN_CONFIGS = {
+    "q-pair": {"ring": "Q",
+               "generators": [{"name": "x2", "degree": 2},
+                              {"name": "y2", "degree": 2}],
+               "bounds": {"max_degree": 9}},
+    "z-pair": {"ring": "Z",
+               "generators": [{"name": "x2", "degree": 2},
+                              {"name": "y2", "degree": 2}],
+               "bounds": {"max_degree": 8}},
+    "f2-pair": {"ring": "F2",
+                "generators": [{"name": "u2", "degree": 2},
+                               {"name": "u3", "degree": 3}],
+                "sq1": {"u2": "u3"},
+                "bounds": {"max_degree": 9}},
+    "f2-four": {"ring": "F2",
+                "generators": [{"name": n, "degree": d} for n, d in
+                               (("v2", 2), ("w2", 2), ("t3", 3),
+                                ("u3", 3))],
+                "sq1": {"v2": "t3", "u3": "v2 w2"},
+                "bounds": {"max_degree": 8}},
+}
+
+# exit code and sha256 of the --json report of each command on each
+# algebra
+GOLDEN_REPORTS = {
+    ("q-pair", "ranks"): (
+        0, "e2da56c9c86a42221a2a5fd6e5af75095a53736b024f7c4d66ba041ee02489be"),
+    ("q-pair", "ring"): (
+        0, "0c71d7c39db81a9e9a75a25fbde6d4e7212ade81d16add975baa2f870cc828fc"),
+    ("q-pair", "check-exterior"): (
+        0, "d0abf651442c8bfad6d6202a64e66fe343b0a149baf7c413ae10b3e99d8b9f6b"),
+    ("q-pair", "verify"): (
+        0, "25c7fa0cbff911baa3aefaf2267bf915d1518b2293b77474ebdc50861bdc42ea"),
+    ("q-pair", "oracle-compare"): (
+        0, "2040783eff58a8b46ffe6ffc4b27b4f45244f537e2e35537e0f4d3adcb5688f8"),
+    ("z-pair", "ranks"): (
+        0, "ae9bc0caec2cc1a7a5dc4d950ded6fd75761f76f439f0bc00a8471da7297d4d1"),
+    ("z-pair", "ring"): (
+        0, "27d4fe1a6c55bcd4b9d0969c56a2962e3e1a3bf979a4e6ef76f7ea19d89d456f"),
+    ("z-pair", "check-exterior"): (
+        0, "0244c262b06c47181a1e3f204e1228d9d3f32a739a6d4946fdc037a34b6c7d8b"),
+    ("z-pair", "verify"): (
+        0, "04d684c1bb21a3f02d5017651a7f97b422bcb5b635b825b6b05769e7b4f23dc3"),
+    ("z-pair", "oracle-compare"): (
+        0, "144f685d221cabcf39b619114ec428f43d090cb0113a42d8b764a6a77d88e4e6"),
+    ("f2-pair", "ranks"): (
+        0, "f9579884f46cf9240b34e6f7380a655612e65a528f4e838a10e2d54ddf8f6e33"),
+    ("f2-pair", "ring"): (
+        0, "d68319fc25bb2c445674d1d03e3db6bdce31a8c450221ed567f4ae3a762f02b8"),
+    ("f2-pair", "check-exterior"): (
+        0, "003b32c202d474b89d7d78ba800bc37928be15d2269154f46f9f68946e12c8df"),
+    ("f2-pair", "verify"): (
+        0, "148ed9a6d02308fcf1b44618f7176990b62b1446b28cc6be367cdf580c5c8eef"),
+    ("f2-pair", "oracle-compare"): (
+        0, "5bf9445821d7606abcdb2b2a84756813e4c1fb13cce3a2c0363f1e3c9b1693e8"),
+    ("f2-four", "ranks"): (
+        0, "3496ea1e2799d691a7afff9c25ac21b6feaf63305ff2ee6f622384e8f65c5754"),
+    ("f2-four", "ring"): (
+        0, "a9dc8a8006992b506be3c581e6d45290e4c0e7562e432c9ae9dbc96dc6ba6bf6"),
+    ("f2-four", "check-exterior"): (
+        0, "a0db1b9d6c0f7144517c7682e0e5587b58c7e5fcb2cc38a67554ba5e42dd72a4"),
+    ("f2-four", "verify"): (
+        2, "36fe6ce636facf7fbed61bd5ee6121292994a5904805da558ed49439d89c48ea"),
+    ("f2-four", "oracle-compare"): (
+        0, "9eaab3b2f4f27ea0ae93c087823d622713705612c8d7f73848fd3894d4ffd4b8"),
+}
+
+
+def _sha256_file(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+@pytest.mark.parametrize("algebra, command", sorted(GOLDEN_REPORTS))
+def test_reports_match_the_golden_digests(tmp_path, algebra, command):
+    cfg = write_config(tmp_path, GOLDEN_CONFIGS[algebra])
+    json_path = str(tmp_path / "out.json")
+    code, _ = run([command, "--config", cfg, "--json", json_path])
+    assert (code, _sha256_file(json_path)) == \
+        GOLDEN_REPORTS[(algebra, command)]
+
+
+def test_cache_entry_matches_the_golden_digest(tmp_path):
+    cfg = write_config(tmp_path, GOLDEN_CONFIGS["z-pair"])
+    cache = tmp_path / "cache"
+    json_path = str(tmp_path / "out.json")
+    code, _ = run(["ranks", "--config", cfg, "--cache-dir", str(cache),
+                   "--json", json_path])
+    (entry,) = cache.iterdir()
+    assert (code, _sha256_file(json_path), _sha256_file(str(entry))) == \
+        (0, "ae9bc0caec2cc1a7a5dc4d950ded6fd75761f76f439f0bc00a8471da7297d4d1",
+         "9937be4e8c9737a392cc1f379c6d1eaaeda1f494186146ea04d72046ab8edb82")

@@ -87,10 +87,9 @@ def test_every_definition_is_referenced():
 # Definitions in loopcoh that only the tests reach.  The list may only
 # shrink: a new definition needs a caller in loopcoh, and a reference
 # that tests compare against belongs in tests/references.py.
-TEST_ONLY = ["PerturbedDifferential", "boundary_blocks",
-             "check_associativity_relation", "f_nu",
+TEST_ONLY = ["boundary_blocks", "check_associativity_relation",
              "oracle_small_resolution_check", "shuffle_product",
-             "sq1_apply", "sq1_decomposability_verdict"]
+             "sq1_decomposability_verdict"]
 
 
 def test_only_the_pinned_definitions_are_reached_from_tests_alone():
