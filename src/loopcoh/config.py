@@ -52,19 +52,25 @@ class JobConfig:
 
 
 def parse_polynomial(gens: GeneratorSet, text, path, problems):
-    """Minimal grammar: `+`-separated products of generator names with
-    optional `^` powers; `0` for the zero polynomial."""
+    """Minimal grammar: `+`-separated nonempty products of generator
+    names with optional `^` powers; `0` for the zero polynomial."""
     text = text.strip()
     if text in ("0", ""):
         return Polynomial.zero(gens)
     total = Polynomial.zero(gens)
     for term in text.split("+"):
+        factors = term.replace("*", " ").split()
+        if not factors:
+            problems.append(f"{path}: empty term")
+            return None
         prod = Polynomial.one(gens)
-        for factor in term.replace("*", " ").split():
-            name, _, power = factor.partition("^")
-            name = name.strip()
+        for factor in factors:
+            name, caret, power = factor.partition("^")
             if name not in gens.names:
                 problems.append(f"{path}: unknown generator {name!r}")
+                return None
+            if caret and not power:
+                problems.append(f"{path}: missing exponent after {name!r}")
                 return None
             try:
                 e = int(power) if power else 1

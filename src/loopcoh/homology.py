@@ -7,7 +7,8 @@ multiplies adjacent letters, which adds their exponent tuples, so it
 maps each block of degree n into the block of degree n+1 with the same
 vector, and all matrices are computed blockwise.  These blocks refine
 the blocks of constant s = n + weight, because s is the internal degree
-of the vector.  The boundary matrices hold only +-1 entries.
+of the vector.  A boundary matrix is the list of its columns, one dict
+{row: entry} per word of the domain, and holds only +-1 entries.
 
 The ring table reduces products on the same blocks.  Since d keeps the
 vector and every representative lies in one block of one degree, the
@@ -28,7 +29,7 @@ from operator import mul, sub
 from . import bar
 from .hirsch_ops import HirschOpTable
 from .koszul import oracle_dimensions
-from .linalg import (DEFAULT_DIMENSION_CAP, ResourceCapError, SparseMatrix,
+from .linalg import (DEFAULT_DIMENSION_CAP, ResourceCapError,
                      rank_over_field, smith_normal_form, solve_in_span,
                      unit_pivots)
 from .polynomial import GeneratorSet
@@ -89,27 +90,25 @@ def _block_words(letters, v, k):
 
 
 def _block_matrix(gens, dom_words, cod_words):
-    """Boundary matrix from one block of degree n to the block of degree
-    n+1 with the same exponent vector.  The terms of d[w] are distinct
-    words, so every entry is a sign: 1, or -1 reduced for the ring."""
-    ring = gens.ring
-    minus_one = -1 % ring.char if ring.char else -1
+    """Columns of d from one block of degree n to the block of degree n+1
+    with the same exponent vector: one per word of dom_words, rows
+    indexing cod_words.  The terms of d[w] are distinct words, so every
+    entry is a sign: 1, or -1 reduced for the ring."""
+    p = gens.ring.char
+    minus_one = -1 % p if p else -1
     index = {w: i for i, w in enumerate(cod_words)}
-    entries = {}
-    for col, w in enumerate(dom_words):
-        for out_w, sign in bar.boundary_terms(gens, w):
-            entries[(index[out_w], col)] = 1 if sign > 0 else minus_one
-    return SparseMatrix.from_reduced(len(cod_words), len(dom_words), ring,
-                                     entries, row_labels=cod_words,
-                                     col_labels=dom_words)
+    return [{index[out_w]: 1 if sign > 0 else minus_one
+             for out_w, sign in bar.boundary_terms(gens, w)}
+            for w in dom_words]
 
 
-def _matrix_invariants(m):
-    """(rank, factors) of m: over Z from its Smith form, factors being
-    the invariant factors > 1; over a field its rank and ()."""
-    if m.ring.is_field:
-        return rank_over_field(m), ()
-    diagonal, rank = smith_normal_form(m)
+def _matrix_invariants(columns, ring):
+    """(rank, factors) of the columns: over Z from their Smith form,
+    factors being the invariant factors > 1; over a field their rank
+    and ()."""
+    if ring.is_field:
+        return rank_over_field(columns, ring), ()
+    diagonal, rank = smith_normal_form(columns)
     return rank, tuple(d for d in diagonal if d > 1)
 
 
@@ -199,19 +198,20 @@ class BarComplex:
         return [v for v in sorted(self.counts(n)) if v in cod]
 
     def block_matrix(self, n, v):
-        """The matrix of d from the block of vector v in degree n to the
-        one in degree n+1; rows and columns follow words(n + 1, v) and
-        words(n, v)."""
-        return _block_matrix(self.gens, self.words(n, v),
-                             self.words(n + 1, v))
+        """(words(n + 1, v), columns): the matrix of d from the block of
+        vector v in degree n to the one in degree n+1, as the words that
+        index its rows and its columns, one per word of words(n, v)."""
+        cod_words = self.words(n + 1, v)
+        return cod_words, _block_matrix(self.gens, self.words(n, v),
+                                        cod_words)
 
     def boundary_blocks(self, n):
-        """Matrices of d: C_n -> C_(n+1), one per vector of
+        """The block_matrix pairs of d: C_n -> C_(n+1), one per vector of
         boundary_vectors(n)."""
         return [self.block_matrix(n, v) for v in self.boundary_vectors(n)]
 
     def block_shapes(self, n):
-        """(rows, cols) of each matrix boundary_blocks(n) returns, in the
+        """(rows, cols) of each matrix of boundary_blocks(n), in the
         same order, without building them."""
         dom, cod = self.counts(n), self.counts(n + 1)
         return [(cod[v], dom[v]) for v in self.boundary_vectors(n)]
@@ -245,7 +245,8 @@ class BarComplex:
                 rep = self._representative(v)
                 inv = by_orbit.get(rep)
                 if inv is None:
-                    inv = _matrix_invariants(self.block_matrix(n, rep))
+                    inv = _matrix_invariants(self.block_matrix(n, rep)[1],
+                                             self.gens.ring)
                     by_orbit[rep] = inv
                 cached.append(inv)
             self._invariants[n] = cached
@@ -348,9 +349,9 @@ class RingTable:
         cached = self._solvers.get((n, key))
         if cached is None:
             self.cx.check_cap(n - 1)
-            m = self.cx.block_matrix(n - 1, key)
-            pivots, residual = unit_pivots(m)
-            cached = ({w: i for i, w in enumerate(m.row_labels)}, pivots,
+            words, columns = self.cx.block_matrix(n - 1, key)
+            pivots, residual = unit_pivots(columns, self.ring.char)
+            cached = ({w: i for i, w in enumerate(words)}, pivots,
                       bool(residual))
             self._solvers[(n, key)] = cached
         return cached

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import SparseMatrix, rank_over_field, smith_normal_form
+from .linalg import rank_over_field, smith_normal_form
 from .polynomial import GeneratorSet
 
 
@@ -50,23 +50,35 @@ def _koszul_basis(gens, homological, internal):
 
 
 def _koszul_differential(gens, homological, internal):
-    """Matrix of the contraction sending f (x) x_S to
-    sum_i +- x_i f (x) x_(S minus i), from Lambda^h to Lambda^(h-1)."""
-    ring = gens.ring
-    dom = _koszul_basis(gens, homological, internal)
+    """(codomain basis, columns) of the contraction sending f (x) x_S to
+    sum_i +- x_i f (x) x_(S minus i), from Lambda^h to Lambda^(h-1); its
+    entries are 1, or -1 reduced for the ring."""
+    p = gens.ring.char
+    minus_one = -1 % p if p else -1
     cod = _koszul_basis(gens, homological - 1, internal)
     index = {b: k for k, b in enumerate(cod)}
-    m = SparseMatrix(len(cod), len(dom), ring,
-                     row_labels=cod, col_labels=dom)
-    for col, (mono, subset) in enumerate(dom):
+    columns = []
+    for mono, subset in _koszul_basis(gens, homological, internal):
+        col = {}
         for pos, i in enumerate(subset):
             new_mono = list(mono)
             new_mono[i] += 1
-            new_subset = subset[:pos] + subset[pos + 1:]
-            row = index[(tuple(new_mono), new_subset)]
-            sign = ring.one() if pos % 2 == 0 else ring.neg(ring.one())
-            m.add_entry(row, col, sign)
-    return m
+            row = index[(tuple(new_mono), subset[:pos] + subset[pos + 1:])]
+            col[row] = minus_one if pos % 2 else 1
+        columns.append(col)
+    return cod, columns
+
+
+def _composes_to_zero(after, before, p):
+    """Whether after @ before is zero (mod p when p is a prime)."""
+    for col in before:
+        out = {}
+        for k, c in col.items():
+            for i, x in after[k].items():
+                out[i] = out.get(i, 0) + c * x
+        if any(x % p if p else x for x in out.values()):
+            return False
+    return True
 
 
 def oracle_small_resolution_check(gens: GeneratorSet, max_internal=10):
@@ -93,25 +105,26 @@ def oracle_small_resolution_check(gens: GeneratorSet, max_internal=10):
             mats[h] = _koszul_differential(gens, h, internal)
         # d^2 = 0
         for h in range(2, n_gens + 1):
-            if not mats[h - 1].compose(mats[h]).is_zero():
+            if not _composes_to_zero(mats[h - 1][1], mats[h][1], ring.char):
                 raise OracleError(f"d^2 != 0 at (h={h}, n={internal})")
         # minimality: every entry lands in the augmentation ideal, i.e.
         # connects basis elements whose polynomial parts differ by a
         # generator factor (the target monomial has positive degree)
         for h in range(1, n_gens + 1):
-            for (row, _col), _c in mats[h].entries.items():
-                mono, _subset = mats[h].row_labels[row]
+            cod, columns = mats[h]
+            for row in itertools.chain.from_iterable(columns):
+                mono, _subset = cod[row]
                 if sum(mono) == 0:
                     raise OracleError(
                         f"non-minimal entry at (h={h}, n={internal})")
         # exactness in internal degree > 0 via ranks
         ranks = {}
         for h in range(1, n_gens + 1):
-            m = mats[h]
+            columns = mats[h][1]
             if ring.is_field:
-                ranks[h] = rank_over_field(m)
+                ranks[h] = rank_over_field(columns, ring)
             else:
-                diag, ranks[h] = smith_normal_form(m)
+                diag, ranks[h] = smith_normal_form(columns)
                 if any(d not in (0, 1) for d in diag):
                     raise OracleError(
                         f"non-unimodular image at (h={h}, n={internal})")

@@ -1,21 +1,20 @@
 """Exact sparse linear algebra over Z, Q, and prime fields.
 
-Vectors are dicts {row_index: nonzero coefficient}; matrices store a
-sparse entry map keyed (row, col).
+A vector is a dict {row index: nonzero entry}, and a matrix is the list
+of its columns as such dicts.
 
-One kernel eliminates every matrix outside F2: _peel_units pivots on
-units only, any nonzero residue over F_p, +-1 over Z and over Q, whose
-columns are first scaled to integers.  The sparsest column goes first,
-its pivot taken in the shortest row.  Each step is unimodular, so every
-pivot is an invariant factor 1; what no unit pivot reaches is left to a
-Euclidean Smith loop.  Ranks and Smith forms count the pivots; the ring
-table keeps their record and replays it on the vectors it solves
-(solve_in_span).  F2 ranks come from bit-packed columns (_rank_gf2).
+One kernel eliminates every matrix outside F2: unit_pivots pivots on
+units only, any nonzero residue over F_p and +-1 over Z and over Q.  The
+sparsest column goes first, its pivot taken in the shortest row.  Each
+step is unimodular, so every pivot is an invariant factor 1; what no
+unit pivot reaches is left to a Euclidean Smith loop.  Ranks and Smith
+forms count the pivots; the ring table keeps their record and replays it
+on the vectors it solves (solve_in_span).  F2 ranks come from bit-packed
+columns (_rank_gf2).
 """
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import lcm
 
 from .rings import RingError, RingSpec
 
@@ -26,102 +25,27 @@ class ResourceCapError(Exception):
     """A matrix exceeded the configured dimension cap."""
 
 
-class SparseMatrix:
-    """Sparse matrix; no explicit zeros are stored.  It takes any size:
-    the dimension cap is the caller's policy (BarComplex.check_cap
-    refuses a degree before any of its blocks is assembled)."""
-
-    __slots__ = ("n_rows", "n_cols", "ring", "entries", "row_labels", "col_labels")
-
-    def __init__(self, n_rows, n_cols, ring: RingSpec, entries=None,
-                 row_labels=None, col_labels=None):
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.ring = ring
-        clean = {}
-        for (i, j), v in (entries or {}).items():
-            if not (0 <= i < n_rows and 0 <= j < n_cols):
-                raise IndexError(f"entry ({i},{j}) outside {n_rows}x{n_cols}")
-            v = ring.normalize(v)
-            if v != 0:
-                clean[(i, j)] = v
-        self.entries = clean
-        self.row_labels = row_labels
-        self.col_labels = col_labels
-
-    @classmethod
-    def from_reduced(cls, n_rows, n_cols, ring: RingSpec, entries,
-                     row_labels=None, col_labels=None):
-        """Matrix over entries that are already in range, nonzero and
-        reduced (residues in [0, p) over F_p), taken without copying.
-        Over Q they may be Python ints: an int is an exact rational."""
-        m = cls.__new__(cls)
-        m.n_rows = n_rows
-        m.n_cols = n_cols
-        m.ring = ring
-        m.entries = entries
-        m.row_labels = row_labels
-        m.col_labels = col_labels
-        return m
-
-    def add_entry(self, i, j, v):
-        """Accumulate v into entry (i, j), dropping it if it cancels."""
-        if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
-            raise IndexError(f"entry ({i},{j}) outside "
-                             f"{self.n_rows}x{self.n_cols}")
-        cur = self.ring.add(self.entries.get((i, j), self.ring.zero()), v)
-        if self.ring.is_zero(cur):
-            self.entries.pop((i, j), None)
-        else:
-            self.entries[(i, j)] = cur
-
-    def columns(self):
-        """Columns as dicts, in column order (absent columns are empty)."""
-        cols = [dict() for _ in range(self.n_cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
-
-    def compose(self, other: "SparseMatrix") -> "SparseMatrix":
-        """self @ other."""
-        if other.n_rows != self.n_cols:
-            raise ValueError("shape mismatch in compose")
-        out = {}
-        cols = self.columns()
-        for (k, j), v in other.entries.items():
-            for i, w in cols[k].items():
-                key = (i, j)
-                out[key] = out.get(key, 0) + v * w
-        return SparseMatrix(self.n_rows, other.n_cols, self.ring, out)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __repr__(self):
-        return (f"SparseMatrix({self.n_rows}x{self.n_cols} over "
-                f"{self.ring.describe()}, nnz={len(self.entries)})")
-
-
 # ---------------------------------------------------------------------------
 # unit-pivot elimination
 
 
-def rank_over_field(m: SparseMatrix) -> int:
-    """Exact matrix rank over a field: the number of unit pivots (see
-    unit_pivots) plus, over Q, the length of the residual's Smith form."""
-    if not m.ring.is_field:
-        raise RingError(f"rank_over_field called over {m.ring.describe()}")
-    if m.ring.char == 2:
-        return _rank_gf2(m)
-    pivots, residual = unit_pivots(m)
+def rank_over_field(columns, ring: RingSpec) -> int:
+    """Exact rank of the columns over a field: the number of unit pivots
+    (see unit_pivots) plus, over Q, the length of the residual's Smith
+    form.  Outside F2 the columns are consumed."""
+    if not ring.is_field:
+        raise RingError(f"rank_over_field called over {ring.describe()}")
+    if ring.char == 2:
+        return _rank_gf2(columns)
+    pivots, residual = unit_pivots(columns, ring.char)
     return len(pivots) + len(_euclidean_smith(residual))
 
 
-def _rank_gf2(m: SparseMatrix) -> int:
+def _rank_gf2(columns) -> int:
     """GF(2) rank with columns packed into Python ints."""
     pivots = {}  # pivot row -> bitmask column
     rank = 0
-    for col in m.columns():
+    for col in columns:
         x = 0
         for i in col:
             x |= 1 << i
@@ -136,38 +60,17 @@ def _rank_gf2(m: SparseMatrix) -> int:
     return rank
 
 
-def _integer_columns(m: SparseMatrix):
-    """Columns of a rational matrix, each scaled by the lcm of its
-    denominators to integers; scaling a column keeps the rank."""
-    cols = m.columns()
-    for k, col in enumerate(cols):
-        den = lcm(*(c.denominator for c in col.values()))
-        if den == 1:
-            cols[k] = {i: c.numerator for i, c in col.items()}
-        else:
-            cols[k] = {i: (c * den).numerator for i, c in col.items()}
-    return cols
-
-
-def unit_pivots(m: SparseMatrix):
-    """_peel_units on the columns of m: over F_p with p, over Z as they
-    are, over Q scaled to integers."""
-    cols = _integer_columns(m) if m.ring.kind == "rationals" \
-        else m.columns()
-    return _peel_units(cols, m.ring.char)
-
-
-def _peel_units(columns, p):
-    """Eliminate integer columns on unit pivots only: any nonzero residue
-    mod the prime p, or +-1 when p is 0.  The sparsest column goes first,
-    its pivot taken in the shortest row; the pivot row is cleared from
-    the other columns, and the pivot row and column are dropped.  Every
-    step is unimodular, so the Smith form of the columns is a 1 for each
-    pivot plus the Smith form of the residual columns, which hold no
-    unit.  Returns (pivots, residual): pivots records (row, column,
-    inverse) for each pivot in order, the column without its pivot row
-    and the inverse of its pivot entry, as solve_in_span replays them.
-    The columns are consumed."""
+def unit_pivots(columns, p):
+    """Eliminate columns on unit pivots only: any nonzero residue mod the
+    prime p, or +-1 when p is 0 (over Z and over Q).  The sparsest
+    column goes first, its pivot taken in the shortest row; the pivot
+    row is cleared from the other columns, and the pivot row and column
+    are dropped.  Every step is unimodular, so the Smith form of the
+    columns is a 1 for each pivot plus the Smith form of the residual
+    columns, which hold no unit.  Returns (pivots, residual): pivots
+    records (row, column, inverse) for each pivot in order, the column
+    without its pivot row and the inverse of its pivot entry, as
+    solve_in_span replays them.  The columns are consumed."""
     cols = {j: c for j, c in enumerate(columns) if c}
     rows = {}
     for j, c in cols.items():
@@ -261,16 +164,14 @@ def solve_in_span(pivots, residual, v, r, ring: RingSpec):
 # Smith normal form
 
 
-def smith_normal_form(m: SparseMatrix):
-    """Invariant factors of an integer matrix.
+def smith_normal_form(columns):
+    """Invariant factors of integer columns, which are consumed.
 
     Returns (diagonal, rank) with diagonal = (d_1, ..., d_r), d_i > 0 and
     d_1 | d_2 | ... | d_r: a 1 for each unit pivot (unit_pivots), then
     the Euclidean Smith form of the residual.
     """
-    if m.ring.kind != "integers":
-        raise RingError("smith_normal_form needs the integer ring")
-    pivots, residual = unit_pivots(m)
+    pivots, residual = unit_pivots(columns, 0)
     diagonal = (1,) * len(pivots) + _euclidean_smith(residual)
     return diagonal, len(diagonal)
 

@@ -7,8 +7,6 @@ degrees must be even.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .rings import RingError, RingSpec
 
 
@@ -39,6 +37,7 @@ class GeneratorSet:
         self.names = tuple(names)
         self.degrees = tuple(degrees)
         self.ring = ring
+        self._bases = {}
 
     def __len__(self):
         return len(self.names)
@@ -85,25 +84,24 @@ class GeneratorSet:
         return "*".join(parts)
 
     def basis_in_degree(self, n: int):
-        """All monomials of degree exactly n, graded-lex ordered."""
-        return list(self._basis_in_degree(n))
+        """All monomials of degree exactly n, graded-lex ordered; each
+        degree is enumerated once per generator set."""
+        out = self._bases.get(n)
+        if out is None:
+            out = self._bases[n] = []
 
-    @lru_cache(maxsize=None)
-    def _basis_in_degree(self, n: int):
-        out = []
+            def rec(i, remaining, prefix):
+                if i == len(self.degrees):
+                    if remaining == 0:
+                        out.append(tuple(prefix))
+                    return
+                d = self.degrees[i]
+                for e in range(remaining // d, -1, -1):
+                    rec(i + 1, remaining - e * d, prefix + [e])
 
-        def rec(i, remaining, prefix):
-            if i == len(self.degrees):
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            d = self.degrees[i]
-            for e in range(remaining // d, -1, -1):
-                rec(i + 1, remaining - e * d, prefix + [e])
-
-        if n >= 0:
-            rec(0, n, [])
-        return tuple(out)
+            if n >= 0:
+                rec(0, n, [])
+        return list(out)
 
 
 class Polynomial:

@@ -43,9 +43,10 @@ def _axpy(ring, v, c, w):
             v[i] = y
 
 
-def echelon_rank(m):
-    """The rank of a matrix over a field, from its column echelon."""
-    return len(echelon(m.columns(), m.ring))
+def echelon_rank(columns, ring):
+    """The rank of dict columns over a field, from their column
+    echelon."""
+    return len(echelon(columns, ring))
 
 
 def span_solution(columns, v, ring):

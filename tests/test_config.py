@@ -85,6 +85,14 @@ def test_sq1_expression_grammar():
     cfg = parse_config(json.dumps(doc))
     img = cfg.sq1.image_of(2)
     assert img.degree() == 8 and len(img.terms) == 2
+    # an empty term is no constant 1, and an empty exponent no power 1
+    for expr, problem in (("+", "empty term"), ("u3 + + u3", "empty term"),
+                          ("u3^", "missing exponent")):
+        doc["sq1"] = {"u2": expr}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert any(p.startswith("sq1.u2: " + problem)
+                   for p in exc.value.problems), expr
 
 
 def test_problems_are_aggregated_with_paths():

@@ -9,7 +9,7 @@ from loopcoh.hirsch_ops import HirschOpTable
 from loopcoh.homology import (BarComplex, HomologyError, RingTable,
                               exterior_verdict, homology_ranks)
 from loopcoh.koszul import oracle_dimensions
-from loopcoh.linalg import (SparseMatrix, rank_over_field, smith_normal_form,
+from loopcoh.linalg import (rank_over_field, smith_normal_form,
                             solve_in_span, unit_pivots)
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
@@ -69,12 +69,12 @@ def test_block_invariants_match_each_block(ring):
         got = cx.block_invariants(n)
         blocks = cx.boundary_blocks(n)
         assert len(got) == len(blocks)
-        for (rank, factors), m in zip(got, blocks):
+        for (rank, factors), (_, columns) in zip(got, blocks):
             if ring is Z:
-                diagonal, want = smith_normal_form(m)
+                diagonal, want = smith_normal_form(columns)
                 assert factors == tuple(d for d in diagonal if d > 1)
             else:
-                want = rank_over_field(m)
+                want = rank_over_field(columns, ring)
                 assert factors == ()
             assert rank == want
         assert cx.boundary_rank(n) == sum(r for r, _ in got)
@@ -141,24 +141,29 @@ def test_verdict_is_deterministic():
 
 
 def _unsplit_boundary(gens, n):
-    """Whole-degree matrix of d: C_n -> C_(n+1), one row per word of
-    degree n+1, built from Polynomial products of adjacent letters."""
+    """Columns of the whole-degree matrix of d: C_n -> C_(n+1), one per
+    word of degree n, with one row per word of degree n+1, built from
+    Polynomial products of adjacent letters."""
     ring = gens.ring
-    dom = bar.bar_basis(gens, n)
-    cod = bar.bar_basis(gens, n + 1)
-    index = {w: i for i, w in enumerate(cod)}
-    m = SparseMatrix(len(cod), len(dom), ring, row_labels=cod,
-                     col_labels=dom)
-    for j, w in enumerate(dom):
+    index = {w: i for i, w in enumerate(bar.bar_basis(gens, n + 1))}
+    columns = []
+    for w in bar.bar_basis(gens, n):
+        col = {}
         e = 0
         for i in range(len(w) - 1):
             e += gens.monomial_degree(w[i]) - 1
             prod = Polynomial.monomial(gens, w[i]) * \
                 Polynomial.monomial(gens, w[i + 1])
             for mono, c in prod.terms.items():
-                new = w[:i] + (mono,) + w[i + 2:]
-                m.add_entry(index[new], j, c if e % 2 == 0 else ring.neg(c))
-    return m
+                row = index[w[:i] + (mono,) + w[i + 2:]]
+                x = ring.add(col.get(row, 0),
+                             c if e % 2 == 0 else ring.neg(c))
+                if x:
+                    col[row] = x
+                else:
+                    col.pop(row, None)
+        columns.append(col)
+    return columns
 
 
 @st.composite
@@ -182,21 +187,21 @@ def test_exponent_vector_blocks_match_unsplit_matrix(gens):
     cx = BarComplex(gens, max_degree)
     for n in range(max_degree + 1):
         whole = _unsplit_boundary(gens, n)
-        rows = {w: i for i, w in enumerate(whole.row_labels)}
-        cols = {w: j for j, w in enumerate(whole.col_labels)}
+        rows = {w: i for i, w in enumerate(bar.bar_basis(gens, n + 1))}
+        cols = {w: j for j, w in enumerate(bar.bar_basis(gens, n))}
         # every entry of the whole matrix sits in exactly one block
-        seen = {}
-        for m in cx.boundary_blocks(n):
-            for (i, j), c in m.entries.items():
-                key = (rows[m.row_labels[i]], cols[m.col_labels[j]])
-                assert key not in seen
-                seen[key] = c
-        assert seen == whole.entries
+        seen = [{} for _ in whole]
+        for v, (cod_words, columns) in zip(cx.boundary_vectors(n),
+                                           cx.boundary_blocks(n)):
+            for w, col in zip(cx.words(n, v), columns):
+                for i, c in col.items():
+                    assert rows[cod_words[i]] not in seen[cols[w]]
+                    seen[cols[w]][rows[cod_words[i]]] = c
+        assert seen == whole
         # slow reference rank: Fraction echelon of the unsplit matrix,
         # read over Q when the ring is Z
-        ref = whole if gens.ring.is_field else \
-            SparseMatrix(whole.n_rows, whole.n_cols, Q, whole.entries)
-        assert cx.boundary_rank(n) == echelon_rank(ref)
+        ref_ring = gens.ring if gens.ring.is_field else Q
+        assert cx.boundary_rank(n) == echelon_rank(whole, ref_ring)
     got = homology_ranks(cx)
     assert got["ranks"] == oracle_dimensions(gens, max_degree)
     assert got["torsion"] == {}
@@ -215,20 +220,20 @@ def _reference_basis_by_block(gens, degree):
 
 
 def _reference_block_matrix(gens, dom_words, cod_words):
-    ring = gens.ring
+    """Columns of d from dom_words to cod_words, one per domain word,
+    from bar_differential."""
     index = {w: i for i, w in enumerate(cod_words)}
-    entries = {}
-    for col, w in enumerate(dom_words):
-        for out_w, c in bar.bar_differential(gens, {w: ring.one()}).items():
-            entries[(index[out_w], col)] = c
-    return SparseMatrix(len(cod_words), len(dom_words), ring, entries,
-                        row_labels=cod_words, col_labels=dom_words)
+    return [{index[out_w]: c for out_w, c in
+             bar.bar_differential(gens, {w: gens.ring.one()}).items()}
+            for w in dom_words]
 
 
-def _reference_invariants(m):
-    if m.ring.is_field:
-        return rank_over_field(m), ()
-    diagonal, rank = smith_normal_form(m)
+def _reference_invariants(columns, ring):
+    """(rank, invariant factors > 1) of a copy of the columns."""
+    columns = [dict(col) for col in columns]
+    if ring.is_field:
+        return rank_over_field(columns, ring), ()
+    diagonal, rank = smith_normal_form(columns)
     return rank, tuple(d for d in diagonal if d > 1)
 
 
@@ -251,13 +256,12 @@ def assert_blocks_match_reference(gens, max_degree):
         matrices = [_reference_block_matrix(gens, blocks[n][v],
                                             blocks[n + 1][v])
                     for v in vectors]
-        assert cx.block_shapes(n) == [(m.n_rows, m.n_cols)
-                                      for m in matrices]
-        want = [_reference_invariants(m) for m in matrices]
+        assert cx.block_shapes(n) == [(len(blocks[n + 1][v]),
+                                       len(blocks[n][v])) for v in vectors]
+        want = [_reference_invariants(m, gens.ring) for m in matrices]
         assert cx.block_invariants(n) == want
-        for got, m in zip(cx.boundary_blocks(n), matrices):
-            assert (got.row_labels, got.col_labels, got.entries) == \
-                (m.row_labels, m.col_labels, m.entries)
+        assert cx.boundary_blocks(n) == [(blocks[n + 1][v], m)
+                                         for v, m in zip(vectors, matrices)]
         assert cx.torsion(n + 1) == sorted(d for _, fs in want for d in fs)
 
 
@@ -408,9 +412,9 @@ def test_ring_table_factors_each_reached_block_once(monkeypatch, table,
     factored = []
     solves = []
 
-    def counted_pivots(m):
-        factored.append(m)
-        return unit_pivots(m)
+    def counted_pivots(*args):
+        factored.append(args)
+        return unit_pivots(*args)
 
     def counted_solve(*args):
         solves.append(args)

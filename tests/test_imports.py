@@ -2,7 +2,7 @@
 function, method and class it defines is referenced somewhere in
 loopcoh or its tests, every parameter default it declares is
 overridden by some call there, and no module keeps mutable state in a
-global."""
+global or a process-wide functools cache."""
 import ast
 import pathlib
 
@@ -192,14 +192,24 @@ def test_every_default_is_passed():
 
 _MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
                   "Counter"}
+_CACHES = {"cache", "lru_cache"}
 
 
 def module_mutable_state(source):
     """Lowercase names that a module binds at its top level to a dict,
     list or set: a display, a comprehension or a call of one of those
-    types.  Upper-case names are constants by convention."""
+    types; upper-case names are constants by convention.  Also every
+    functools cache it names, imported or as functools.<name>: such a
+    cache lives as long as the process and keeps its arguments alive."""
+    tree = ast.parse(source)
     found = []
-    for node in ast.parse(source).body:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.extend(a.name for a in node.names if a.name in _CACHES)
+        elif isinstance(node, ast.Attribute) and node.attr in _CACHES \
+                and getattr(node.value, "id", None) == "functools":
+            found.append(f"functools.{node.attr}")
+    for node in tree.body:
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -234,6 +244,20 @@ def test_the_scan_finds_module_mutable_state():
               "    table = {}\n")
     assert module_mutable_state(source) == \
         ["_cache", "order", "seen", "squares"]
+
+
+def test_the_scan_finds_functools_caches():
+    source = ("import functools\n"
+              "from functools import lru_cache, partial, reduce\n"
+              "class A:\n"
+              "    @lru_cache(maxsize=None)\n"
+              "    def basis(self, n):\n"
+              "        cache = {}\n"
+              "        return cache\n"
+              "@functools.cache\n"
+              "def f(n):\n"
+              "    return partial(reduce, n)\n")
+    assert module_mutable_state(source) == ["functools.cache", "lru_cache"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

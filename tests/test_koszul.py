@@ -1,5 +1,6 @@
 import pytest
 
+from loopcoh import koszul
 from loopcoh.koszul import (OracleError, oracle_dimensions,
                             oracle_small_resolution_check)
 from loopcoh.polynomial import GeneratorSet
@@ -47,6 +48,7 @@ def test_small_resolution_check_matches_dimensions():
         (("x2",), (2,), F2),
         (("u2", "u3"), (2, 3), F2),
         (("x2", "x4"), (2, 4), Z),
+        (("x2", "y2"), (2, 2), Q),
     ):
         gens = GeneratorSet(names, degs, ring)
         got = oracle_small_resolution_check(gens, max_internal=10)
@@ -59,6 +61,24 @@ def test_f2_pair_ranks_all_one():
     gens = GeneratorSet(("u2", "u3"), (2, 3), F2)
     got = oracle_small_resolution_check(gens, max_internal=8)
     assert [got.get(n, 0) for n in range(4)] == [1, 1, 1, 1]
+
+
+def test_a_flipped_sign_fails_the_d_squared_check(monkeypatch):
+    original = koszul._koszul_differential
+
+    def flipped(gens, homological, internal):
+        # negate one entry of d_2 in internal degree 6, the first one
+        # with x2 (x) x4 in its domain
+        cod, columns = original(gens, homological, internal)
+        if (homological, internal) == (2, 6):
+            row, c = next(iter(columns[0].items()))
+            columns[0][row] = -c
+        return cod, columns
+
+    monkeypatch.setattr(koszul, "_koszul_differential", flipped)
+    gens = GeneratorSet(("x2", "x4"), (2, 4), Z)
+    with pytest.raises(OracleError, match=r"d\^2 != 0 at \(h=2, n=6\)"):
+        oracle_small_resolution_check(gens, max_internal=10)
 
 
 def test_resource_guard():
