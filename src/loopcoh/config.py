@@ -63,7 +63,7 @@ def parse_polynomial(gens: GeneratorSet, text, path, problems):
         if not factors:
             problems.append(f"{path}: empty term")
             return None
-        prod = Polynomial.one(gens)
+        exponents = [0] * len(gens.names)
         for factor in factors:
             name, caret, power = factor.partition("^")
             if name not in gens.names:
@@ -80,10 +80,8 @@ def parse_polynomial(gens: GeneratorSet, text, path, problems):
             if e < 1:
                 problems.append(f"{path}: exponent must be >= 1")
                 return None
-            g = Polynomial.generator(gens, name)
-            for _ in range(e):
-                prod = prod * g
-        total = total + prod
+            exponents[gens.index(name)] += e
+        total = total + Polynomial.monomial(gens, exponents)
     return total
 
 
@@ -121,7 +119,8 @@ def parse_config(text: str) -> JobConfig:
         if not isinstance(name, str) or not name:
             problems.append(f"{path}.name: required string")
             name = f"_g{k}"
-        if not isinstance(degree, int):
+        # a JSON true or false is a bool, which isinstance counts as an int
+        if type(degree) is not int:
             problems.append(f"{path}.degree: required integer")
             degree = 2
         names.append(name)
@@ -169,7 +168,7 @@ def parse_config(text: str) -> JobConfig:
         if key not in DEFAULT_BOUNDS:
             problems.append(f"bounds.{key}: unknown bound")
             continue
-        if not isinstance(value, int):
+        if type(value) is not int:
             problems.append(f"bounds.{key}: must be an integer")
             continue
         bounds[key] = value

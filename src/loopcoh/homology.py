@@ -10,6 +10,23 @@ the blocks of constant s = n + weight, because s is the internal degree
 of the vector.  A boundary matrix is the list of its columns, one dict
 {row: entry} per word of the domain, and holds only +-1 entries.
 
+The blocks of one vector v form a chain complex C^*_v, and its
+invariants come from one walk up its degrees (BarComplex._walk), which
+assembles d_n only on the words that are not pivot rows of d_(n-1).
+This keeps the span of the columns of d_n (over Z, their lattice), so
+every rank and invariant factor.  Take a pivot of d_(n-1), in row b and
+column c, the column as the elimination left it: a combination of
+columns of d_(n-1), with integer coefficients over Z, so d_n(c) = 0, and
+its entry in row b is a unit.
+So d_n(e_b) is a combination of the columns d_n(e_i) for the other rows
+i of c.  A unit pivot's column is zero in the pivot rows before it
+(linalg.unit_pivots), and every other row of a GF(2) pivot column lies
+above its pivot row (linalg._gf2_pivot_rows), so by induction over the
+pivots, from the last (or the highest) back, the column of every pivot
+row lies in the span of the columns kept.  See Kaczynski, Mrozek and
+Slusarek, "Homology computation by reduction of chain complexes" (1998),
+and Skoldberg, "Morse theory from an algebraic viewpoint" (2006).
+
 The ring table reduces products on the same blocks.  Since d keeps the
 vector and every representative lies in one block of one degree, the
 span of the boundary image and the representatives is the direct sum of
@@ -30,8 +47,7 @@ from . import bar
 from .hirsch_ops import HirschOpTable
 from .koszul import oracle_dimensions
 from .linalg import (DEFAULT_DIMENSION_CAP, ResourceCapError,
-                     rank_over_field, smith_normal_form, solve_in_span,
-                     unit_pivots)
+                     matrix_invariants, solve_in_span, unit_pivots)
 from .polynomial import GeneratorSet
 
 
@@ -102,16 +118,6 @@ def _block_matrix(gens, dom_words, cod_words):
             for w in dom_words]
 
 
-def _matrix_invariants(columns, ring):
-    """(rank, factors) of the columns: over Z from their Smith form,
-    factors being the invariant factors > 1; over a field their rank
-    and ()."""
-    if ring.is_field:
-        return rank_over_field(columns, ring), ()
-    diagonal, rank = smith_normal_form(columns)
-    return rank, tuple(d for d in diagonal if d > 1)
-
-
 class BarComplex:
     """Degree-truncated bar complex, worked on one exponent-vector block
     at a time.  Block sizes are counted without listing words; the words
@@ -124,7 +130,11 @@ class BarComplex:
     degree of each letter.  So the blocks of one orbit have the same
     shape, rank and invariant factors, and block_invariants eliminates
     one representative per orbit: the vector with its exponents sorted
-    descending within each group of equal-degree generators.
+    descending within each group of equal-degree generators.  It walks
+    up the blocks of each representative v at once (_walk), listing the
+    words of each degree once and assembling d_n without the columns at
+    the pivot rows of d_(n-1), which d_n d_(n-1) = 0 puts in the span of
+    the others (see the module docstring).
 
     Ranks and torsion read only the invariants, which a cache can
     restore without assembling a block; the ring table assembles only
@@ -235,22 +245,44 @@ class BarComplex:
 
     def block_invariants(self, n):
         """(rank, factors) of every matrix of boundary_blocks(n), in the
-        same order, computed once per orbit (see the class docstring)."""
-        cached = self._invariants.get(n)
-        if cached is None:
+        same order; the first call computes every degree (_walk)."""
+        if n < 0 or n > self.max_degree:
+            return []
+        if n not in self._invariants:
+            self._walk()
+        return self._invariants[n]
+
+    def _walk(self):
+        """Fill the invariants of every degree up to the bound by one walk
+        up the block complex C^*_v of each orbit representative v, after
+        checking the cap of every degree.  Each degree's words are listed
+        once, as the rows of d_(n-1) and the domain of d_n, and d_n is
+        assembled only on the words that are not pivot rows of d_(n-1)
+        (see the module docstring)."""
+        top = self.max_degree
+        for n in range(top + 1):
             self.check_cap(n)
-            by_orbit = {}
-            cached = []
+        # the lowest degree of d on each representative's blocks
+        bottom = {}
+        for n in range(top, -1, -1):
             for v in self.boundary_vectors(n):
-                rep = self._representative(v)
-                inv = by_orbit.get(rep)
-                if inv is None:
-                    inv = _matrix_invariants(self.block_matrix(n, rep)[1],
-                                             self.gens.ring)
-                    by_orbit[rep] = inv
-                cached.append(inv)
-            self._invariants[n] = cached
-        return cached
+                bottom[self._representative(v)] = n
+        found = {}
+        ring = self.gens.ring
+        for v, low in bottom.items():
+            words = self.words(low, v)
+            paired = ()
+            for n in range(low, top + 1):
+                if v not in self.counts(n + 1):
+                    break
+                dom = [w for i, w in enumerate(words) if i not in paired]
+                words = self.words(n + 1, v)
+                rank, factors, paired = matrix_invariants(
+                    _block_matrix(self.gens, dom, words), ring)
+                found[n, v] = rank, factors
+        for n in range(top + 1):
+            self._invariants[n] = [found[n, self._representative(v)]
+                                   for v in self.boundary_vectors(n)]
 
     def boundary_rank(self, n):
         return sum(rank for rank, _ in self.block_invariants(n))

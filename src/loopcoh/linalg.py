@@ -10,7 +10,13 @@ step is unimodular, so every pivot is an invariant factor 1; what no
 unit pivot reaches is left to a Euclidean Smith loop.  Ranks and Smith
 forms count the pivots; the ring table keeps their record and replays it
 on the vectors it solves (solve_in_span).  F2 ranks come from bit-packed
-columns (_rank_gf2).
+columns (_gf2_pivot_rows).
+
+matrix_invariants is the one entry point for the boundary matrices of
+the bar blocks and, through rank_over_field and smith_normal_form, of
+the Koszul oracle.  Besides the rank and the invariant factors it
+returns the rows its pivots took, which the bar complex uses to drop
+columns from the next differential (see homology.BarComplex).
 """
 from __future__ import annotations
 
@@ -29,22 +35,35 @@ class ResourceCapError(Exception):
 # unit-pivot elimination
 
 
+def matrix_invariants(columns, ring: RingSpec):
+    """(rank, factors, pivot rows) of the columns, which are consumed
+    outside F2.  Over Z, factors are the invariant factors > 1 of their
+    Smith form; over a field they are ().  The pivot rows are those of
+    the unit pivots (unit_pivots), or over F2 those of the echelon form
+    (_gf2_pivot_rows); the rank adds the length of the residual's
+    Smith form to their number."""
+    if ring.char == 2:
+        rows = _gf2_pivot_rows(columns)
+        return len(rows), (), rows
+    pivots, residual = unit_pivots(columns, ring.char)
+    rest = _euclidean_smith(residual)
+    factors = () if ring.is_field else tuple(d for d in rest if d > 1)
+    return len(pivots) + len(rest), factors, {r for r, _, _ in pivots}
+
+
 def rank_over_field(columns, ring: RingSpec) -> int:
-    """Exact rank of the columns over a field: the number of unit pivots
-    (see unit_pivots) plus, over Q, the length of the residual's Smith
-    form.  Outside F2 the columns are consumed."""
+    """Exact rank of the columns over a field (matrix_invariants).
+    Outside F2 the columns are consumed."""
     if not ring.is_field:
         raise RingError(f"rank_over_field called over {ring.describe()}")
-    if ring.char == 2:
-        return _rank_gf2(columns)
-    pivots, residual = unit_pivots(columns, ring.char)
-    return len(pivots) + len(_euclidean_smith(residual))
+    return matrix_invariants(columns, ring)[0]
 
 
-def _rank_gf2(columns) -> int:
-    """GF(2) rank with columns packed into Python ints."""
+def _gf2_pivot_rows(columns):
+    """The pivot rows of a GF(2) echelon form of the columns, packed
+    into Python ints: each reduced column is kept at its lowest bit, so
+    its other bits lie above that row.  Their number is the rank."""
     pivots = {}  # pivot row -> bitmask column
-    rank = 0
     for col in columns:
         x = 0
         for i in col:
@@ -55,9 +74,9 @@ def _rank_gf2(columns) -> int:
                 x ^= pivots[low]
             else:
                 pivots[low] = x
-                rank += 1
                 break
-    return rank
+    # a set, not a view that would keep the bitmask columns alive
+    return set(pivots)
 
 
 def unit_pivots(columns, p):
@@ -169,11 +188,10 @@ def smith_normal_form(columns):
 
     Returns (diagonal, rank) with diagonal = (d_1, ..., d_r), d_i > 0 and
     d_1 | d_2 | ... | d_r: a 1 for each unit pivot (unit_pivots), then
-    the Euclidean Smith form of the residual.
+    the Euclidean Smith form of the residual (matrix_invariants).
     """
-    pivots, residual = unit_pivots(columns, 0)
-    diagonal = (1,) * len(pivots) + _euclidean_smith(residual)
-    return diagonal, len(diagonal)
+    rank, factors, _ = matrix_invariants(columns, RingSpec.integers())
+    return (1,) * (rank - len(factors)) + factors, rank
 
 
 def _euclidean_smith(columns):

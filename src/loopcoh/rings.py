@@ -13,18 +13,39 @@ class RingError(Exception):
     """Wrong ring for an operation, or an invalid ring description."""
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly
+# below this bound, the least strong pseudoprime to all of them
+# (Sorenson and Webster, 2015); the bases up to 37 alone pass the
+# composite 318665857834031151167461
+PRIME_TEST_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality of n below PRIME_TEST_BOUND, by deterministic
+    Miller-Rabin; RingError above it, where the test is not exact."""
+    if n >= PRIME_TEST_BOUND:
+        raise RingError(f"modulus {n} is too large to test for primality")
     if n < 2:
         return False
-    if n < 4:
+    if n in _BASES:
         return True
-    if n % 2 == 0:
+    if any(n % a == 0 for a in _BASES):
         return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -136,6 +157,7 @@ def ring_from_name(name: str) -> RingSpec:
         return RingSpec.integers()
     if name in ("Q", "rationals"):
         return RingSpec.rationals()
-    if name.startswith("F") and name[1:].isdigit():
+    # isdigit alone also takes non-ASCII digits such as "²" or "٣"
+    if name.startswith("F") and name[1:].isascii() and name[1:].isdigit():
         return RingSpec.prime_field(int(name[1:]))
     raise RingError(f"cannot parse ring name {name!r}")

@@ -9,6 +9,7 @@ from loopcoh.cli import _cache_key, _read_cache, main
 from loopcoh.config import parse_config
 from loopcoh.homology import BarComplex
 from loopcoh.koszul import oracle_dimensions
+from loopcoh.linalg import DEFAULT_DIMENSION_CAP
 from loopcoh.polynomial import GeneratorSet
 from loopcoh.rings import RingSpec
 
@@ -287,7 +288,7 @@ def test_warm_ranks_assembles_and_eliminates_nothing(tmp_path, monkeypatch,
     def fail(*_args, **_kwargs):
         raise AssertionError("a warm ranks run computed a block")
 
-    for name in ("_block_matrix", "smith_normal_form", "rank_over_field"):
+    for name in ("_block_matrix", "matrix_invariants"):
         monkeypatch.setattr(homology, name, fail)
     assert run(args + ["--json", warm])[0] == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
@@ -318,9 +319,10 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
         counted(name)
     cache = ["--cache-dir", str(tmp_path / "c")]
     # the 326 boundary blocks fall into 129 orbits of generators of
-    # equal degree
+    # equal degree, on the block complexes of 67 representatives; the
+    # walk up each lists the words of each of its degrees once
     assert run(["ranks", "--config", cfg] + cache)[0] == 0
-    assert calls["_block_matrix"] == 129
+    assert calls == {"_block_matrix": 129, "_block_words": 129 + 67}
     calls.update(dict.fromkeys(calls, 0))
     assert run(["ranks", "--config", cfg] + cache)[0] == 0
     assert calls == {"_block_matrix": 0, "_block_words": 0}
@@ -329,7 +331,31 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
     # block once, and those of the 8 domains
     assert run(["check-exterior", "--config", cfg])[0] == 0
     assert calls["_block_matrix"] == 129 + 20
-    assert calls["_block_words"] == 2 * 129 + 20 + 8
+    assert calls["_block_words"] == 129 + 67 + 20 + 8
+
+
+def test_a_block_over_the_cap_is_refused_before_any_is_assembled(
+        tmp_path, monkeypatch):
+    import loopcoh.homology as homology
+    # on Q[x2,y2] the first block over the cap is one of d from degree
+    # 13; degrees 0 to 12 are within it
+    cfg = write_config(tmp_path, {
+        "ring": "Q",
+        "generators": [{"name": "x2", "degree": 2},
+                       {"name": "y2", "degree": 2}],
+        "bounds": {"max_degree": 13}})
+
+    def fail(*_args):
+        raise AssertionError("a block was assembled")
+
+    monkeypatch.setattr(homology, "_block_matrix", fail)
+    json_path = str(tmp_path / "out.json")
+    code, text = run(["ranks", "--config", cfg, "--json", json_path])
+    assert code == 1
+    error = f"ResourceCapError: matrix 22980x6402 exceeds cap " \
+        f"{DEFAULT_DIMENSION_CAP}"
+    assert json.loads(open(json_path).read())["errors"] == [error]
+    assert f"error: {error}" in text
 
 
 def test_cache_dir_that_is_a_file_exits_with_report(tmp_path, capsys):

@@ -93,6 +93,16 @@ def test_sq1_expression_grammar():
             parse_config(json.dumps(doc))
         assert any(p.startswith("sq1.u2: " + problem)
                    for p in exc.value.problems), expr
+    # a huge exponent is one monomial, not that many products
+    doc["sq1"] = {"u2": "u3^99999999999"}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.problems == [
+        "sq1: Sq1(u2) must be homogeneous of degree 3, got degree "
+        "299999999997"]
+    # a repeated factor adds its exponents
+    doc["sq1"] = {"u2": "u3", "u7": "u2 u2^3 + u2*u3*u3"}
+    assert parse_config(json.dumps(doc)).sq1.image_of(2) == img
 
 
 def test_problems_are_aggregated_with_paths():
@@ -142,3 +152,28 @@ def test_weight_cap_bound_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(doc))
     assert exc.value.problems == ["bounds.weight_cap: unknown bound"]
+
+
+def test_booleans_are_not_integers():
+    # json true is a Python bool, which isinstance counts as an int
+    for key in DEFAULT_BOUNDS:
+        doc = valid_doc()
+        doc["bounds"][key] = True
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.problems == [f"bounds.{key}: must be an integer"]
+    doc = valid_doc()
+    doc["generators"][0]["degree"] = True
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert "generators[0].degree: required integer" in exc.value.problems
+
+
+def test_non_ascii_ring_digits_are_rejected():
+    for name in ("F²", "F٣"):
+        doc = valid_doc()
+        doc["ring"] = name
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.problems[0].startswith(
+            "ring: cannot parse ring name")

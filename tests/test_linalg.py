@@ -4,8 +4,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcoh.linalg import (_euclidean_smith, rank_over_field,
-                            smith_normal_form, solve_in_span, unit_pivots)
+from loopcoh.linalg import (_euclidean_smith, matrix_invariants,
+                            rank_over_field, smith_normal_form,
+                            solve_in_span, unit_pivots)
 from loopcoh.rings import RingSpec
 from references import class_coefficients, echelon_rank, in_lattice
 
@@ -207,3 +208,64 @@ def test_block_solve_matches_the_reference():
     check()
     assert any(residuals)
     assert outcomes == {"none", "zero", "unit", "other"}
+
+
+def _mix(n, rng):
+    """A random unimodular n x n matrix and its inverse, as dense rows:
+    a product of elementary operations row i += c * row j."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for k in range(n):
+            u[i][k] += c * u[j][k]
+            # the inverse takes the same operation, negated, on columns
+            u_inv[k][j] -= c * u_inv[k][i]
+    return u, u_inv
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def test_columns_at_the_pivot_rows_below_change_no_invariant():
+    # a chain complex Z^2 -> Z^5 -> Z^3 in random bases, with torsion:
+    # d_0 = [e_0, e_1], and d_1 sends e_0 and e_1 to 0, e_2 to 2g_0, e_3
+    # to g_1 and e_4 to 3g_1 + g_2.  Dropping from d_1 the columns at the
+    # pivot rows of d_0 keeps its invariants; the test asserts that some
+    # draws drop both columns over Z
+    dropped = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        u, u_inv = _mix(5, rng)
+        v, _ = _mix(3, rng)
+        d0 = _product(u, [[1, 0], [0, 1], [0, 0], [0, 0], [0, 0]])
+        d1 = _product(v, _product([[0, 0, 2, 0, 0], [0, 0, 0, 1, 3],
+                                   [0, 0, 0, 0, 1]], u_inv))
+        assert _product(d1, d0) == [[0, 0]] * 3
+
+        def kept(ring, paired):
+            return dense([[x for j, x in enumerate(row) if j not in paired]
+                          for row in d1], ring)
+
+        # the rows of d_0's unit pivots, which need not reach both
+        # columns over Z and Q
+        paired = matrix_invariants(dense(d0, Z), Z)[2]
+        dropped.append(len(paired))
+        assert smith_normal_form(kept(Z, paired)) == \
+            smith_normal_form(dense(d1, Z)) == ((1, 1, 2), 3)
+        for ring in (Q, F2, F3):
+            # unit pivots, and over F2 the pivot rows of the echelon form
+            paired = matrix_invariants(dense(d0, ring), ring)[2]
+            assert ring is Q or len(paired) == 2
+            want = 2 if ring is F2 else 3
+            assert matrix_invariants(kept(ring, paired), ring)[:2] == \
+                matrix_invariants(dense(d1, ring), ring)[:2] == (want, ())
+
+    check()
+    assert max(dropped) == 2

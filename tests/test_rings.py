@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loopcoh.rings import RingError, RingSpec, ring_from_name
+from loopcoh.rings import (PRIME_TEST_BOUND, RingError, RingSpec, is_prime,
+                           ring_from_name)
 
 
 def test_ring_from_name():
@@ -18,6 +19,27 @@ def test_ring_from_name_rejects_garbage():
     for bad in ("F4", "F1", "GF2", "R", ""):
         with pytest.raises(RingError):
             ring_from_name(bad)
+    # "F²" once failed in int() and "F٣" ran as F3: str.isdigit takes
+    # digits outside ASCII
+    for bad in ("F²", "F٣", "F１３"):
+        with pytest.raises(RingError, match="cannot parse ring name"):
+            ring_from_name(bad)
+
+
+def test_large_prime_moduli_are_decided_at_once():
+    # 2^61 - 1 is prime: trial division did not finish on it
+    assert ring_from_name("F2305843009213693951").p == 2 ** 61 - 1
+    assert not is_prime(2 ** 61 + 1)
+    # a strong pseudoprime to every prime base up to 37, and a Carmichael
+    # number
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3215031751)
+    small = [n for n in range(2000)
+             if n > 1 and all(n % f for f in range(2, n))]
+    assert [n for n in range(2000) if is_prime(n)] == small
+    # above the bound Miller-Rabin on these bases is not exact
+    with pytest.raises(RingError, match="too large"):
+        ring_from_name(f"F{PRIME_TEST_BOUND}")
 
 
 def test_prime_field_requires_prime():
