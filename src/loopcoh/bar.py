@@ -10,15 +10,14 @@ and consumers split into homogeneous parts when that matters.
 from __future__ import annotations
 
 import itertools
-from operator import add, mul
+from operator import add
 
 from .hirsch_ops import HirschOpTable
 from .polynomial import GeneratorSet
 
 
 def word_degree(gens, word) -> int:
-    degrees = gens.degrees
-    return sum(sum(map(mul, m, degrees)) for m in word) - len(word)
+    return sum(map(gens.letter_degrees.__getitem__, word))
 
 
 def word_str(gens, word) -> str:
@@ -26,7 +25,8 @@ def word_str(gens, word) -> str:
 
 
 def add_into(out, word, coeff, ring):
-    cur = ring.add(out.get(word, ring.zero()), coeff)
+    # ring.add normalizes the int 0 + coeff as it would ring.zero() + coeff
+    cur = ring.add(out.get(word, 0), coeff)
     if ring.is_zero(cur):
         out.pop(word, None)
     else:
@@ -79,11 +79,11 @@ def boundary_terms(gens: GeneratorSet, word):
     arithmetic is needed.  The term merging letters i and i+1 carries
     the sign (-1)^(|a_0|-1 + ... + |a_i|-1).  The terms are distinct
     words, and all of them have the total exponent vector of word."""
-    degrees = gens.degrees
+    letter_degrees = gens.letter_degrees
     out = []
     e = 0
     for i in range(len(word) - 1):
-        e += sum(map(mul, word[i], degrees)) - 1
+        e += letter_degrees[word[i]]
         prod = tuple(map(add, word[i], word[i + 1]))
         out.append((word[:i] + (prod,) + word[i + 2:], -1 if e & 1 else 1))
     return out

@@ -19,7 +19,7 @@ import time
 
 from . import CONVENTION_VERSION
 from .bar import bar_basis, bar_differential, check_chain_map
-from .config import ConfigError, parse_config
+from .config import ConfigError, ascii_int, parse_config
 from .hirsch_ops import (check_derivation_relations,
                          check_sq_specialization_cases)
 from .homology import (BarComplex, HomologyError, RingTable,
@@ -368,6 +368,15 @@ COMMANDS = {
 }
 
 
+def _max_degree(text):
+    try:
+        return ascii_int(text)
+    except ValueError:
+        # argparse's own message for a value int() refuses
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="loopcoh",
@@ -376,7 +385,7 @@ def build_parser():
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True,
                         help="path to a JSON job description")
-    parser.add_argument("--max-degree", type=int, default=None,
+    parser.add_argument("--max-degree", type=_max_degree, default=None,
                         help="override the degree bound from the config")
     parser.add_argument("--json", default=None, metavar="OUT",
                         help="write the machine-readable report here")

@@ -6,6 +6,7 @@ path into the document.
 from __future__ import annotations
 
 import json
+import re
 
 from .hirsch_ops import HirschOpTable
 from .polynomial import AlgebraError, GeneratorSet, Polynomial, Sq1Table
@@ -51,6 +52,15 @@ class JobConfig:
         return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
+def ascii_int(text):
+    """The integer that text writes with an optional sign and ASCII
+    digits; ValueError otherwise.  int() alone also reads other digits,
+    such as "٣" for 3, and underscores and surrounding blanks."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def parse_polynomial(gens: GeneratorSet, text, path, problems):
     """Minimal grammar: `+`-separated nonempty products of generator
     names with optional `^` powers; `0` for the zero polynomial."""
@@ -73,7 +83,7 @@ def parse_polynomial(gens: GeneratorSet, text, path, problems):
                 problems.append(f"{path}: missing exponent after {name!r}")
                 return None
             try:
-                e = int(power) if power else 1
+                e = ascii_int(power) if power else 1
             except ValueError:
                 problems.append(f"{path}: bad exponent {power!r}")
                 return None

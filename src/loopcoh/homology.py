@@ -10,6 +10,15 @@ the blocks of constant s = n + weight, because s is the internal degree
 of the vector.  A boundary matrix is the list of its columns, one dict
 {row: entry} per word of the domain, and holds only +-1 entries.
 
+Blocks are listed and assembled on words in integer code (_Letters): a
+letter m is the int sum(m_i * B^i), where B is one more than the
+largest exponent of the vectors served.  Every letter of a word of
+vector v is <= v in each exponent, and so is the product of two
+adjacent letters, whose exponents are the sums of theirs; so adding two
+codes never carries a digit past B - 1, and the product letter's code
+is the sum of the two codes.  A term of d costs one int addition, and
+its sign is a running XOR of the parities of (|m| - 1).
+
 The blocks of one vector v form a chain complex C^*_v, and its
 invariants come from one walk up its degrees (BarComplex._walk), which
 assembles d_n only on the words that are not pivot rows of d_(n-1).
@@ -41,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, prod
-from operator import mul, sub
+from operator import mul
 
 from . import bar
 from .hirsch_ops import HirschOpTable
@@ -80,42 +89,106 @@ def _composition_count(v, k):
                for j in range(k))
 
 
-def _block_words(letters, v, k):
-    """The words of k letters with total exponent vector v, in the order
-    of bar.bar_basis.  letters(rest) lists each letter m that can start a
-    word of vector rest, in letter order, with rest - m and its exponent
-    sum."""
-    if k == 0:
-        return [()]
-    out = []
-    prefix = []
+def _sub_monomials(gens, rest):
+    """The nonzero monomials m <= rest in the letter order of
+    bar.bar_basis: by degree, then exponents descending
+    lexicographically, as basis_in_degree lists them."""
+    return [m for m in sorted(itertools.product(*(range(e, -1, -1)
+                                                  for e in rest)),
+                              key=gens.monomial_degree) if any(m)]
 
-    def build(rest, k):
-        if k == 1:
-            out.append((*prefix, rest))
+
+class _Letters(dict):
+    """The bar letters of a set of blocks in integer code, as a table
+    {rest: [(m, rest - m, exponent sum of rest - m), ...]} listing the
+    letters m that can start a word of vector rest, in letter order,
+    filled on first use.  parity holds (|m| - 1) mod 2 of every letter
+    listed, and codes the code of each monomial encode_word has seen.
+    Monomial m has the code sum(m_i * base**i), and base must exceed
+    every exponent of the vectors served (see the module docstring)."""
+
+    def __init__(self, gens, base):
+        super().__init__()
+        self.gens = gens
+        self.base = base
+        self.weights = [base ** i for i in range(len(gens.degrees))]
+        self.parity = {}
+        self.codes = {}
+
+    def encode(self, m):
+        return sum(map(mul, m, self.weights))
+
+    def decode(self, code):
+        out = []
+        for _ in self.weights:
+            code, e = divmod(code, self.base)
+            out.append(e)
+        return tuple(out)
+
+    def encode_word(self, word):
+        codes = self.codes
+        out = []
+        for m in word:
+            code = codes.get(m)
+            if code is None:
+                code = codes[m] = self.encode(m)
+            out.append(code)
+        return tuple(out)
+
+    def __missing__(self, rest):
+        v = self.decode(rest)
+        total = sum(v)
+        out = []
+        for m in _sub_monomials(self.gens, v):
+            code = self.encode(m)
+            self.parity[code] = self.gens.letter_degrees[m] & 1
+            out.append((code, rest - code, total - sum(m)))
+        self[rest] = out
+        return out
+
+
+def _block_words(letters, v, k):
+    """The words of k letters with total exponent vector v, as tuples of
+    letter codes, in the order of bar.bar_basis; letters is the _Letters
+    table and v a code."""
+    if k < 2:
+        return [(v,)] if k else [()]
+    out = []
+
+    def build(prefix, rest, k):
+        if k == 2:
+            # every letter but rest itself leaves a nonzero last letter
+            out.extend([prefix + (m, tail)
+                        for m, tail, size in letters[rest] if size])
             return
-        for m, tail, size in letters(rest):
+        for m, tail, size in letters[rest]:
             # the k - 1 letters after m are nonzero
             if size >= k - 1:
-                prefix.append(m)
-                build(tail, k - 1)
-                prefix.pop()
+                build(prefix + (m,), tail, k - 1)
 
-    build(v, k)
+    build((), v, k)
     return out
 
 
-def _block_matrix(gens, dom_words, cod_words):
+def _block_matrix(parity, minus_one, dom_words, cod_words):
     """Columns of d from one block of degree n to the block of degree n+1
-    with the same exponent vector: one per word of dom_words, rows
-    indexing cod_words.  The terms of d[w] are distinct words, so every
-    entry is a sign: 1, or -1 reduced for the ring."""
-    p = gens.ring.char
-    minus_one = -1 % p if p else -1
+    with the same exponent vector: one per coded word of dom_words, rows
+    indexing cod_words.  The term merging letters i and i+1 has the
+    letter code w[i] + w[i+1] and the sign (-1)^(|w_0|-1 + ... +
+    |w_i|-1), a running XOR of parity.  The terms of d[w] are distinct
+    words, so every entry is a sign: 1, or minus_one, -1 reduced for the
+    ring."""
     index = {w: i for i, w in enumerate(cod_words)}
-    return [{index[out_w]: 1 if sign > 0 else minus_one
-             for out_w, sign in bar.boundary_terms(gens, w)}
-            for w in dom_words]
+    columns = []
+    for w in dom_words:
+        col = {}
+        e = 0
+        for i in range(len(w) - 1):
+            e ^= parity[w[i]]
+            col[index[w[:i] + (w[i] + w[i + 1],) + w[i + 2:]]] = \
+                minus_one if e else 1
+        columns.append(col)
+    return columns
 
 
 class BarComplex:
@@ -134,7 +207,11 @@ class BarComplex:
     up the blocks of each representative v at once (_walk), listing the
     words of each degree once and assembling d_n without the columns at
     the pivot rows of d_(n-1), which d_n d_(n-1) = 0 puts in the span of
-    the others (see the module docstring).
+    the others (see the module docstring).  The walk codes its words as
+    int tuples on one _Letters table whose base exceeds every exponent
+    of the representatives, so a merged letter's code is the sum of the
+    two codes, with no carry; words() and boundary_blocks() decode their
+    words to monomial tuples.
 
     Ranks and torsion read only the invariants, which a cache can
     restore without assembling a block; the ring table assembles only
@@ -144,8 +221,9 @@ class BarComplex:
         self.gens = gens
         self.max_degree = max_degree
         self._counts = {}
-        self._letters = {}
         self._invariants = {}
+        p = gens.ring.char
+        self._minus_one = -1 % p if p else -1
         groups = {}
         for i, d in enumerate(gens.degrees):
             groups.setdefault(d, []).append(i)
@@ -168,30 +246,27 @@ class BarComplex:
             self._counts[n] = cached
         return cached
 
-    def _letters_of(self, rest):
-        """The nonzero monomials m <= rest in the letter order of
-        bar.bar_basis (by degree, then exponents descending
-        lexicographically, as basis_in_degree lists them), each with
-        rest - m and its exponent sum."""
-        cached = self._letters.get(rest)
-        if cached is None:
-            cached = []
-            for m in sorted(itertools.product(*(range(e, -1, -1)
-                                                for e in rest)),
-                            key=self.gens.monomial_degree):
-                if any(m):
-                    tail = tuple(map(sub, rest, m))
-                    cached.append((m, tail, sum(tail)))
-            self._letters[rest] = cached
-        return cached
+    def _coding(self, vectors):
+        """A _Letters table whose codes serve every block of the given
+        exponent vectors: its base is one more than their largest
+        exponent."""
+        return _Letters(self.gens, 1 + max(map(max, vectors), default=0))
 
-    def words(self, n, v):
-        """The words of degree n with exponent vector v, in the order of
-        bar.bar_basis; empty when there is no such block."""
+    def _words(self, letters, n, v):
+        """The words of degree n with exponent vector v, coded by
+        letters, in the order of bar.bar_basis; empty when there is no
+        such block."""
         if v not in self.counts(n):
             return []
-        return _block_words(self._letters_of, v,
+        return _block_words(letters, letters.encode(v),
                             sum(map(mul, v, self.gens.degrees)) - n)
+
+    def words(self, n, v):
+        """The words of degree n with exponent vector v, as tuples of
+        monomials, in the order of bar.bar_basis."""
+        letters = self._coding([v])
+        return [tuple(map(letters.decode, w))
+                for w in self._words(letters, n, v)]
 
     def dimension(self, n):
         if n < 0 or n > self.max_degree + 1:
@@ -207,18 +282,20 @@ class BarComplex:
         cod = self.counts(n + 1)
         return [v for v in sorted(self.counts(n)) if v in cod]
 
-    def block_matrix(self, n, v):
-        """(words(n + 1, v), columns): the matrix of d from the block of
-        vector v in degree n to the one in degree n+1, as the words that
-        index its rows and its columns, one per word of words(n, v)."""
-        cod_words = self.words(n + 1, v)
-        return cod_words, _block_matrix(self.gens, self.words(n, v),
-                                        cod_words)
-
     def boundary_blocks(self, n):
-        """The block_matrix pairs of d: C_n -> C_(n+1), one per vector of
-        boundary_vectors(n)."""
-        return [self.block_matrix(n, v) for v in self.boundary_vectors(n)]
+        """The matrices of d: C_n -> C_(n+1), one per vector v of
+        boundary_vectors(n): each as (words(n + 1, v), columns), the
+        words that index its rows and its columns, one per word of
+        words(n, v)."""
+        out = []
+        for v in self.boundary_vectors(n):
+            letters = self._coding([v])
+            cod_words = self._words(letters, n + 1, v)
+            columns = _block_matrix(letters.parity, self._minus_one,
+                                    self._words(letters, n, v), cod_words)
+            out.append(([tuple(map(letters.decode, w)) for w in cod_words],
+                        columns))
+        return out
 
     def block_shapes(self, n):
         """(rows, cols) of each matrix of boundary_blocks(n), in the
@@ -258,7 +335,11 @@ class BarComplex:
         checking the cap of every degree.  Each degree's words are listed
         once, as the rows of d_(n-1) and the domain of d_n, and d_n is
         assembled only on the words that are not pivot rows of d_(n-1)
-        (see the module docstring)."""
+        (see the module docstring).  The words are int tuples coded by
+        one _Letters table with a base one more than the largest exponent
+        of any representative: a letter, or two merged letters, of a word
+        of vector v is <= v, so each digit of its code stays below the
+        base, and merging two letters adds their codes with no carry."""
         top = self.max_degree
         for n in range(top + 1):
             self.check_cap(n)
@@ -269,16 +350,18 @@ class BarComplex:
                 bottom[self._representative(v)] = n
         found = {}
         ring = self.gens.ring
+        letters = self._coding(bottom)
         for v, low in bottom.items():
-            words = self.words(low, v)
+            words = self._words(letters, low, v)
             paired = ()
             for n in range(low, top + 1):
                 if v not in self.counts(n + 1):
                     break
                 dom = [w for i, w in enumerate(words) if i not in paired]
-                words = self.words(n + 1, v)
+                words = self._words(letters, n + 1, v)
                 rank, factors, paired = matrix_invariants(
-                    _block_matrix(self.gens, dom, words), ring)
+                    _block_matrix(letters.parity, self._minus_one, dom,
+                                  words), ring)
                 found[n, v] = rank, factors
         for n in range(top + 1):
             self._invariants[n] = [found[n, self._representative(v)]
@@ -328,10 +411,10 @@ def _subsets_by_degree(gens, max_degree):
     return out
 
 
-def _element_vector(words_index, x):
+def _element_vector(words_index, letters, x):
     v = {}
     for w, c in x.items():
-        i = words_index.get(w)
+        i = words_index.get(letters.encode_word(w))
         if i is None:
             raise HomologyError(f"word outside enumerated basis: {w!r}")
         v[i] = c
@@ -368,20 +451,27 @@ class RingTable:
                 self.reps[s] = bar.canonical_symmetric_cocycle(self.gens, s)
                 indicator = tuple(int(i in s) for i in range(n_gens))
                 self._rep_of[(deg, indicator)] = s
+        # every block the table can reach has a vector of a degree up
+        # to the bound
+        self._letters = cx._coding(itertools.chain.from_iterable(
+            map(cx.counts, range(self.max_degree + 1))))
         self._solvers = {}
         self.entries = {}
         self._build()
 
     def _reduction_data(self, n, key):
-        """The index of the words of the (n, key) block, the unit-pivot
-        record of the matrix of d from degree n-1 into it, and whether
-        that left a residual (see linalg.unit_pivots); the block is
-        factored once, and its index is empty when there is no such
-        block."""
+        """The index of the coded words of the (n, key) block, the
+        unit-pivot record of the matrix of d from degree n-1 into it,
+        and whether that left a residual (see linalg.unit_pivots); the
+        block is factored once, and its index is empty when there is no
+        such block."""
         cached = self._solvers.get((n, key))
         if cached is None:
-            self.cx.check_cap(n - 1)
-            words, columns = self.cx.block_matrix(n - 1, key)
+            cx, letters = self.cx, self._letters
+            cx.check_cap(n - 1)
+            words = cx._words(letters, n, key)
+            columns = _block_matrix(letters.parity, cx._minus_one,
+                                    cx._words(letters, n - 1, key), words)
             pivots, residual = unit_pivots(columns, self.ring.char)
             cached = ({w: i for i, w in enumerate(words)}, pivots,
                       bool(residual))
@@ -431,8 +521,10 @@ class RingTable:
         block's unit-pivot record.  A vector outside the complex has an
         empty index, so _element_vector raises on its words."""
         index, pivots, residual = self._reduction_data(n, key)
-        v = _element_vector(index, part)
-        rep = None if s is None else _element_vector(index, self.reps[s])
+        letters = self._letters
+        v = _element_vector(index, letters, part)
+        rep = None if s is None else _element_vector(index, letters,
+                                                     self.reps[s])
         return solve_in_span(pivots, residual, v, rep, self.ring)
 
     def product(self, s1, s2):

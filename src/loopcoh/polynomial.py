@@ -7,11 +7,32 @@ degrees must be even.
 """
 from __future__ import annotations
 
+from operator import mul
+
 from .rings import RingError, RingSpec
+
+# the most letters whose degree one generator set memoises
+LETTER_MEMO_CAP = 1 << 14
 
 
 class AlgebraError(Exception):
     pass
+
+
+class _LetterDegrees(dict):
+    """letter -> its desuspended degree |m| - 1, filled on first use
+    with at most LETTER_MEMO_CAP letters; a letter beyond the cap is
+    computed again at each use."""
+
+    def __init__(self, degrees):
+        super().__init__()
+        self.degrees = degrees
+
+    def __missing__(self, m):
+        d = sum(map(mul, m, self.degrees)) - 1
+        if len(self) < LETTER_MEMO_CAP:
+            self[m] = d
+        return d
 
 
 class GeneratorSet:
@@ -38,6 +59,7 @@ class GeneratorSet:
         self.degrees = tuple(degrees)
         self.ring = ring
         self._bases = {}
+        self.letter_degrees = _LetterDegrees(self.degrees)
 
     def __len__(self):
         return len(self.names)

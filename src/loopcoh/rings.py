@@ -6,6 +6,7 @@ never touch floating point.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -49,10 +50,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class RingSpec:
-    """One of Z, Q, or F_p with p prime."""
+def _rational(op):
+    """op with its result made a Fraction: a Fraction argument gives one
+    already, and only int arguments need the wrapping."""
+    def bound(*args):
+        c = op(*args)
+        return c if type(c) is Fraction else Fraction(c)
+    return bound
 
-    __slots__ = ("kind", "p")
+
+class RingSpec:
+    """One of Z, Q, or F_p with p prime.
+
+    add, sub, mul, neg and is_zero are bound per ring kind when the ring
+    is built, so a call does not dispatch on the kind; each returns what
+    normalize would make of the plain result: an int over Z, a Fraction
+    over Q, an int in [0, p) over F_p."""
+
+    __slots__ = ("kind", "p", "add", "sub", "mul", "neg", "is_zero")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind not in ("integers", "rationals", "prime_field"):
@@ -64,6 +79,21 @@ class RingSpec:
             raise RingError(f"{kind} takes no modulus")
         self.kind = kind
         self.p = p
+        if kind == "integers":
+            self.add, self.sub, self.mul, self.neg = (
+                operator.add, operator.sub, operator.mul, operator.neg)
+            self.is_zero = operator.not_
+        elif kind == "rationals":
+            self.add, self.sub, self.mul, self.neg = map(
+                _rational, (operator.add, operator.sub, operator.mul,
+                            operator.neg))
+            self.is_zero = operator.not_
+        else:
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.mul = lambda a, b: a * b % p
+            self.neg = lambda a: -a % p
+            self.is_zero = lambda a: a % p == 0
 
     @classmethod
     def integers(cls) -> "RingSpec":
@@ -102,18 +132,6 @@ class RingSpec:
             return Fraction(x)
         return int(x) % self.p
 
-    def add(self, a, b):
-        return self.normalize(a + b)
-
-    def sub(self, a, b):
-        return self.normalize(a - b)
-
-    def mul(self, a, b):
-        return self.normalize(a * b)
-
-    def neg(self, a):
-        return self.normalize(-a)
-
     def inv(self, a):
         if self.kind == "integers":
             if a in (1, -1):
@@ -127,9 +145,6 @@ class RingSpec:
         if a == 0:
             raise RingError("division by zero")
         return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return self.normalize(a) == 0
 
     def __eq__(self, other):
         return (

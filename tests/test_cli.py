@@ -129,6 +129,17 @@ def test_max_degree_override(tmp_path):
     assert report["truncation"]["max_degree"] == 3
 
 
+def test_max_degree_takes_ascii_digits_only(tmp_path, capsys):
+    # int() reads "٣" as 3, so "--max-degree ٣" once ran to degree 3
+    cfg = z_single(tmp_path)
+    for bad in ("٣", "３", "1_0"):
+        with pytest.raises(SystemExit) as exc:
+            run(["ranks", "--config", cfg, "--max-degree", bad])
+        assert exc.value.code == 2
+        assert f"argument --max-degree: invalid int value: {bad!r}" \
+            in capsys.readouterr().err
+
+
 def test_cold_and_warm_cache_byte_identical(tmp_path):
     cfg = z_single(tmp_path)
     cache = str(tmp_path / "cache")

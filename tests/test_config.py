@@ -177,3 +177,16 @@ def test_non_ascii_ring_digits_are_rejected():
             parse_config(json.dumps(doc))
         assert exc.value.problems[0].startswith(
             "ring: cannot parse ring name")
+
+
+def test_non_ascii_exponent_digits_are_rejected():
+    # int() reads "٤" as 4, so "u2^٤" once parsed as u2^4
+    doc = valid_doc()
+    doc["generators"].append({"name": "u7", "degree": 7})
+    doc["sq1"] = {"u2": "u3", "u7": "u2^4"}
+    assert parse_config(json.dumps(doc)).sq1.image_of(2).degree() == 8
+    for power in ("٤", "４", "4_0"):
+        doc["sq1"] = {"u2": "u3", "u7": "u2^" + power}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.problems == [f"sq1.u7: bad exponent {power!r}"]

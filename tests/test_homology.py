@@ -182,6 +182,8 @@ def small_algebras(draw):
 @example(GeneratorSet(("a", "b", "c"), (2, 2, 2), Q))
 @example(GeneratorSet(("a", "b", "c"), (2, 3, 4), F2))
 @example(GeneratorSet(("a", "b", "c"), (2, 2, 4), F3))
+# a vector a^6 whose exponent is one below the base of the letter codes
+@example(GeneratorSet(("a", "b"), (2, 6), Z))
 def test_exponent_vector_blocks_match_unsplit_matrix(gens):
     max_degree = 6
     cx = BarComplex(gens, max_degree)
@@ -280,6 +282,10 @@ def algebras_with_repeated_degrees(draw):
 @given(algebras_with_repeated_degrees())
 @example(GeneratorSet(("a", "b", "c"), (2, 4, 2), Z))
 @example(GeneratorSet(("a", "b", "c", "d"), (3, 2, 3, 2), F2))
+# letter codes: a vector whose largest exponent is one below the base,
+# and generators of mixed degrees
+@example(GeneratorSet(("a", "b"), (2, 6), Z))
+@example(GeneratorSet(("a", "b", "c"), (2, 2, 4), F3))
 def test_orbit_invariants_match_every_block(gens):
     assert_blocks_match_reference(gens, 6)
 
@@ -288,7 +294,8 @@ def test_orbit_invariants_match_every_block(gens):
     (GeneratorSet(("x2", "y2"), (2, 2), Q), 9),
     (GeneratorSet(("v2", "w2", "t3", "u3"), (2, 2, 3, 3), F2), 8),
     (GeneratorSet(("a2", "b2", "c2"), (2, 2, 2), Z), 6),
-], ids=["Q[x2,y2]", "F2[v2,w2,t3,u3]", "Z[a2,b2,c2]"])
+    (GeneratorSet(("a2", "b6"), (2, 6), Z), 8),
+], ids=["Q[x2,y2]", "F2[v2,w2,t3,u3]", "Z[a2,b2,c2]", "Z[a2,b6]"])
 def test_orbit_invariants_match_every_block_pinned(gens, max_degree):
     assert_blocks_match_reference(gens, max_degree)
 
