@@ -28,8 +28,9 @@ column c, the column as the elimination left it: a combination of
 columns of d_(n-1), with integer coefficients over Z, so d_n(c) = 0, and
 its entry in row b is a unit.
 So d_n(e_b) is a combination of the columns d_n(e_i) for the other rows
-i of c.  A unit pivot's column is zero in the pivot rows before it
-(linalg.unit_pivots), and every other row of a GF(2) pivot column lies
+i of c.  A unit pivot's column is zero in the pivot rows before it,
+peeled or not (linalg.unit_pivots; the proof is in the linalg module
+docstring), and every other row of a GF(2) pivot column lies
 above its pivot row (linalg._gf2_pivot_rows), so by induction over the
 pivots, from the last (or the highest) back, the column of every pivot
 row lies in the span of the columns kept.  See Kaczynski, Mrozek and

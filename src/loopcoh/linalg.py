@@ -1,16 +1,34 @@
 """Exact sparse linear algebra over Z, Q, and prime fields.
 
-A vector is a dict {row index: nonzero entry}, and a matrix is the list
-of its columns as such dicts.
+A vector is a dict {row index: nonzero entry}, the row indices being
+ints >= 0, and a matrix is the list of its columns as such dicts.
 
 One kernel eliminates every matrix outside F2: unit_pivots pivots on
-units only, any nonzero residue over F_p and +-1 over Z and over Q.  The
-sparsest column goes first, its pivot taken in the shortest row.  Each
-step is unimodular, so every pivot is an invariant factor 1; what no
-unit pivot reaches is left to a Euclidean Smith loop.  Ranks and Smith
-forms count the pivots; the ring table keeps their record and replays it
-on the vectors it solves (solve_in_span).  F2 ranks come from bit-packed
-columns (_gf2_pivot_rows).
+units only, any nonzero residue over F_p and +-1 over Z and over Q.  It
+peels first: a row with one live column whose entry there is a unit is
+a pivot that clears nothing, so the peel takes it at once, drops the
+column, and counts down the rows of that column, in O(nnz) for the
+whole peel.  This is the coreduction of Mrozek and Batko, "Coreduction
+homology algorithm", Discrete Comput. Geom. 41 (2009).  On the bar
+blocks it takes nearly every pivot.  The core, what the peel leaves,
+goes to a heap: the sparsest column first, its pivot taken in the
+shortest row, cleared from the other columns.  Each step is unimodular,
+so every pivot is an invariant factor 1; what no unit pivot reaches is
+left to a Euclidean Smith loop.  Ranks and Smith forms count the
+pivots; the ring table keeps their record and replays it on the vectors
+it solves (solve_in_span).  F2 ranks come from bit-packed columns
+(_gf2_pivot_rows).
+
+The record keeps one invariant: a pivot column is zero in the row of
+every pivot before it.  Proof: once a pivot takes row r, no live column
+has an entry in r.  At a peel pivot, r had one live column, the one
+dropped; at a core pivot, r is cleared from every other live column.
+After that, the peel only drops columns, and a core step only replaces
+a live column ck by ck - f*c with c live, which is zero wherever ck and
+c both are.  Every later pivot column is live when it is taken, so it
+is zero in r.  _replay, and through it solve_in_span, rely on this, and
+so does the bar complex when it drops the columns at pivot rows (see
+homology).
 
 matrix_invariants is the one entry point for the boundary matrices of
 the bar blocks and, through rank_over_field and smith_normal_form, of
@@ -81,23 +99,59 @@ def _gf2_pivot_rows(columns):
 
 def unit_pivots(columns, p):
     """Eliminate columns on unit pivots only: any nonzero residue mod the
-    prime p, or +-1 when p is 0 (over Z and over Q).  The sparsest
-    column goes first, its pivot taken in the shortest row; the pivot
-    row is cleared from the other columns, and the pivot row and column
-    are dropped.  Every step is unimodular, so the Smith form of the
-    columns is a 1 for each pivot plus the Smith form of the residual
-    columns, which hold no unit.  Returns (pivots, residual): pivots
-    records (row, column, inverse) for each pivot in order, the column
-    without its pivot row and the inverse of its pivot entry, as
-    solve_in_span replays them.  The columns are consumed."""
+    prime p, or +-1 when p is 0 (over Z and over Q).
+
+    The peel comes first.  It counts the live columns of each row and
+    keeps the XOR of their indices, which names the one column of a row
+    whose count is 1.  It takes such a row as a pivot when its entry is
+    a unit, drops that column, counts down the column's rows, and queues
+    those left with one live column.  A row whose one entry is no unit
+    is left to the core.  The core's sparsest column goes first, its
+    pivot taken in the shortest row; the pivot row is cleared from the
+    other columns, and the pivot row and column are dropped.  Every
+    step is unimodular, so the Smith form of the columns is a 1 for
+    each pivot plus the Smith form of the residual columns, which hold
+    no unit.  Each pivot column is zero in the rows of the pivots
+    before it (see the module docstring for the proof).
+
+    Returns (pivots, residual): pivots records (row, column, inverse)
+    for each pivot in order, the column without its pivot row and the
+    inverse of its pivot entry, as solve_in_span replays them.  The
+    columns are consumed."""
     cols = {j: c for j, c in enumerate(columns) if c}
+    # the peel: count each row's live columns and XOR their indices
+    size = max(map(max, cols.values()), default=-1) + 1
+    count = [0] * size
+    xor = [0] * size
+    for j, c in cols.items():
+        for i in c:
+            count[i] += 1
+            xor[i] ^= j
+    queue = [i for i, n in enumerate(count) if n == 1]
+    pivots = []
+    while queue:
+        r = queue.pop()
+        if count[r] != 1:
+            continue  # its one column went at another row's pivot
+        j = xor[r]
+        c = cols[j]
+        if not (p or c[r] in (1, -1)):
+            continue  # a non-unit: the row is left to the core
+        del cols[j]
+        for i in c:
+            count[i] -= 1
+            xor[i] ^= j
+            if count[i] == 1:
+                queue.append(i)
+        inv = pow(c.pop(r), -1, p) if p else c.pop(r)
+        pivots.append((r, c, inv))
+    # the core
     rows = {}
     for j, c in cols.items():
         for i in c:
             rows.setdefault(i, set()).add(j)
     heap = [(len(c), j) for j, c in cols.items()]
     heapify(heap)
-    pivots = []
     while heap:
         n, j = heappop(heap)
         c = cols.get(j)

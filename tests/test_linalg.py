@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcoh.linalg import (_euclidean_smith, matrix_invariants,
+from loopcoh.linalg import (_euclidean_smith, _replay, matrix_invariants,
                             rank_over_field, smith_normal_form,
                             solve_in_span, unit_pivots)
 from loopcoh.rings import RingSpec
@@ -83,6 +83,74 @@ def test_solve_in_span():
     assert solve([[1], [1]], Q, {0: 1, 1: 2}, {1: 2}) == Fraction(1, 2)
     assert solve([[1], [1]], Z, {0: 1, 1: 2}, {1: 2}) is None
     assert solve([[1], [0]], Q, {1: 1}, None) is None
+
+
+def test_a_non_unit_singleton_row_is_left_to_the_core():
+    # row 0 has one live column, and its entry 2 is no unit over Z: the
+    # peel must not pivot there, and the core's pivot at row 1 leaves it
+    pivots, residual = unit_pivots([{0: 2, 1: 1}, {1: 1}], 0)
+    assert [row for row, _, _ in pivots] == [1] and residual == [{0: 2}]
+    assert smith_normal_form([{0: 2, 1: 1}, {1: 1}]) == ((1, 2), 2)
+
+
+class _Column(dict):
+    """A dict column that keeps every entry popped from it, as
+    unit_pivots pops each pivot entry from its column."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.popped = {}
+
+    def pop(self, i, *default):
+        x = super().pop(i, *default)
+        self.popped[i] = x
+        return x
+
+
+def test_the_pivot_record_is_triangular_and_spans_the_columns():
+    # sparse columns, so that rows with one entry occur and the peel
+    # pivots there, and non-units over Z, so that some draws leave a
+    # residual; the test asserts that both occur
+    singletons = []
+    residuals = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([Z, F3, F5]), st.integers(1, 8).flatmap(
+        lambda n_cols: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3]),
+                     min_size=n_cols, max_size=n_cols),
+            min_size=1, max_size=8)))
+    def check(ring, rows):
+        p = ring.char
+        columns = dense(rows, ring)
+        row_entries = ([c[i] for c in columns if i in c]
+                       for i in range(len(rows)))
+        singletons.append(any(len(e) == 1 and (p or e[0] in (1, -1))
+                              for e in row_entries))
+        pivots, residual = unit_pivots(list(map(_Column, columns)), p)
+        residuals.append(bool(residual))
+        for k, (r, col, inv) in enumerate(pivots):
+            # zero in every earlier pivot row
+            assert not any(s in col for s, _, _ in pivots[:k])
+            assert r not in col
+            x = inv * col.popped[r]
+            assert (x % p if p else x) == 1
+        rows_taken = {r for r, _, _ in pivots}
+        assert len(rows_taken) == len(pivots)
+        for c in columns:
+            rest = _replay(pivots, c, p)
+            assert not rows_taken & set(rest)
+            # what is left of a column lies in the residual's span
+            if p:
+                assert not rest
+            else:
+                assert in_lattice(residual, rest)
+        field = ring if p else Q
+        assert len(pivots) + len(_euclidean_smith(residual)) == \
+            echelon_rank(dense(rows, field), field)
+
+    check()
+    assert any(singletons) and any(residuals)
 
 
 def test_unit_pivots_span_the_columns():
