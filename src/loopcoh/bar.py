@@ -107,45 +107,24 @@ def muE_product(table: HirschOpTable, x, y):
     mixed block evaluated through E and each pure block a single letter,
     with Koszul signs on desuspended degrees.  Returns a fresh dict.
 
-    With the trivial table this is the shuffle product, taken word pair
-    by word pair (_shuffle_words).  Otherwise it is taken on elements by
-    _factored_product, whose sub-products are memoised per table
-    (HirschOpTable.products), as are the mixed blocks
-    (HirschOpTable.block_terms).
+    Every table takes the recursion of _factored_product, memoised per
+    table (HirschOpTable.products, HirschOpTable.block_terms); the
+    shuffle product is the case of a table with no mixed shapes.
     """
-    gens = table.gens
-    ring = gens.ring
-    shapes = table.mixed_shapes(max(map(len, x), default=0),
-                                max(map(len, y), default=0))
-    if shapes:
-        return dict(_factored_product(table, shapes, x, y))
-    out = {}
-    ys = [(yw, yc, [gens.monomial_degree(m) - 1 for m in yw])
-          for yw, yc in y.items()]
-    for xw, xc in x.items():
-        xtail = [0]
-        for m in reversed(xw):
-            xtail.append(xtail[-1] + gens.monomial_degree(m) - 1)
-        xtail.reverse()
-        for yw, yc, yd in ys:
-            base = ring.mul(xc, yc)
-            if xw and yw:
-                _shuffle_words(ring, xw, yw, xtail, yd, base, out)
-            else:
-                add_into(out, xw or yw, base, ring)
-    return out
+    return dict(_factored_product(table, x, y))
 
 
-def _factored_product(table, shapes, x, y):
-    """x*y for a table with mixed blocks of the given shapes, memoised in
-    table.products; the caller must not change the dict returned.
+def _factored_product(table, x, y):
+    """x*y, memoised in table.products; the caller must not change the
+    dict returned.
 
     Every splitting starts with one move: the empty word of either
     factor, a leading letter of x, a leading letter of y, or a mixed
-    block.  So x*y is the sum over the moves of the move's letter
-    followed by the product of what the move leaves.  A move that
-    passes y-letters of odd total degree over the rest of x carries the
-    sign (-1)^|rest|, so the rests are split by the parity of their
+    block of one of table.mixed_shapes() (none for the shuffle product).
+    So x*y is the sum over the moves of the move's letter followed by
+    the product of what the move leaves.  A move that passes y-letters
+    of odd total degree over the rest of x carries the sign
+    (-1)^|rest|, so the rests are split by the parity of their
     desuspended degree."""
     key = (frozenset(x.items()), frozenset(y.items()))
     memo = table.products
@@ -167,14 +146,13 @@ def _factored_product(table, shapes, x, y):
     if x and y:
         one = ring.one()
         for (m,), rest in _heads(x, 1).items():
-            _prefix_into(out, m, one, _factored_product(table, shapes,
-                                                        rest, y), ring)
+            _prefix_into(out, m, one, _factored_product(table, rest, y),
+                         ring)
         for (m,), rest in _heads(y, 1).items():
             for sign, part in _signed_parts(gens, x, (m,)):
-                _prefix_into(out, m, sign, _factored_product(table, shapes,
-                                                             part, rest),
-                             ring)
-        for a, b in shapes:
+                _prefix_into(out, m, sign,
+                             _factored_product(table, part, rest), ring)
+        for a, b in table.mixed_shapes():
             y_heads = _heads(y, b)
             for xp, x_rest in _heads(x, a).items():
                 for yp, y_rest in y_heads.items():
@@ -182,7 +160,7 @@ def _factored_product(table, shapes, x, y):
                     if not terms:
                         continue
                     for sign, part in _signed_parts(gens, x_rest, yp):
-                        prod = _factored_product(table, shapes, part, y_rest)
+                        prod = _factored_product(table, part, y_rest)
                         for m, tc in terms:
                             _prefix_into(out, m, ring.mul(sign, tc), prod,
                                          ring)
@@ -217,41 +195,6 @@ def _prefix_into(out, m, coeff, x, ring):
     """out += coeff * [m | x]."""
     for w, c in x.items():
         add_into(out, (m,) + w, ring.mul(coeff, c), ring)
-
-
-def _shuffle_words(ring, xw, yw, xtail, yd, base, out):
-    """The shuffle product of two nonempty words, added into out times
-    base: every interleaving, enumerated iteratively, with its Koszul
-    sign."""
-    p, q = len(xw), len(yw)
-    total = p + q
-    acc = {}
-    for pos in itertools.combinations(range(total), p):
-        word = [None] * total
-        i = 0
-        k = 0
-        par = 0
-        for t in range(total):
-            if k < p and pos[k] == t:
-                word[t] = xw[i]
-                i += 1
-                k += 1
-            else:
-                word[t] = yw[t - i]
-                par += yd[t - i] * xtail[i]
-        w = tuple(word)
-        acc[w] = acc.get(w, 0) + (1 if par % 2 == 0 else -1)
-    for w, m in acc.items():
-        if m == 1:
-            add_into(out, w, base, ring)
-        elif m == -1:
-            add_into(out, w, ring.neg(base), ring)
-        elif m:
-            add_into(out, w, ring.mul(base, ring.normalize(m)), ring)
-
-
-def shuffle_product(gens: GeneratorSet, x, y):
-    return muE_product(HirschOpTable(gens), x, y)
 
 
 def canonical_symmetric_cocycle(gens: GeneratorSet, indices):

@@ -271,6 +271,8 @@ def cmd_verify(cfg, max_degree, out):
     report = _base_report("verify", cfg, max_degree)
     gens = cfg.gens
     ring = cfg.ring
+    # refuse the bounds ranks refuses before any suite lists words
+    BarComplex(gens, max_degree).check_caps()
     suites = []
 
     # bar differential squares to zero

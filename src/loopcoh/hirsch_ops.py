@@ -49,8 +49,9 @@ class HirschOpTable:
 
     Over F2 the only mixed operation that can be nonzero is E_{1,1}:
     with a Sq1 table it is sq11, and every other mixed shape is zero.
-    Without one, the table is the trivial Hirsch structure whose bar
-    product is the plain shuffle.  So eval has three cases: the
+    Without one, the table is the trivial Hirsch structure, with no
+    mixed shapes: its bar product is the shuffle product, the same
+    recursion with no mixed blocks.  So eval has three cases: the
     identity, sq11 and zero.
 
     A table is immutable once constructed, and two memos rely on that:
@@ -67,14 +68,11 @@ class HirschOpTable:
         self._block_terms = {}
         self.products = {}
 
-    def mixed_shapes(self, p_max, q_max):
-        """Shapes (p, q) with 1 <= p <= p_max and 1 <= q <= q_max at
-        which some entry can be nonzero; any other mixed shape evaluates
-        to zero identically.  Used to prune block enumeration in bar
-        products."""
-        if self.sq1 is not None and p_max >= 1 and q_max >= 1:
-            return [(1, 1)]
-        return []
+    def mixed_shapes(self):
+        """The shapes (p, q), p, q >= 1, at which some entry can be
+        nonzero, the only mixed blocks a bar product tries; empty for
+        the trivial table."""
+        return [(1, 1)] if self.sq1 is not None else []
 
     def eval(self, p, q, left, right) -> Polynomial:
         """E_{p,q} on p left and q right arguments, multilinear in each:

@@ -313,6 +313,11 @@ class BarComplex:
                 raise ResourceCapError(f"matrix {rows}x{cols} exceeds cap "
                                        f"{DEFAULT_DIMENSION_CAP}")
 
+    def check_caps(self):
+        """check_cap for every degree of d up to the bound."""
+        for n in range(self.max_degree + 1):
+            self.check_cap(n)
+
     def _representative(self, v):
         out = list(v)
         for group in self._groups:
@@ -342,8 +347,7 @@ class BarComplex:
         of vector v is <= v, so each digit of its code stays below the
         base, and merging two letters adds their codes with no carry."""
         top = self.max_degree
-        for n in range(top + 1):
-            self.check_cap(n)
+        self.check_caps()
         # the lowest degree of d on each representative's blocks
         bottom = {}
         for n in range(top, -1, -1):

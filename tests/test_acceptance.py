@@ -155,36 +155,38 @@ def test_criterion_08_twisted_product_chain_map_boundary():
     assert bad == bar.check_chain_map(table, 2, 2, 8)
 
 
-def _chain_map_ok(gens, xw, yw):
+def _chain_map_ok(table, xw, yw):
+    gens = table.gens
     ring = gens.ring
     x = {xw: ring.one()}
     y = {yw: ring.one()}
-    lhs = bar.bar_differential(gens, bar.shuffle_product(gens, x, y))
+    lhs = bar.bar_differential(gens, bar.muE_product(table, x, y))
     sign = ring.one() if bar.word_degree(gens, xw) % 2 == 0 \
         else ring.neg(ring.one())
     rhs = bar.add_elements(
-        bar.shuffle_product(gens, bar.bar_differential(gens, x), y),
+        bar.muE_product(table, bar.bar_differential(gens, x), y),
         bar.scale_element(
-            bar.shuffle_product(gens, x, bar.bar_differential(gens, y)),
+            bar.muE_product(table, x, bar.bar_differential(gens, y)),
             sign, ring),
         ring)
     return lhs == rhs
 
 
-def _assoc_ok(gens, xw, yw, zw):
-    ring = gens.ring
+def _assoc_ok(table, xw, yw, zw):
+    ring = table.gens.ring
     x, y, z = ({w: ring.one()} for w in (xw, yw, zw))
-    lhs = bar.shuffle_product(gens, bar.shuffle_product(gens, x, y), z)
-    rhs = bar.shuffle_product(gens, x, bar.shuffle_product(gens, y, z))
+    lhs = bar.muE_product(table, bar.muE_product(table, x, y), z)
+    rhs = bar.muE_product(table, x, bar.muE_product(table, y, z))
     return lhs == rhs
 
 
-def _comm_ok(gens, xw, yw):
+def _comm_ok(table, xw, yw):
+    gens = table.gens
     ring = gens.ring
     x = {xw: ring.one()}
     y = {yw: ring.one()}
-    xy = bar.shuffle_product(gens, x, y)
-    yx = bar.shuffle_product(gens, y, x)
+    xy = bar.muE_product(table, x, y)
+    yx = bar.muE_product(table, y, x)
     nx = bar.word_degree(gens, xw)
     ny = bar.word_degree(gens, yw)
     sign = ring.one() if (nx * ny) % 2 == 0 else ring.neg(ring.one())
@@ -248,6 +250,7 @@ def test_criterion_09_bar_level_algebra_laws():
     # graded commutativity of the shuffle product through degree ten
     for spec in RING_FAMILY:
         gens = _gens(spec)
+        table = HirschOpTable(gens)
         words = _words_to(gens, 9)
         degs = {w: bar.word_degree(gens, w) for w in words}
         # for each degree room left, the words that fit it, in order: the
@@ -256,7 +259,7 @@ def test_criterion_09_bar_level_algebra_laws():
                 for room in {10 - d for d in degs.values()}}
         for xw in words:
             for yw in fits[10 - degs[xw]]:
-                assert _comm_ok(gens, xw, yw), (gens.names, xw, yw)
+                assert _comm_ok(table, xw, yw), (gens.names, xw, yw)
 
     # chain map and associativity: exhaustive through degree ten for
     # the one-generator and mixed-degree algebras; for the rational
@@ -267,12 +270,13 @@ def test_criterion_09_bar_level_algebra_laws():
                       (RING_FAMILY[3], 10), (RING_FAMILY[4], 10),
                       (RING_FAMILY[2], 8)):
         gens = _gens(spec)
+        table = HirschOpTable(gens)
         words = _words_to(gens, cap - 1)
         degs = {w: bar.word_degree(gens, w) for w in words}
         for xw, yw in itertools.product(words, repeat=2):
             if degs[xw] + degs[yw] > cap:
                 continue
-            assert _chain_map_ok(gens, xw, yw), (gens.names, xw, yw)
+            assert _chain_map_ok(table, xw, yw), (gens.names, xw, yw)
         for xw, yw in itertools.product(words, repeat=2):
             nxy = degs[xw] + degs[yw]
             if nxy + 1 > cap:
@@ -280,11 +284,12 @@ def test_criterion_09_bar_level_algebra_laws():
             for zw in words:
                 if nxy + degs[zw] > cap:
                     continue
-                assert _assoc_ok(gens, xw, yw, zw), (gens.names, xw, yw, zw)
+                assert _assoc_ok(table, xw, yw, zw), (gens.names, xw, yw, zw)
 
     for gens, xw, yw, zw in _generic_shape_triples(10):
-        assert _chain_map_ok(gens, xw, yw), (xw, yw)
-        assert _assoc_ok(gens, xw, yw, zw), (xw, yw, zw)
+        table = HirschOpTable(gens)
+        assert _chain_map_ok(table, xw, yw), (xw, yw)
+        assert _assoc_ok(table, xw, yw, zw), (xw, yw, zw)
 
 
 def test_criterion_10_cli_reports_are_byte_identical_warm_or_cold():

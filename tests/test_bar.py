@@ -11,7 +11,9 @@ from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
 
 Z = RingSpec.integers()
+Q = RingSpec.rationals()
 F2 = RingSpec.prime_field(2)
+F3 = RingSpec.prime_field(3)
 
 
 def zgens():
@@ -54,14 +56,15 @@ def test_bar_differential_squares_to_zero_small():
 def test_shuffle_graded_commutative():
     gens = zgens()
     ring = gens.ring
+    table = HirschOpTable(gens)
     for nx in range(1, 5):
         for ny in range(1, 5):
             for xw in bar.bar_basis(gens, nx):
                 for yw in bar.bar_basis(gens, ny):
                     x = {xw: ring.one()}
                     y = {yw: ring.one()}
-                    xy = bar.shuffle_product(gens, x, y)
-                    yx = bar.shuffle_product(gens, y, x)
+                    xy = bar.muE_product(table, x, y)
+                    yx = bar.muE_product(table, y, x)
                     sign = ring.one() if (nx * ny) % 2 == 0 \
                         else ring.neg(ring.one())
                     assert xy == bar.scale_element(yx, sign, ring)
@@ -70,15 +73,18 @@ def test_shuffle_graded_commutative():
 def test_shuffle_associative():
     gens = zgens()
     ring = gens.ring
+    table = HirschOpTable(gens)
     words = [w for n in range(1, 4) for w in bar.bar_basis(gens, n)]
     for xw, yw, zw in itertools.product(words, repeat=3):
         x, y, z = ({w: ring.one()} for w in (xw, yw, zw))
-        lhs = bar.shuffle_product(gens, bar.shuffle_product(gens, x, y), z)
-        rhs = bar.shuffle_product(gens, x, bar.shuffle_product(gens, y, z))
+        lhs = bar.muE_product(table, bar.muE_product(table, x, y), z)
+        rhs = bar.muE_product(table, x, bar.muE_product(table, y, z))
         assert lhs == rhs
 
 
 def test_muE_with_trivial_table_is_shuffle():
+    """The trivial table's product against the reference's interleavings
+    with their Koszul signs."""
     gens = zgens()
     ring = gens.ring
     table = HirschOpTable(gens)
@@ -89,7 +95,7 @@ def test_muE_with_trivial_table_is_shuffle():
                     x = {xw: ring.one()}
                     y = {yw: ring.one()}
                     assert bar.muE_product(table, x, y) == \
-                        bar.shuffle_product(gens, x, y)
+                        reference_muE_product(table, x, y)
 
 
 def test_shuffle_is_chain_map():
@@ -125,7 +131,9 @@ def reference_muE_product(table, x, y):
     """The twisted product as computed before its operation blocks were
     memoised per table: each word pair keeps its own block cache, keyed
     by the block's position (a, b, i, j), and a finished path expands the
-    evaluated blocks termwise into words."""
+    evaluated blocks termwise into words.  Each path is one interleaving
+    of the two words with its Koszul sign, so with no mixed shapes this
+    is the shuffle product pair by pair."""
     ring = table.gens.ring
     out = {}
     for xw, xc in x.items():
@@ -149,10 +157,7 @@ def _reference_word_product(table, xw, yw, base, out):
     xtail = [0] * (p + 1)
     for i in range(p - 1, -1, -1):
         xtail[i] = xtail[i + 1] + xd[i]
-    mixed_shapes = table.mixed_shapes(p, q)
-    if not mixed_shapes:
-        bar._shuffle_words(ring, xw, yw, xtail, yd, base, out)
-        return
+    mixed_shapes = table.mixed_shapes()
     block_cache = {}
 
     def emit(letters, coeff):
@@ -282,9 +287,8 @@ class _SignedTable(HirschOpTable):
     Koszul signs of the twisted product, all show.  It satisfies no
     Hirsch relation; it only exercises the product's bookkeeping."""
 
-    def mixed_shapes(self, p_max, q_max):
-        return [(a, b) for a, b in ((1, 1), (1, 2), (2, 1))
-                if a <= p_max and b <= q_max]
+    def mixed_shapes(self):
+        return [(1, 1), (1, 2), (2, 1)]
 
     def eval(self, p, q, left, right):
         """The block on monomial tuples, the only arguments block_terms
@@ -296,9 +300,18 @@ class _SignedTable(HirschOpTable):
         return letters + Polynomial.monomial(gens, left[0], -2)
 
 
+def _signed_table():
+    return _SignedTable(GeneratorSet(("a2", "b4"), (2, 4), Z))
+
+
+# the tables with blocks of two terms
+TWO_TERM_TABLES = [SQ_TABLES[3][0], _signed_table]
 PRODUCT_TABLES = [make for make, _ in SQ_TABLES] + [
-    lambda: _SignedTable(GeneratorSet(("a2", "b4"), (2, 4), Z))]
-PRODUCT_IDS = SQ_IDS + ["Z[a2,b4] signed blocks"]
+    _signed_table,
+    lambda: HirschOpTable(GeneratorSet(("x2", "y4"), (2, 4), Q)),
+    lambda: HirschOpTable(GeneratorSet(("a2", "b2", "c4"), (2, 2, 4), F3))]
+PRODUCT_IDS = SQ_IDS + ["Z[a2,b4] signed blocks", "Q[x2,y4] untwisted",
+                        "F3[a2,b2,c4] untwisted"]
 
 
 @pytest.mark.parametrize("make_table", PRODUCT_TABLES, ids=PRODUCT_IDS)
@@ -306,7 +319,7 @@ def test_muE_matches_per_pair_reference_on_non_homogeneous_elements(
         make_table):
     """Elements drawn from the words of degrees 0 to 4.  The test asserts
     that the draws mix degrees of both parities, include the empty word
-    and, on the last two tables, meet blocks with two terms."""
+    and, on TWO_TERM_TABLES, meet blocks with two terms."""
     table = make_table()
     gens = table.gens
     ring = gens.ring
@@ -334,7 +347,7 @@ def test_muE_matches_per_pair_reference_on_non_homogeneous_elements(
 
     check()
     assert met >= {"both parities", "empty word"}
-    if make_table in PRODUCT_TABLES[3:]:
+    if make_table in TWO_TERM_TABLES:
         assert "several terms" in met
 
 

@@ -345,8 +345,10 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
     assert calls["_block_words"] == 129 + 67 + 20 + 8
 
 
+@pytest.mark.parametrize("command", ["ranks", "check-exterior", "verify"])
 def test_a_block_over_the_cap_is_refused_before_any_is_assembled(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, command):
+    import loopcoh.cli as cli
     import loopcoh.homology as homology
     # on Q[x2,y2] the first block over the cap is one of d from degree
     # 13; degrees 0 to 12 are within it
@@ -357,11 +359,12 @@ def test_a_block_over_the_cap_is_refused_before_any_is_assembled(
         "bounds": {"max_degree": 13}})
 
     def fail(*_args):
-        raise AssertionError("a block was assembled")
+        raise AssertionError("a block was assembled or a word listed")
 
     monkeypatch.setattr(homology, "_block_matrix", fail)
+    monkeypatch.setattr(cli, "bar_basis", fail)
     json_path = str(tmp_path / "out.json")
-    code, text = run(["ranks", "--config", cfg, "--json", json_path])
+    code, text = run([command, "--config", cfg, "--json", json_path])
     assert code == 1
     error = f"ResourceCapError: matrix 22980x6402 exceeds cap " \
         f"{DEFAULT_DIMENSION_CAP}"
