@@ -229,13 +229,19 @@ def check_chain_map(table: HirschOpTable, weight_x, weight_y,
     enumeration order (violations are data, not errors)."""
     gens = table.gens
     ring = gens.ring
+    # the words of each degree and weight, listed once
+    words = {}
+    for n in range(1, degree_bound + 1):
+        basis = bar_basis(gens, n)
+        for k in (weight_x, weight_y):
+            words[n, k] = [w for w in basis if len(w) == k]
     bad = []
     for nx in range(weight_x, degree_bound + 1):
-        xs = [w for w in bar_basis(gens, nx) if len(w) == weight_x]
+        xs = words[nx, weight_x]
         if not xs:
             continue
         for ny in range(weight_y, degree_bound - nx + 1):
-            ys = [w for w in bar_basis(gens, ny) if len(w) == weight_y]
+            ys = words[ny, weight_y]
             for xw in xs:
                 x = {xw: ring.one()}
                 dx = bar_differential(gens, x)

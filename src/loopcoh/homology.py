@@ -57,7 +57,8 @@ from . import bar
 from .hirsch_ops import HirschOpTable
 from .koszul import oracle_dimensions
 from .linalg import (DEFAULT_DIMENSION_CAP, ResourceCapError,
-                     matrix_invariants, solve_in_span, unit_pivots)
+                     composition_failures, matrix_invariants, solve_in_span,
+                     unit_pivots)
 from .polynomial import GeneratorSet
 
 
@@ -212,7 +213,8 @@ class BarComplex:
     int tuples on one _Letters table whose base exceeds every exponent
     of the representatives, so a merged letter's code is the sum of the
     two codes, with no carry; words() and boundary_blocks() decode their
-    words to monomial tuples.
+    words to monomial tuples.  d_squared_failures checks d^2 = 0 on the
+    same coded blocks, every vector's, walking up each block complex.
 
     Ranks and torsion read only the invariants, which a cache can
     restore without assembling a block; the ring table assembles only
@@ -371,6 +373,51 @@ class BarComplex:
         for n in range(top + 1):
             self._invariants[n] = [found[n, self._representative(v)]
                                    for v in self.boundary_vectors(n)]
+
+    def d_squared_failures(self):
+        """Check d^2 = 0 on every word of degree 1 to the bound, after
+        checking the cap of every degree.  Returns the number of words
+        checked and the failing words as (degree, word) pairs, each word
+        a tuple of monomials, by degree and then in the order of
+        bar.bar_basis.
+
+        It walks up the block complex C^*_v of each vector v with words
+        in those degrees, on the words in the walk's integer code: d_n
+        is assembled from the listed words (_block_words, _block_matrix)
+        and composed with d_(n+1) (linalg.composition_failures), which
+        is kept as d_n of the next degree, so each matrix is assembled
+        once, up to d from degree max_degree + 1."""
+        top = self.max_degree
+        self.check_caps()
+        # the lowest degree >= 1 with words of each vector
+        low = {}
+        for n in range(top, 0, -1):
+            low.update(dict.fromkeys(self.counts(n), n))
+        letters = self._coding(low)
+        parity, minus_one = letters.parity, self._minus_one
+        p = self.gens.ring.char
+        checked = 0
+        failures = []
+        for v, n in low.items():
+            dom = self._words(letters, n, v)
+            cod = self._words(letters, n + 1, v)
+            d = _block_matrix(parity, minus_one, dom, cod)
+            while dom and n <= top:
+                checked += len(dom)
+                nxt = self._words(letters, n + 2, v)
+                d_next = _block_matrix(parity, minus_one, cod, nxt)
+                failures.extend((n, tuple(map(letters.decode, dom[j])))
+                                for j in composition_failures(d_next, d, p))
+                n, dom, cod, d = n + 1, cod, nxt, d_next
+
+        def order(failure):
+            # bar.bar_basis lists a degree's words by weight, then
+            # letterwise by letter degree and exponents descending
+            n, word = failure
+            return n, len(word), [(self.gens.monomial_degree(m),
+                                   [-e for e in m]) for m in word]
+
+        return checked, sorted(failures, key=order)
 
     def boundary_rank(self, n):
         return sum(rank for rank, _ in self.block_invariants(n))

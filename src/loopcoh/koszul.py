@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import rank_over_field, smith_normal_form
+from .linalg import (composition_failures, rank_over_field,
+                     smith_normal_form)
 from .polynomial import GeneratorSet
 
 
@@ -69,18 +70,6 @@ def _koszul_differential(gens, homological, internal):
     return cod, columns
 
 
-def _composes_to_zero(after, before, p):
-    """Whether after @ before is zero (mod p when p is a prime)."""
-    for col in before:
-        out = {}
-        for k, c in col.items():
-            for i, x in after[k].items():
-                out[i] = out.get(i, 0) + c * x
-        if any(x % p if p else x for x in out.values()):
-            return False
-    return True
-
-
 def oracle_small_resolution_check(gens: GeneratorSet, max_internal=10):
     """Build the explicit small free resolution of the ground ring over
     S(U) and certify d^2 = 0, exactness in positive internal degree and
@@ -105,7 +94,7 @@ def oracle_small_resolution_check(gens: GeneratorSet, max_internal=10):
             mats[h] = _koszul_differential(gens, h, internal)
         # d^2 = 0
         for h in range(2, n_gens + 1):
-            if not _composes_to_zero(mats[h - 1][1], mats[h][1], ring.char):
+            if composition_failures(mats[h - 1][1], mats[h][1], ring.char):
                 raise OracleError(f"d^2 != 0 at (h={h}, n={internal})")
         # minimality: every entry lands in the augmentation ideal, i.e.
         # connects basis elements whose polynomial parts differ by a

@@ -35,6 +35,8 @@ the bar blocks and, through rank_over_field and smith_normal_form, of
 the Koszul oracle.  Besides the rank and the invariant factors it
 returns the rows its pivots took, which the bar complex uses to drop
 columns from the next differential (see homology.BarComplex).
+composition_failures checks d^2 = 0 for both, on the bar blocks and on
+the Koszul complex.
 """
 from __future__ import annotations
 
@@ -75,6 +77,21 @@ def rank_over_field(columns, ring: RingSpec) -> int:
     if not ring.is_field:
         raise RingError(f"rank_over_field called over {ring.describe()}")
     return matrix_invariants(columns, ring)[0]
+
+
+def composition_failures(after, before, p):
+    """The indices of the columns of before that after does not send to
+    zero (mod p when p is a prime): the nonzero columns of after @
+    before, in order."""
+    bad = []
+    for j, col in enumerate(before):
+        out = {}
+        for k, c in col.items():
+            for i, x in after[k].items():
+                out[i] = out.get(i, 0) + c * x
+        if any(x % p if p else x for x in out.values()):
+            bad.append(j)
+    return bad
 
 
 def _gf2_pivot_rows(columns):

@@ -1,7 +1,8 @@
 """Slow references that the tests compare the engine against: a field
 echelon, which both ranks a matrix and solves in a column span,
-membership of an integer column lattice by Smith forms, and the
-projection of the resolution onto H."""
+membership of an integer column lattice by Smith forms, the projection
+of the resolution onto H, and the bar d^2 check word by word."""
+from loopcoh.bar import bar_basis, bar_differential
 from loopcoh.linalg import _euclidean_smith
 from loopcoh.polynomial import Polynomial
 from loopcoh.rings import RingSpec
@@ -113,3 +114,19 @@ def rho(gens, x):
                 exponents[letter[1]] += 1
             out = out + Polynomial.monomial(gens, exponents, coeff)
     return out
+
+
+def bar_d_squared_failures(gens, max_degree):
+    """The number of bar words of degree 1 to max_degree and the
+    (degree, word) pairs on which d^2 is not zero, by degree and then in
+    the order of bar_basis: d is applied twice to each word on its own,
+    on monomial tuples (bar_differential)."""
+    one = gens.ring.one()
+    checked = 0
+    failures = []
+    for n in range(1, max_degree + 1):
+        for w in bar_basis(gens, n):
+            checked += 1
+            if bar_differential(gens, bar_differential(gens, {w: one})):
+                failures.append((n, w))
+    return checked, failures

@@ -348,7 +348,6 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
 @pytest.mark.parametrize("command", ["ranks", "check-exterior", "verify"])
 def test_a_block_over_the_cap_is_refused_before_any_is_assembled(
         tmp_path, monkeypatch, command):
-    import loopcoh.cli as cli
     import loopcoh.homology as homology
     # on Q[x2,y2] the first block over the cap is one of d from degree
     # 13; degrees 0 to 12 are within it
@@ -362,7 +361,7 @@ def test_a_block_over_the_cap_is_refused_before_any_is_assembled(
         raise AssertionError("a block was assembled or a word listed")
 
     monkeypatch.setattr(homology, "_block_matrix", fail)
-    monkeypatch.setattr(cli, "bar_basis", fail)
+    monkeypatch.setattr(homology, "_block_words", fail)
     json_path = str(tmp_path / "out.json")
     code, text = run([command, "--config", cfg, "--json", json_path])
     assert code == 1
@@ -370,6 +369,36 @@ def test_a_block_over_the_cap_is_refused_before_any_is_assembled(
         f"{DEFAULT_DIMENSION_CAP}"
     assert json.loads(open(json_path).read())["errors"] == [error]
     assert f"error: {error}" in text
+
+
+def test_a_sign_flipped_in_the_block_matrices_fails_bar_d_squared(
+        tmp_path, monkeypatch):
+    import loopcoh.homology as homology
+    original = homology._block_matrix
+
+    def flipped(*args):
+        # negate one entry of the first column with more than one term
+        columns = original(*args)
+        for col in columns:
+            if len(col) > 1:
+                row = min(col)
+                col[row] = -col[row]
+                break
+        return columns
+
+    monkeypatch.setattr(homology, "_block_matrix", flipped)
+    cfg = write_config(tmp_path, {
+        "ring": "Q",
+        "generators": [{"name": "x2", "degree": 2},
+                       {"name": "y2", "degree": 2}],
+        "bounds": {"max_degree": 6}})
+    json_path = str(tmp_path / "out.json")
+    code, _ = run(["verify", "--config", cfg, "--json", json_path])
+    assert code == 2
+    failures = {s["name"]: s["failures"]
+                for s in json.loads(open(json_path).read())["suites"]}
+    assert failures.pop("bar_d_squared") > 0
+    assert set(failures.values()) == {0}
 
 
 def test_cache_dir_that_is_a_file_exits_with_report(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcoh import bar
+from loopcoh.config import parse_config
 from loopcoh.hirsch_ops import HirschOpTable
 from loopcoh.homology import (BarComplex, HomologyError, RingTable,
                               exterior_verdict, homology_ranks)
@@ -13,7 +15,8 @@ from loopcoh.linalg import (rank_over_field, smith_normal_form,
                             solve_in_span, unit_pivots)
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
-from references import class_coefficients, echelon_rank
+from references import (bar_d_squared_failures, class_coefficients,
+                        echelon_rank)
 
 Z = RingSpec.integers()
 Q = RingSpec.rationals()
@@ -453,3 +456,60 @@ def test_a_block_that_does_not_reduce_drops_its_whole_degree():
         {(0,): 1}, ["cocycle not reducible in degree 2"])
     assert rt.reduce_cocycle({(u2,): 1, (u3,): 1}) == (
         {(0,): 1, (1,): 1}, [])
+
+
+def _job_gens(ring, generators, **extra):
+    doc = {"ring": ring,
+           "generators": [{"name": n, "degree": d} for n, d in generators]}
+    doc.update(extra)
+    return parse_config(json.dumps(doc)).gens
+
+
+D_SQUARED_ALGEBRAS = [
+    (_job_gens("Q", [("x2", 2), ("y2", 2)]), 8),
+    (_job_gens("Z", [("x2", 2), ("y4", 4)]), 9),
+    (_job_gens("F3", [("a2", 2), ("b2", 2), ("c4", 4)]), 7),
+    (_job_gens("F2", [("u2", 2), ("u3", 3)], sq1={"u2": "u3"}), 9),
+]
+D_SQUARED_IDS = ["Q[x2,y2]", "Z[x2,y4]", "F3[a2,b2,c4]",
+                 "F2[u2,u3] sq1 u2=u3"]
+
+
+@pytest.mark.parametrize("gens, max_degree", D_SQUARED_ALGEBRAS,
+                         ids=D_SQUARED_IDS)
+def test_block_d_squared_matches_the_per_word_check(gens, max_degree):
+    checked, failures = BarComplex(gens, max_degree).d_squared_failures()
+    assert (checked, failures) == bar_d_squared_failures(gens, max_degree)
+    assert failures == []
+
+
+class _FlippedLetter:
+    """The generator set gens with the parity of one letter's degree
+    flipped, and its own letter_degrees table: a planted fault that
+    bar_differential (through boundary_terms) and the block words
+    (through _Letters) both read, and that breaks d^2 = 0 outside
+    characteristic 2."""
+
+    def __init__(self, gens, letter):
+        self._gens = gens
+        self._letter = letter
+        self.letter_degrees = self
+
+    def __getitem__(self, m):
+        return self._gens.letter_degrees[m] + (m == self._letter)
+
+    def __getattr__(self, name):
+        return getattr(self._gens, name)
+
+
+@pytest.mark.parametrize("gens, max_degree", D_SQUARED_ALGEBRAS[:3],
+                         ids=D_SQUARED_IDS[:3])
+def test_block_d_squared_finds_the_per_word_failures(gens, max_degree):
+    faulty = _FlippedLetter(gens, gens.generator_monomial(0))
+    checked, failures = BarComplex(faulty, max_degree).d_squared_failures()
+    assert (checked, failures) == bar_d_squared_failures(faulty, max_degree)
+    # the failures span several degrees and several blocks of a degree,
+    # so their order is tested
+    assert len({n for n, _ in failures}) > 1
+    assert len({(n, tuple(map(sum, zip(*w)))) for n, w in failures}) > \
+        len({n for n, _ in failures})
