@@ -93,7 +93,7 @@ def _read_cache(path, cx):
                 return None
             invariants[n] = [(rank, tuple(factors))
                              for _, _, rank, factors in entries]
-    except (OSError, ValueError, LookupError, TypeError):
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
         return None
     return invariants
 

@@ -98,7 +98,8 @@ def parse_polynomial(gens: GeneratorSet, text, path, problems):
 def parse_config(text: str) -> JobConfig:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError: nesting deeper than the decoder can follow
         raise ConfigError([f"malformed JSON: {exc}"])
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be an object"])

@@ -10,10 +10,13 @@ the blocks of constant s = n + weight, because s is the internal degree
 of the vector.  A boundary matrix is the list of its columns, one dict
 {row: entry} per word of the domain, and holds only +-1 entries.
 
-Blocks are listed and assembled on words in integer code (_Letters): a
-letter m is the int sum(m_i * B^i), where B is one more than the
-largest exponent of the vectors served.  Every letter of a word of
-vector v is <= v in each exponent, and so is the product of two
+Blocks are listed and assembled on words in integer code, on one table
+(_Letters) per bar complex: a letter m is the int sum(m_i * B^i), with
+B = (N + 1) // (g - 1) + 1 for the degree bound N and the least
+generator degree g.  A letter m adds |m| - 1 >= sum(m_i * (|x_i| - 1))
+to a word's degree, so a word of vector v in degree n <= N + 1 has
+v_i * (g - 1) <= n, and every exponent is below B.  Every letter of a
+word of vector v is <= v in each exponent, and so is the product of two
 adjacent letters, whose exponents are the sums of theirs; so adding two
 codes never carries a digit past B - 1, and the product letter's code
 is the sum of the two codes.  A term of d costs one int addition, and
@@ -101,18 +104,21 @@ def _sub_monomials(gens, rest):
 
 
 class _Letters(dict):
-    """The bar letters of a set of blocks in integer code, as a table
+    """The bar letters of one bar complex in integer code, as a table
     {rest: [(m, rest - m, exponent sum of rest - m), ...]} listing the
     letters m that can start a word of vector rest, in letter order,
     filled on first use.  parity holds (|m| - 1) mod 2 of every letter
-    listed, and codes the code of each monomial encode_word has seen.
-    Monomial m has the code sum(m_i * base**i), and base must exceed
-    every exponent of the vectors served (see the module docstring)."""
+    listed, codes the code of each monomial encode_word has seen, and
+    minus_one is -1 reduced for the ring.  Monomial m has the code
+    sum(m_i * base**i), and base must exceed every exponent of the
+    vectors served (see the module docstring)."""
 
     def __init__(self, gens, base):
         super().__init__()
         self.gens = gens
         self.base = base
+        p = gens.ring.char
+        self.minus_one = -1 % p if p else -1
         self.weights = [base ** i for i in range(len(gens.degrees))]
         self.parity = {}
         self.codes = {}
@@ -172,14 +178,15 @@ def _block_words(letters, v, k):
     return out
 
 
-def _block_matrix(parity, minus_one, dom_words, cod_words):
+def _block_matrix(letters, dom_words, cod_words):
     """Columns of d from one block of degree n to the block of degree n+1
-    with the same exponent vector: one per coded word of dom_words, rows
-    indexing cod_words.  The term merging letters i and i+1 has the
-    letter code w[i] + w[i+1] and the sign (-1)^(|w_0|-1 + ... +
-    |w_i|-1), a running XOR of parity.  The terms of d[w] are distinct
-    words, so every entry is a sign: 1, or minus_one, -1 reduced for the
-    ring."""
+    with the same exponent vector: one per word of dom_words, rows
+    indexing cod_words, both coded by the _Letters table letters.  The
+    term merging letters i and i+1 has the letter code w[i] + w[i+1] and
+    the sign (-1)^(|w_0|-1 + ... + |w_i|-1), a running XOR of the
+    table's parity.  The terms of d[w] are distinct words, so every
+    entry is a sign: 1, or the table's minus_one."""
+    parity, minus_one = letters.parity, letters.minus_one
     index = {w: i for i, w in enumerate(cod_words)}
     columns = []
     for w in dom_words:
@@ -209,10 +216,11 @@ class BarComplex:
     up the blocks of each representative v at once (_walk), listing the
     words of each degree once and assembling d_n without the columns at
     the pivot rows of d_(n-1), which d_n d_(n-1) = 0 puts in the span of
-    the others (see the module docstring).  The walk codes its words as
-    int tuples on one _Letters table whose base exceeds every exponent
-    of the representatives, so a merged letter's code is the sum of the
-    two codes, with no carry; words() and boundary_blocks() decode their
+    the others (see the module docstring).  The walk, d_squared_failures,
+    boundary_blocks, words and the ring table code their words as int
+    tuples on the complex's one _Letters table, whose base exceeds every
+    exponent up to degree max_degree + 1, so a merged letter's code is
+    the sum of the two codes; words() and boundary_blocks() decode their
     words to monomial tuples.  d_squared_failures checks d^2 = 0 on the
     same coded blocks, every vector's, walking up each block complex.
 
@@ -225,8 +233,8 @@ class BarComplex:
         self.max_degree = max_degree
         self._counts = {}
         self._invariants = {}
-        p = gens.ring.char
-        self._minus_one = -1 % p if p else -1
+        self._letters = _Letters(
+            gens, (max_degree + 1) // (min(gens.degrees) - 1) + 1)
         groups = {}
         for i, d in enumerate(gens.degrees):
             groups.setdefault(d, []).append(i)
@@ -249,27 +257,20 @@ class BarComplex:
             self._counts[n] = cached
         return cached
 
-    def _coding(self, vectors):
-        """A _Letters table whose codes serve every block of the given
-        exponent vectors: its base is one more than their largest
-        exponent."""
-        return _Letters(self.gens, 1 + max(map(max, vectors), default=0))
-
-    def _words(self, letters, n, v):
-        """The words of degree n with exponent vector v, coded by
-        letters, in the order of bar.bar_basis; empty when there is no
-        such block."""
+    def _words(self, n, v):
+        """The words of degree n with exponent vector v, coded by the
+        complex's letter table, in the order of bar.bar_basis; empty
+        when there is no such block."""
         if v not in self.counts(n):
             return []
-        return _block_words(letters, letters.encode(v),
+        return _block_words(self._letters, self._letters.encode(v),
                             sum(map(mul, v, self.gens.degrees)) - n)
 
     def words(self, n, v):
         """The words of degree n with exponent vector v, as tuples of
         monomials, in the order of bar.bar_basis."""
-        letters = self._coding([v])
-        return [tuple(map(letters.decode, w))
-                for w in self._words(letters, n, v)]
+        decode = self._letters.decode
+        return [tuple(map(decode, w)) for w in self._words(n, v)]
 
     def dimension(self, n):
         if n < 0 or n > self.max_degree + 1:
@@ -291,13 +292,12 @@ class BarComplex:
         words that index its rows and its columns, one per word of
         words(n, v)."""
         out = []
+        decode = self._letters.decode
         for v in self.boundary_vectors(n):
-            letters = self._coding([v])
-            cod_words = self._words(letters, n + 1, v)
-            columns = _block_matrix(letters.parity, self._minus_one,
-                                    self._words(letters, n, v), cod_words)
-            out.append(([tuple(map(letters.decode, w)) for w in cod_words],
-                        columns))
+            cod_words = self._words(n + 1, v)
+            columns = _block_matrix(self._letters, self._words(n, v),
+                                    cod_words)
+            out.append(([tuple(map(decode, w)) for w in cod_words], columns))
         return out
 
     def block_shapes(self, n):
@@ -344,10 +344,9 @@ class BarComplex:
         once, as the rows of d_(n-1) and the domain of d_n, and d_n is
         assembled only on the words that are not pivot rows of d_(n-1)
         (see the module docstring).  The words are int tuples coded by
-        one _Letters table with a base one more than the largest exponent
-        of any representative: a letter, or two merged letters, of a word
-        of vector v is <= v, so each digit of its code stays below the
-        base, and merging two letters adds their codes with no carry."""
+        the complex's _Letters table, whose base exceeds every exponent
+        of the blocks, up to degree max_degree + 1, that the walk lists,
+        so merging two letters adds their codes with no carry."""
         top = self.max_degree
         self.check_caps()
         # the lowest degree of d on each representative's blocks
@@ -357,18 +356,16 @@ class BarComplex:
                 bottom[self._representative(v)] = n
         found = {}
         ring = self.gens.ring
-        letters = self._coding(bottom)
         for v, low in bottom.items():
-            words = self._words(letters, low, v)
+            words = self._words(low, v)
             paired = ()
             for n in range(low, top + 1):
                 if v not in self.counts(n + 1):
                     break
                 dom = [w for i, w in enumerate(words) if i not in paired]
-                words = self._words(letters, n + 1, v)
+                words = self._words(n + 1, v)
                 rank, factors, paired = matrix_invariants(
-                    _block_matrix(letters.parity, self._minus_one, dom,
-                                  words), ring)
+                    _block_matrix(self._letters, dom, words), ring)
                 found[n, v] = rank, factors
         for n in range(top + 1):
             self._invariants[n] = [found[n, self._representative(v)]
@@ -382,30 +379,31 @@ class BarComplex:
         bar.bar_basis.
 
         It walks up the block complex C^*_v of each vector v with words
-        in those degrees, on the words in the walk's integer code: d_n
-        is assembled from the listed words (_block_words, _block_matrix)
-        and composed with d_(n+1) (linalg.composition_failures), which
-        is kept as d_n of the next degree, so each matrix is assembled
-        once, up to d from degree max_degree + 1."""
+        in those degrees, on the words coded by the complex's _Letters
+        table (the rows of d_(n+1) have the vector v of words in degree
+        n, so its base serves them): d_n is assembled from the listed
+        words (_block_words, _block_matrix) and composed with d_(n+1)
+        (linalg.composition_failures), which is kept as d_n of the next
+        degree, so each matrix is assembled once, up to d from degree
+        max_degree + 1."""
         top = self.max_degree
         self.check_caps()
         # the lowest degree >= 1 with words of each vector
         low = {}
         for n in range(top, 0, -1):
             low.update(dict.fromkeys(self.counts(n), n))
-        letters = self._coding(low)
-        parity, minus_one = letters.parity, self._minus_one
+        letters = self._letters
         p = self.gens.ring.char
         checked = 0
         failures = []
         for v, n in low.items():
-            dom = self._words(letters, n, v)
-            cod = self._words(letters, n + 1, v)
-            d = _block_matrix(parity, minus_one, dom, cod)
+            dom = self._words(n, v)
+            cod = self._words(n + 1, v)
+            d = _block_matrix(letters, dom, cod)
             while dom and n <= top:
                 checked += len(dom)
-                nxt = self._words(letters, n + 2, v)
-                d_next = _block_matrix(parity, minus_one, cod, nxt)
+                nxt = self._words(n + 2, v)
+                d_next = _block_matrix(letters, cod, nxt)
                 failures.extend((n, tuple(map(letters.decode, dom[j])))
                                 for j in composition_failures(d_next, d, p))
                 n, dom, cod, d = n + 1, cod, nxt, d_next
@@ -503,10 +501,6 @@ class RingTable:
                 self.reps[s] = bar.canonical_symmetric_cocycle(self.gens, s)
                 indicator = tuple(int(i in s) for i in range(n_gens))
                 self._rep_of[(deg, indicator)] = s
-        # every block the table can reach has a vector of a degree up
-        # to the bound
-        self._letters = cx._coding(itertools.chain.from_iterable(
-            map(cx.counts, range(self.max_degree + 1))))
         self._solvers = {}
         self.entries = {}
         self._build()
@@ -519,11 +513,11 @@ class RingTable:
         such block."""
         cached = self._solvers.get((n, key))
         if cached is None:
-            cx, letters = self.cx, self._letters
+            cx = self.cx
             cx.check_cap(n - 1)
-            words = cx._words(letters, n, key)
-            columns = _block_matrix(letters.parity, cx._minus_one,
-                                    cx._words(letters, n - 1, key), words)
+            words = cx._words(n, key)
+            columns = _block_matrix(cx._letters, cx._words(n - 1, key),
+                                    words)
             pivots, residual = unit_pivots(columns, self.ring.char)
             cached = ({w: i for i, w in enumerate(words)}, pivots,
                       bool(residual))
@@ -573,14 +567,11 @@ class RingTable:
         block's unit-pivot record.  A vector outside the complex has an
         empty index, so _element_vector raises on its words."""
         index, pivots, residual = self._reduction_data(n, key)
-        letters = self._letters
+        letters = self.cx._letters
         v = _element_vector(index, letters, part)
         rep = None if s is None else _element_vector(index, letters,
                                                      self.reps[s])
         return solve_in_span(pivots, residual, v, rep, self.ring)
-
-    def product(self, s1, s2):
-        return self.entries.get((s1, s2))
 
     def _build(self):
         ring = self.ring

@@ -10,14 +10,15 @@ a pivot that clears nothing, so the peel takes it at once, drops the
 column, and counts down the rows of that column, in O(nnz) for the
 whole peel.  This is the coreduction of Mrozek and Batko, "Coreduction
 homology algorithm", Discrete Comput. Geom. 41 (2009).  On the bar
-blocks it takes nearly every pivot.  The core, what the peel leaves,
-goes to a heap: the sparsest column first, its pivot taken in the
-shortest row, cleared from the other columns.  Each step is unimodular,
-so every pivot is an invariant factor 1; what no unit pivot reaches is
-left to a Euclidean Smith loop.  Ranks and Smith forms count the
-pivots; the ring table keeps their record and replays it on the vectors
-it solves (solve_in_span).  F2 ranks come from bit-packed columns
-(_gf2_pivot_rows).
+blocks it takes nearly every pivot: no core, what the peel leaves, was
+seen above 24 columns on any job, so the core is a plain loop, not a
+heap: the sparsest column with a unit first, its pivot taken in the
+unit row with the fewest live columns, cleared from the other columns.
+Each step is unimodular, so every pivot is an invariant factor 1; what
+no unit pivot reaches is left to a Euclidean Smith loop.  Ranks and
+Smith forms count the pivots; the ring table keeps their record and
+replays it on the vectors it solves (solve_in_span).  F2 ranks come from
+bit-packed columns (_gf2_pivot_rows).
 
 The record keeps one invariant: a pivot column is zero in the row of
 every pivot before it.  Proof: once a pivot takes row r, no live column
@@ -39,8 +40,6 @@ composition_failures checks d^2 = 0 for both, on the bar blocks and on
 the Koszul complex.
 """
 from __future__ import annotations
-
-from heapq import heapify, heappop, heappush
 
 from .rings import RingError, RingSpec
 
@@ -123,9 +122,10 @@ def unit_pivots(columns, p):
     whose count is 1.  It takes such a row as a pivot when its entry is
     a unit, drops that column, counts down the column's rows, and queues
     those left with one live column.  A row whose one entry is no unit
-    is left to the core.  The core's sparsest column goes first, its
-    pivot taken in the shortest row; the pivot row is cleared from the
-    other columns, and the pivot row and column are dropped.  Every
+    is left to the core, a plain loop, as cores are small.  It takes the
+    sparsest live column with a unit, ties by index, at its unit row
+    with the fewest live columns, ties by index; the pivot row is
+    cleared from the other live columns, and those left empty go.  Every
     step is unimodular, so the Smith form of the columns is a 1 for
     each pivot plus the Smith form of the residual columns, which hold
     no unit.  Each pivot column is zero in the rows of the pivots
@@ -162,43 +162,30 @@ def unit_pivots(columns, p):
                 queue.append(i)
         inv = pow(c.pop(r), -1, p) if p else c.pop(r)
         pivots.append((r, c, inv))
-    # the core
-    rows = {}
-    for j, c in cols.items():
-        for i in c:
-            rows.setdefault(i, set()).add(j)
-    heap = [(len(c), j) for j, c in cols.items()]
-    heapify(heap)
-    while heap:
-        n, j = heappop(heap)
-        c = cols.get(j)
-        if c is None or len(c) != n:
-            continue  # stale: the column has gone or changed since
-        units = [i for i, v in c.items() if p or v in (1, -1)]
-        if not units:
-            continue  # back on the heap only if another pivot changes it
-        r = min(units, key=lambda i: (len(rows[i]), i))
-        del cols[j]
-        for i in c:
-            rows[i].discard(j)
+    # the core: a plain loop over the few columns the peel leaves
+    while True:
+        j = min((j for j, c in cols.items()
+                 if p or any(v in (1, -1) for v in c.values())),
+                key=lambda j: len(cols[j]), default=None)
+        if j is None:
+            break
+        c = cols.pop(j)
+        r = min((i for i, v in c.items() if p or v in (1, -1)),
+                key=lambda i: (sum(i in ck for ck in cols.values()), i))
         inv = pow(c.pop(r), -1, p) if p else c.pop(r)
-        for k in rows.pop(r):
-            ck = cols[k]
+        for k, ck in list(cols.items()):
+            if r not in ck:
+                continue
             f = ck.pop(r) * inv
             for i, v in c.items():
                 x = ck.get(i, 0) - f * v
                 if p:
                     x %= p
                 if x:
-                    if i not in ck:
-                        rows[i].add(k)
                     ck[i] = x
                 else:
                     del ck[i]
-                    rows[i].discard(k)
-            if ck:
-                heappush(heap, (len(ck), k))
-            else:
+            if not ck:
                 del cols[k]
         pivots.append((r, c, inv))
     return pivots, list(cols.values())

@@ -67,7 +67,8 @@ def test_criterion_02_untwisted_product_is_exterior_without_torsion():
 
 def test_criterion_03_indecomposable_twist_gives_nonzero_square():
     table = _sq_table_u2u3()
-    entry = RingTable(table, BarComplex(table.gens, 8)).product((0,), (0,))
+    rt = RingTable(table, BarComplex(table.gens, 8))
+    entry = rt.entries.get(((0,), (0,)))
     # the square of the degree-one class is the degree-two class, not zero
     assert entry["coords"] == {(1,): 1}
     verdict = exterior_verdict(table, BarComplex(table.gens, 8))

@@ -231,6 +231,11 @@ def _garbage(data):
     return b"not a cache file\n{"
 
 
+def _deeply_nested(data):
+    # a digest line nested past what the JSON decoder follows
+    return b"[" * 100000 + b"\n" + data.partition(b"\n")[2]
+
+
 def _redigested(data, edit):
     """data with edit applied to the [rows, cols, rank, factors] list of
     its first block, under a valid digest of the new payload."""
@@ -257,7 +262,8 @@ def _rank_too_large(data):
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_entry, _garbage,
-                                     _wrong_shape, _rank_too_large])
+                                     _deeply_nested, _wrong_shape,
+                                     _rank_too_large])
 def test_invalid_cache_entry_is_recomputed(tmp_path, capsys, corrupt):
     cfg = z_single(tmp_path)
     cache = tmp_path / "cache"
@@ -328,6 +334,14 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
 
     for name in calls:
         counted(name)
+    tables = []
+
+    class CountedLetters(homology._Letters):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(homology, "_Letters", CountedLetters)
     cache = ["--cache-dir", str(tmp_path / "c")]
     # the 326 boundary blocks fall into 129 orbits of generators of
     # equal degree, on the block complexes of 67 representatives; the
@@ -339,10 +353,13 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
     assert calls == {"_block_matrix": 0, "_block_words": 0}
     # the ring table reaches 20 blocks and builds the matrix into each
     # once, 8 of them from a nonempty domain; it lists the words of each
-    # block once, and those of the 8 domains
+    # block once, and those of the 8 domains.  The walk and the ring
+    # table code their words on the bar complex's one letter table.
+    tables.clear()
     assert run(["check-exterior", "--config", cfg])[0] == 0
     assert calls["_block_matrix"] == 129 + 20
     assert calls["_block_words"] == 129 + 67 + 20 + 8
+    assert len(tables) == 1
 
 
 @pytest.mark.parametrize("command", ["ranks", "check-exterior", "verify"])

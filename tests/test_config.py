@@ -40,6 +40,14 @@ def test_malformed_json():
     assert "malformed JSON" in exc.value.problems[0]
 
 
+def test_json_nested_past_the_decoder_is_malformed():
+    # the decoder gives up with a RecursionError, not a JSONDecodeError
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[" * 100000)
+    (problem,) = exc.value.problems
+    assert problem.startswith("malformed JSON: ")
+
+
 def test_odd_degree_over_z_rejected():
     doc = {"ring": "Z",
            "generators": [{"name": "x", "degree": 3}]}

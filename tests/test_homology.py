@@ -106,7 +106,7 @@ def test_sq_twisted_square_witness():
     sq1 = Sq1Table(gens, {"u2": Polynomial.generator(gens, "u3")})
     table = HirschOpTable(gens, sq1)
     rt = RingTable(table, BarComplex(gens, 6))
-    entry = rt.product((0,), (0,))
+    entry = rt.entries.get(((0,), (0,)))
     # class[u2-bar] squared is class[u3-bar], not zero
     assert entry["coords"] == {(1,): 1}
     assert entry["flags"] == []

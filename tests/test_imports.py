@@ -61,16 +61,22 @@ def unreferenced_definitions(sources, users):
     excepted) whose name no source in users takes as an attribute or,
     unless it is a method, as a Name: a method is reached only through
     attribute access, so a local variable of the same name hides no
-    unused method."""
+    unused method.  An attribute of a name bound by `import` is a
+    module's, so itertools.product uses no method named product."""
     defined = set()
     for source in sources:
         defined.update(_definitions(ast.parse(source)))
     names, attrs = set(), set()
     for source in users:
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        modules = {a.asname or a.name.split(".")[0]
+                   for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and \
+                    getattr(node.value, "id", None) not in modules:
                 attrs.add(node.attr)
     return sorted({name for name, method in defined
                    if name not in attrs
@@ -84,13 +90,15 @@ def test_the_scan_finds_unreferenced_definitions():
               "    def elsewhere(self): pass\n"
               "    def unused(self): pass\n"
               "    def clash(self): pass\n"
+              "    def product(self): pass\n"
               "class B: pass\n"
               "def helper(): pass\n"
               "def orphan(): pass\n"
               "clash = A().used(helper)\n")
-    other = "from m import A, orphan\nA().elsewhere()\n"
+    other = ("import itertools\nfrom m import A, orphan\n"
+             "A().elsewhere(itertools.product())\n")
     assert unreferenced_definitions([source], [source, other]) == \
-        ["B", "clash", "orphan", "unused"]
+        ["B", "clash", "orphan", "product", "unused"]
 
 
 def test_every_definition_is_referenced():

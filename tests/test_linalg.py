@@ -93,6 +93,22 @@ def test_a_non_unit_singleton_row_is_left_to_the_core():
     assert smith_normal_form([{0: 2, 1: 1}, {1: 1}]) == ((1, 2), 2)
 
 
+def test_the_core_pivots_the_sparsest_unit_column_at_its_emptiest_row():
+    # every row has two or more live columns, so the peel takes nothing.
+    # Column 2 is the sparsest but holds no unit over Z; column 1 is the
+    # sparsest with one.  Its unit rows are listed 4, 0, 3, with 3, 5
+    # and 2 live columns: the pivot is row 3, neither the first listed
+    # nor the lowest.
+    columns = [{0: 1, 1: 1, 2: 1, 3: 1},
+               {4: 1, 0: 1, 3: 1},
+               {0: 2, 1: 2},
+               {4: 1, 1: 1, 2: 1, 0: -1},
+               {4: -1, 2: 1, 1: 1, 0: 1}]
+    assert unit_pivots(columns, 0) == (
+        [(3, {4: 1, 0: 1}, 1), (2, {1: 1, 4: -1}, 1), (0, {}, 1)],
+        [{1: 2}, {4: 2}])
+
+
 class _Column(dict):
     """A dict column that keeps every entry popped from it, as
     unit_pivots pops each pivot entry from its column."""
