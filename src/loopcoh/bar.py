@@ -221,46 +221,47 @@ def canonical_symmetric_cocycle(gens: GeneratorSet, indices):
     return out
 
 
-def check_chain_map(table: HirschOpTable, weight_x, weight_y,
-                    degree_bound):
-    """Pairs of basis words of the given weights, with total degree at
-    most the bound, where the product fails the Leibniz identity
-    d(x*y) = dx*y + (-1)^|x| x*dy; returns the violating pairs in
-    enumeration order (violations are data, not errors)."""
+def check_chain_map(table: HirschOpTable, weight_pairs, degree_bound):
+    """Pairs of basis words of the given (weight_x, weight_y) weights,
+    with total degree at most the bound, where the product fails the
+    Leibniz identity d(x*y) = dx*y + (-1)^|x| x*dy; returns the
+    violating pairs in the order of weight_pairs, then in enumeration
+    order (violations are data, not errors)."""
     gens = table.gens
     ring = gens.ring
-    # the words of each degree and weight, listed once
+    one = ring.one()
+    # the words of each degree and weight, listed once, each with its
+    # differential; a word of degree degree_bound pairs with none, as
+    # every word of weight >= 1 has degree >= 1
+    weights = {k for pair in weight_pairs for k in pair}
     words = {}
-    for n in range(1, degree_bound + 1):
-        basis = bar_basis(gens, n)
-        for k in (weight_x, weight_y):
-            words[n, k] = [w for w in basis if len(w) == k]
+    for n in range(1, degree_bound):
+        for w in bar_basis(gens, n):
+            if len(w) in weights:
+                words.setdefault((n, len(w)), []).append(
+                    (w, bar_differential(gens, {w: one})))
     bad = []
-    for nx in range(weight_x, degree_bound + 1):
-        xs = words[nx, weight_x]
-        if not xs:
-            continue
-        for ny in range(weight_y, degree_bound - nx + 1):
-            ys = words[ny, weight_y]
-            for xw in xs:
-                x = {xw: ring.one()}
-                dx = bar_differential(gens, x)
-                sign = ring.one() if nx % 2 == 0 \
-                    else ring.neg(ring.one())
-                for yw in ys:
-                    y = {yw: ring.one()}
-                    lhs = bar_differential(gens, muE_product(table, x, y))
-                    rhs = add_elements(
-                        muE_product(table, dx, y),
-                        scale_element(muE_product(table, x,
-                                                  bar_differential(gens, y)),
-                                      sign, ring),
-                        ring)
-                    diff = add_elements(
-                        lhs, scale_element(rhs, ring.neg(ring.one()), ring),
-                        ring)
-                    if diff:
-                        bad.append({"left": word_str(gens, xw),
-                                    "right": word_str(gens, yw),
-                                    "degrees": (nx, ny)})
+    for weight_x, weight_y in weight_pairs:
+        for nx in range(weight_x, degree_bound):
+            xs = words.get((nx, weight_x), ())
+            sign = one if nx % 2 == 0 else ring.neg(one)
+            for ny in range(weight_y, degree_bound - nx + 1):
+                ys = words.get((ny, weight_y), ())
+                for xw, dx in xs:
+                    x = {xw: one}
+                    for yw, dy in ys:
+                        y = {yw: one}
+                        lhs = bar_differential(gens, muE_product(table, x, y))
+                        rhs = add_elements(
+                            muE_product(table, dx, y),
+                            scale_element(muE_product(table, x, dy), sign,
+                                          ring),
+                            ring)
+                        diff = add_elements(
+                            lhs, scale_element(rhs, ring.neg(one), ring),
+                            ring)
+                        if diff:
+                            bad.append({"left": word_str(gens, xw),
+                                        "right": word_str(gens, yw),
+                                        "degrees": (nx, ny)})
     return bad

@@ -320,9 +320,7 @@ def cmd_verify(cfg, max_degree, out):
 
     # product is a chain map at low weights
     cm_bound = min(max_degree, 8)
-    bad = []
-    for wx, wy in ((1, 1), (1, 2), (2, 1)):
-        bad.extend(check_chain_map(table, wx, wy, cm_bound))
+    bad = check_chain_map(table, ((1, 1), (1, 2), (2, 1)), cm_bound)
     suites.append(_suite("chain_map_low_weight", len(bad), 3,
                          [str(b) for b in bad]))
 

@@ -118,12 +118,22 @@ def word_str(gens, word):
 # the differential
 
 class Differential:
-    """Differential of the resolution, with a per-letter cache."""
+    """Differential of the resolution, memoised per letter, per word
+    (of_word) and per word's contraction (contraction_s).
+
+    The memos live as long as the Differential: `verify` makes one per
+    job and shares it between its two resolution suites, and the
+    internal-degree bound of the words the job asks for bounds their
+    size.  Each value is stored only once it is complete.  The memoised
+    dicts are shared, so callers must not change them; of_element
+    returns a fresh dict."""
 
     def __init__(self, gens: GeneratorSet):
         self.gens = gens
         self.ring = gens.ring
         self._letter_cache = {}
+        self._word_cache = {}
+        self._s_cache = {}
 
     def of_letter(self, letter):
         cached = self._letter_cache.get(letter)
@@ -229,6 +239,11 @@ class Differential:
         return out
 
     def of_word(self, word):
+        """d of one word, memoised per word; the caller must not change
+        the dict returned."""
+        cached = self._word_cache.get(word)
+        if cached is not None:
+            return cached
         ring = self.ring
         gens = self.gens
         out = {}
@@ -242,6 +257,7 @@ class Differential:
                              ring.mul(sign, c), ring)
             r, n = letter_bidegree(gens, letter)
             par += r + n
+        self._word_cache[word] = out
         return out
 
     def of_element(self, x):
@@ -665,7 +681,18 @@ def contraction_s(d: Differential, word):
 
     The result is scaled so that the original word occurs in the
     differential of the result with coefficient one (the defining
-    property that s inverts one summand of d exactly)."""
+    property that s inverts one summand of d exactly).
+
+    The value is memoised on d, so the caller must not change the dict
+    returned.  A call that raises stores nothing: a word on which two
+    cases match raises ResolutionError on every call."""
+    cached = d._s_cache.get(word)
+    if cached is None:
+        cached = d._s_cache[word] = _contraction_value(d, word)
+    return cached
+
+
+def _contraction_value(d: Differential, word):
     gens = d.gens
     results = []
     for tag, fn in (("pair", _case1), ("cup", _case2), ("split", _case3)):
@@ -730,9 +757,28 @@ def enumerate_rh_letters(gens: GeneratorSet, r_min=-3, n_max=12,
     degree <= n_max, grouped by resolution degree.  Every argument word
     is one letter followed by degree-0 letters (see words_with); letters
     with other argument words are not listed.  When `degrees` is a
-    dict, it receives the internal degree of every letter returned."""
+    dict, it receives the internal degree of every letter returned.
+
+    No letter or word of resolution degree t has internal degree below
+    g * (ceil(|t|/2) + 1), g the least generator degree.  By induction
+    over letters:
+    - a degree-0 letter has t = 0 and internal degree >= g;
+    - a cup cluster of k entries has |t| = 2(k - 1) and internal degree
+      >= g*k, the bound;
+    - a word of at least one letter has at least the sum of its
+      letters' bounds, which is at least the bound of the sum of their
+      |t|, as the ceilings add up to at least the ceiling of the sum;
+    - an E letter with k = p + q >= 2 argument words of degrees t_i has
+      |t| = S + k - 1, S = sum |t_i|, and internal degree at least
+      g * (ceil(S/2) + k), which is at least the bound, as
+      ceil((S + k - 1)/2) <= ceil(S/2) + k - 1.
+    A word fits n_max only if ceil(|t|/2) <= n_max // g - 1, so nothing
+    fits below t = -2 * (n_max // g - 1), and r_min is clamped there
+    (never above 0): below it the loop over E-letter shapes grows
+    without bound and finds nothing."""
     if r_min > 0:
         raise ResolutionError("r_min must be <= 0")
+    r_min = max(r_min, min(0, -2 * (n_max // min(gens.degrees) - 1)))
     degree = {} if degrees is None else degrees
     letters = {0: []}
     for i, n in enumerate(gens.degrees):
@@ -797,19 +843,28 @@ def enumerate_rh_letters(gens: GeneratorSet, r_min=-3, n_max=12,
 
 def enumerate_rh_basis(gens: GeneratorSet, r_min=-3, n_max=12):
     """Per-bidegree monomial basis of the truncated resolution: dict
-    (res, internal) -> list of words."""
+    (res, internal) -> list of words.  Words are built depth first over
+    the letter pool, in pool order; at each (res, internal) reached,
+    only the pool entries that still fit are walked, a list filtered
+    once per (res, internal) in the pool's order.  Resolution degrees
+    below the letters' clamp (see enumerate_rh_letters) hold no
+    words."""
     degree = {}
     letters = enumerate_rh_letters(gens, r_min, n_max, degrees=degree)
     pool = [(r, degree[l], l)
             for r in sorted(letters, reverse=True) for l in letters[r]]
     basis = {}
+    fits = {}
 
     def build(prefix, res, internal):
         if prefix:
             basis.setdefault((res, internal), []).append(tuple(prefix))
-        for r, n, l in pool:
-            if res + r < r_min or internal + n > n_max:
-                continue
+        here = fits.get((res, internal))
+        if here is None:
+            here = fits[res, internal] = [
+                e for e in pool
+                if res + e[0] >= r_min and internal + e[1] <= n_max]
+        for r, n, l in here:
             prefix.append(l)
             build(prefix, res + r, internal + n)
             prefix.pop()

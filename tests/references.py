@@ -1,7 +1,11 @@
 """Slow references that the tests compare the engine against: a field
 echelon, which both ranks a matrix and solves in a column span,
 membership of an integer column lattice by Smith forms, the projection
-of the resolution onto H, and the bar d^2 check word by word."""
+of the resolution onto H, the resolution's letters and basis without
+pruning, and the bar d^2 check word by word."""
+import itertools
+
+from loopcoh import resolution as res
 from loopcoh.bar import bar_basis, bar_differential
 from loopcoh.linalg import _euclidean_smith
 from loopcoh.polynomial import Polynomial
@@ -114,6 +118,95 @@ def rho(gens, x):
                 exponents[letter[1]] += 1
             out = out + Polynomial.monomial(gens, exponents, coeff)
     return out
+
+
+def reference_rh_letters(gens, r_min=-3, n_max=12):
+    """The letter enumeration as it was before degree-budget pruning:
+    every argument tuple is built, then filtered by internal degree."""
+    if r_min > 0:
+        raise res.ResolutionError("r_min must be <= 0")
+    letters = {0: [res.v_letter(i) for i in range(len(gens.names))
+                   if gens.degrees[i] <= n_max]}
+
+    def words_with(res_target, internal_cap):
+        pool = []
+        for r in range(0, res_target - 1, -1):
+            for l in letters.get(r, []):
+                pool.append((r, res.letter_bidegree(gens, l)[1], l))
+        out = []
+
+        def build(prefix, res_left, cap_left):
+            if prefix and res_left == 0:
+                out.append(tuple(prefix))
+            for r, n, l in pool:
+                if res_left - r < 0 or n > cap_left:
+                    continue
+                prefix.append(l)
+                build(prefix, res_left - r, cap_left - n)
+                prefix.pop()
+
+        build([], res_target, internal_cap)
+        return out
+
+    for target in range(-1, r_min - 1, -1):
+        found = []
+        if target % 2 == 0:
+            size = -target // 2 + 1
+            for combo in itertools.combinations_with_replacement(
+                    range(len(gens.names)), size):
+                if sum(gens.degrees[i] for i in combo) <= n_max:
+                    found.append(res.cup_letter(combo))
+        max_arity = -target + 1
+        for p in range(1, max_arity):
+            for q in range(1, max_arity - p + 1):
+                args_res_total = target + (p + q - 1)
+                if args_res_total > 0:
+                    continue
+                for dist in res._compositions(-args_res_total, p + q):
+                    arg_lists = []
+                    dead = False
+                    for r in dist:
+                        ws = words_with(-r, n_max)
+                        if not ws:
+                            dead = True
+                            break
+                        arg_lists.append(ws)
+                    if dead:
+                        continue
+                    for combo in itertools.product(*arg_lists):
+                        internal = sum(res.word_bidegree(gens, w)[1]
+                                       for w in combo)
+                        if internal > n_max:
+                            continue
+                        letter = res.e_letter(combo[:p], combo[p:])
+                        if res._is_nonnormal(letter):
+                            continue
+                        found.append(letter)
+        letters[target] = found
+    return letters
+
+
+def reference_rh_basis(gens, letters, r_min, n_max):
+    """The resolution basis over the given letters (a dict resolution
+    degree -> letters, as enumerate_rh_letters returns), built as
+    enumerate_rh_basis built it before it pruned the pool: every node
+    scans the whole pool."""
+    pool = [(r, res.letter_bidegree(gens, l)[1], l)
+            for r in sorted(letters, reverse=True) for l in letters[r]]
+    basis = {}
+
+    def build(prefix, r_now, internal):
+        if prefix:
+            basis.setdefault((r_now, internal), []).append(tuple(prefix))
+        for r, n, l in pool:
+            if r_now + r < r_min or internal + n > n_max:
+                continue
+            prefix.append(l)
+            build(prefix, r_now + r, internal + n)
+            prefix.pop()
+
+    build([], 0, 0)
+    return basis
 
 
 def bar_d_squared_failures(gens, max_degree):

@@ -148,12 +148,12 @@ def test_criterion_07_operation_relations():
 def test_criterion_08_twisted_product_chain_map_boundary():
     table = _sq_table_u2u3()
     for wx, wy in ((1, 1), (1, 2), (2, 1)):
-        assert bar.check_chain_map(table, wx, wy, 8) == [], (wx, wy)
-    bad = bar.check_chain_map(table, 2, 2, 8)
+        assert bar.check_chain_map(table, ((wx, wy),), 8) == [], (wx, wy)
+    bad = bar.check_chain_map(table, ((2, 2),), 8)
     assert len(bad) == 9
     assert bad[0]["degrees"] == (2, 2)
     # the violation list is deterministic across runs
-    assert bad == bar.check_chain_map(table, 2, 2, 8)
+    assert bad == bar.check_chain_map(table, ((2, 2),), 8)
 
 
 def _chain_map_ok(table, xw, yw):

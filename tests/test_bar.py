@@ -101,22 +101,30 @@ def test_muE_with_trivial_table_is_shuffle():
 def test_shuffle_is_chain_map():
     gens = zgens()
     table = HirschOpTable(gens)
-    for wx, wy in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        assert bar.check_chain_map(table, wx, wy, 7) == []
+    assert bar.check_chain_map(
+        table, ((1, 1), (1, 2), (2, 1), (2, 2)), 7) == []
 
 
 def test_sq_twisted_chain_map_low_weights():
     table = sq_table(f2gens())
-    for wx, wy in ((1, 1), (1, 2), (2, 1)):
-        assert bar.check_chain_map(table, wx, wy, 8) == []
+    assert bar.check_chain_map(table, ((1, 1), (1, 2), (2, 1)), 8) == []
 
 
 def test_sq_twisted_chain_map_breaks_at_weight_two_two():
     table = sq_table(f2gens())
-    bad = bar.check_chain_map(table, 2, 2, 8)
+    bad = bar.check_chain_map(table, ((2, 2),), 8)
     assert bad
     # deterministic: same list on a second run
-    assert bad == bar.check_chain_map(table, 2, 2, 8)
+    assert bad == bar.check_chain_map(table, ((2, 2),), 8)
+
+
+def test_chain_map_reports_in_weight_pair_order():
+    # one call over several weight pairs returns what a call per pair
+    # would, in the order of the pairs
+    table = sq_table(f2gens())
+    pairs = ((2, 2), (1, 1), (2, 1), (1, 2))
+    assert bar.check_chain_map(table, pairs, 8) == [
+        v for pair in pairs for v in bar.check_chain_map(table, (pair,), 8)]
 
 
 def test_canonical_symmetric_cocycle_is_a_cocycle():

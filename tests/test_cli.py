@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -86,6 +87,28 @@ def test_verify_passes(tmp_path):
     code, text = run(["verify", "--config", cfg])
     assert code == 0
     assert "all passed: True" in text
+
+
+def test_verify_at_a_deep_resolution_degree_ends_quickly(tmp_path):
+    """No resolution word of F2[u2,u3] fits internal degree 9 below
+    resolution degree -6, so -40 lists and checks what -6 does."""
+    reports = {}
+    for r in (-6, -40):
+        cfg = write_config(tmp_path, {
+            "ring": "F2",
+            "generators": [{"name": "u2", "degree": 2},
+                           {"name": "u3", "degree": 3}],
+            "sq1": {"u2": "u3"},
+            "bounds": {"max_degree": 9, "max_resolution_degree": r}},
+            name=f"r{-r}.json")
+        json_path = str(tmp_path / f"r{-r}.out.json")
+        start = time.perf_counter()
+        code, _ = run(["verify", "--config", cfg, "--json", json_path])
+        assert time.perf_counter() - start < 10
+        report = json.loads(open(json_path).read())
+        assert report["truncation"].pop("max_resolution_degree") == r
+        reports[r] = (code, report)
+    assert reports[-40] == reports[-6]
 
 
 def test_ring_table(tmp_path):

@@ -4,8 +4,8 @@ import pytest
 
 from loopcoh import resolution as res
 from loopcoh.polynomial import GeneratorSet
-from loopcoh.rings import RingSpec
-from references import rho
+from loopcoh.rings import RingError, RingSpec
+from references import reference_rh_basis, reference_rh_letters, rho
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -138,73 +138,66 @@ def test_contraction_never_matches_two_cases():
             res.contraction_s(d, word)
 
 
+# -- the Differential's memos --------------------------------------------
+
+@pytest.mark.parametrize("make_gens, r_min, n_max",
+                         [(f2gens, -3, 9), (zgens, -3, 10)],
+                         ids=["F2[u2,u3]", "Z[x2,x4]"])
+def test_a_shared_differential_matches_a_fresh_one_per_word(
+        make_gens, r_min, n_max):
+    """One Differential serves every word of the basis, its memos filled
+    by the words before; a fresh one per word starts from nothing.  The
+    values, d^2 and the contractions agree, in key order too."""
+    gens = make_gens()
+    ring = gens.ring
+    shared = res.Differential(gens)
+    basis = res.enumerate_rh_basis(gens, r_min, n_max)
+    for words in basis.values():
+        for word in words:
+            x = {word: ring.one()}
+            fresh = res.Differential(gens)
+            dx = shared.of_element(x)
+            assert list(dx.items()) == list(fresh.of_element(x).items())
+            assert list(shared.of_element(dx).items()) == \
+                list(fresh.of_element(fresh.of_element(x)).items())
+            assert _contraction_items(shared, word) == \
+                _contraction_items(res.Differential(gens), word)
+
+
+def _contraction_items(d, word):
+    """contraction_s(d, word) as a list of items, or the error it raises
+    (over Z, some words of resolution degree -3 need a shape the normal
+    form leaves unsigned)."""
+    try:
+        return list(res.contraction_s(d, word).items())
+    except (res.ResolutionError, RingError) as exc:
+        return repr(exc)
+
+
+def test_changing_a_returned_element_changes_no_later_result():
+    gens = f2gens()
+    d = res.Differential(gens)
+    u2, u3 = res.v_letter(0), res.v_letter(1)
+    x = {(res.e_letter(((u2,),), ((u3, u2),)),): 1}
+    first = d.of_element(x)
+    want = dict(first)
+    assert want
+    first.clear()
+    first[(u3,)] = 1
+    assert d.of_element(x) == want
+
+
+def test_overlapping_contraction_cases_raise_on_every_call(monkeypatch):
+    d = res.Differential(f2gens())
+    word = (res.v_letter(0), res.v_letter(1))
+    # the cup-two case now matches wherever the pair case does
+    monkeypatch.setattr(res, "_case2", res._case1)
+    for _ in range(2):
+        with pytest.raises(res.ResolutionError, match="both match"):
+            res.contraction_s(d, word)
+
+
 # -- letter enumeration against the product-then-filter reference ---------
-
-def reference_rh_letters(gens, r_min=-3, n_max=12):
-    """The letter enumeration as it was before degree-budget pruning:
-    every argument tuple is built, then filtered by internal degree."""
-    if r_min > 0:
-        raise res.ResolutionError("r_min must be <= 0")
-    letters = {0: [res.v_letter(i) for i in range(len(gens.names))
-                   if gens.degrees[i] <= n_max]}
-
-    def words_with(res_target, internal_cap):
-        pool = []
-        for r in range(0, res_target - 1, -1):
-            for l in letters.get(r, []):
-                pool.append((r, res.letter_bidegree(gens, l)[1], l))
-        out = []
-
-        def build(prefix, res_left, cap_left):
-            if prefix and res_left == 0:
-                out.append(tuple(prefix))
-            for r, n, l in pool:
-                if res_left - r < 0 or n > cap_left:
-                    continue
-                prefix.append(l)
-                build(prefix, res_left - r, cap_left - n)
-                prefix.pop()
-
-        build([], res_target, internal_cap)
-        return out
-
-    for target in range(-1, r_min - 1, -1):
-        found = []
-        if target % 2 == 0:
-            size = -target // 2 + 1
-            for combo in itertools.combinations_with_replacement(
-                    range(len(gens.names)), size):
-                if sum(gens.degrees[i] for i in combo) <= n_max:
-                    found.append(res.cup_letter(combo))
-        max_arity = -target + 1
-        for p in range(1, max_arity):
-            for q in range(1, max_arity - p + 1):
-                args_res_total = target + (p + q - 1)
-                if args_res_total > 0:
-                    continue
-                for dist in res._compositions(-args_res_total, p + q):
-                    arg_lists = []
-                    dead = False
-                    for r in dist:
-                        ws = words_with(-r, n_max)
-                        if not ws:
-                            dead = True
-                            break
-                        arg_lists.append(ws)
-                    if dead:
-                        continue
-                    for combo in itertools.product(*arg_lists):
-                        internal = sum(res.word_bidegree(gens, w)[1]
-                                       for w in combo)
-                        if internal > n_max:
-                            continue
-                        letter = res.e_letter(combo[:p], combo[p:])
-                        if res._is_nonnormal(letter):
-                            continue
-                        found.append(letter)
-        letters[target] = found
-    return letters
-
 
 Q = RingSpec.rationals()
 ENUMERATION_ALGEBRAS = {
@@ -238,3 +231,46 @@ def test_letter_counts_pinned():
     got = res.enumerate_rh_letters(f2gens(), r_min=-3, n_max=9)
     assert {r: len(ls) for r, ls in got.items()} == \
         {0: 2, -1: 35, -2: 82, -3: 83}
+
+
+# -- the basis against the full-pool build --------------------------------
+
+BASIS_ALGEBRAS = ("F2[u2,u3]", "Z[x2,x4]", "Q[x2,y2]")
+
+
+@pytest.mark.parametrize("name", BASIS_ALGEBRAS)
+@pytest.mark.parametrize("r_min, n_max",
+                         [(-2, 8), (-3, 9), (-3, 10), (-6, 9)])
+def test_basis_matches_the_full_pool_build(name, r_min, n_max):
+    gens = ENUMERATION_ALGEBRAS[name]
+    letters = res.enumerate_rh_letters(gens, r_min, n_max)
+    got = res.enumerate_rh_basis(gens, r_min, n_max)
+    want = reference_rh_basis(gens, letters, r_min, n_max)
+    assert list(got.items()) == list(want.items())
+
+
+# below the clamp at -2 the reference lists every letter it can, and
+# finds none
+@pytest.mark.parametrize("name", BASIS_ALGEBRAS)
+@pytest.mark.parametrize("r_min, n_max", [(-4, 4), (-4, 5)])
+def test_clamped_basis_matches_the_unclamped_reference(name, r_min, n_max):
+    gens = ENUMERATION_ALGEBRAS[name]
+    letters = reference_rh_letters(gens, r_min, n_max)
+    assert min(r for r, ls in letters.items() if ls) > r_min
+    got = res.enumerate_rh_basis(gens, r_min, n_max)
+    want = reference_rh_basis(gens, letters, r_min, n_max)
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("name", BASIS_ALGEBRAS)
+def test_no_word_lies_below_the_internal_degree_bound(name):
+    """At r_min equal to the clamp nothing is cut, and every word of
+    resolution degree r has internal degree >= g * (ceil(|r|/2) + 1);
+    the deepest words reach the clamp."""
+    gens = ENUMERATION_ALGEBRAS[name]
+    g = min(gens.degrees)
+    n_max = 8
+    r_min = -2 * (n_max // g - 1)
+    basis = res.enumerate_rh_basis(gens, r_min, n_max)
+    assert all(n >= g * (-(r // 2) + 1) for r, n in basis)
+    assert min(r for r, _ in basis) == r_min
