@@ -178,23 +178,34 @@ def _block_words(letters, v, k):
     return out
 
 
-def _block_matrix(letters, dom_words, cod_words):
+class _Rows(dict):
+    """Row numbers {word: row} that number a word the first time it is
+    looked up: the rows of a block whose codomain is not listed."""
+
+    def __missing__(self, word):
+        self[word] = row = len(self)
+        return row
+
+
+def _block_matrix(letters, dom_words, rows):
     """Columns of d from one block of degree n to the block of degree n+1
-    with the same exponent vector: one per word of dom_words, rows
-    indexing cod_words, both coded by the _Letters table letters.  The
-    term merging letters i and i+1 has the letter code w[i] + w[i+1] and
-    the sign (-1)^(|w_0|-1 + ... + |w_i|-1), a running XOR of the
-    table's parity.  The terms of d[w] are distinct words, so every
-    entry is a sign: 1, or the table's minus_one."""
+    with the same exponent vector: one per word of dom_words, its rows
+    numbered by rows, both coded by the _Letters table letters.  rows is
+    {word: row} of the listed codomain, or a _Rows, which numbers each
+    merged word the first time it appears and so ends holding the words
+    the columns reach, in that order.  The term merging letters i and
+    i+1 has the letter code w[i] + w[i+1] and the sign
+    (-1)^(|w_0|-1 + ... + |w_i|-1), a running XOR of the table's parity.
+    The terms of d[w] are distinct words, so every entry is a sign: 1,
+    or the table's minus_one."""
     parity, minus_one = letters.parity, letters.minus_one
-    index = {w: i for i, w in enumerate(cod_words)}
     columns = []
     for w in dom_words:
         col = {}
         e = 0
         for i in range(len(w) - 1):
             e ^= parity[w[i]]
-            col[index[w[:i] + (w[i] + w[i + 1],) + w[i + 2:]]] = \
+            col[rows[w[:i] + (w[i] + w[i + 1],) + w[i + 2:]]] = \
                 minus_one if e else 1
         columns.append(col)
     return columns
@@ -205,24 +216,43 @@ class BarComplex:
     at a time.  Block sizes are counted without listing words; the words
     of a block are enumerated only when its matrix is assembled.
 
-    A permutation sigma of generators of equal degree is an automorphism
-    of S(U), and it maps the block of vector v onto the block of sigma v.
-    It commutes with d, because it commutes with the addition of
-    exponent tuples, and it keeps every sign, because it preserves the
-    degree of each letter.  So the blocks of one orbit have the same
-    shape, rank and invariant factors, and block_invariants eliminates
-    one representative per orbit: the vector with its exponents sorted
-    descending within each group of equal-degree generators.  It walks
-    up the blocks of each representative v at once (_walk), listing the
-    words of each degree once and assembling d_n without the columns at
-    the pivot rows of d_(n-1), which d_n d_(n-1) = 0 puts in the span of
-    the others (see the module docstring).  The walk, d_squared_failures,
-    boundary_blocks, words and the ring table code their words as int
-    tuples on the complex's one _Letters table, whose base exceeds every
-    exponent up to degree max_degree + 1, so a merged letter's code is
-    the sum of the two codes; words() and boundary_blocks() decode their
-    words to monomial tuples.  d_squared_failures checks d^2 = 0 on the
-    same coded blocks, every vector's, walking up each block complex.
+    The orbit lemma.  A permutation sigma of the generators acts on
+    exponent tuples, and so letter by letter on words.  It maps the
+    words of vector v and k letters one to one onto those of vector
+    sigma v and k letters.  Such a word lies in degree s(v) - k, so
+    sigma takes degree n of v to degree n + s(sigma v) - s(v) of sigma v.
+    sigma commutes with merging two adjacent letters, which adds their
+    exponent tuples, so it maps the terms of d(w) onto those of
+    d(sigma w).  The term merging letters i and i+1 has the sign
+    (-1)^(|w_0|-1 + ... + |w_i|-1), and no permutation changes it: over
+    F2 every sign is +1, and elsewhere every generator has even degree
+    (GeneratorSet), so every letter has |m| - 1 odd.  So sigma is an
+    isomorphism of the length-graded complexes C_v and C_(sigma v): the
+    matrix of d from degree n of v has the shape, rank and invariant
+    factors of the one from degree n + s(sigma v) - s(v) of sigma v.
+
+    block_invariants eliminates one representative per orbit.  It puts
+    the exponents, sorted descending, on the generators taken by
+    ascending degree, so the representative r has the least s(r) of its
+    orbit.  A member v needs degrees n <= max_degree, with at most |v|
+    letters; they are degrees n + s(r) - s(v) <= n of r, with as many
+    letters, and r has |r| = |v|.  So the walk up r's own blocks, from
+    |r| letters to the bound, serves its whole orbit (_walk).  It lists
+    the words of each degree once and assembles d_n without the columns
+    at the pivot rows of d_(n-1), which d_n d_(n-1) = 0 puts in the span
+    of the others (see the module docstring).  On its last step it lists
+    no codomain: the rows are the merged words, numbered as they appear
+    (_Rows), as no later step reads them, and the rank and invariant
+    factors of a matrix do not depend on the order of its rows or on
+    its zero rows.
+
+    The walk, d_squared_failures, boundary_blocks, words and the ring
+    table code their words as int tuples on the complex's one _Letters
+    table, whose base exceeds every exponent up to degree max_degree +
+    1, so a merged letter's code is the sum of the two codes; words()
+    and boundary_blocks() decode their words to monomial tuples.
+    d_squared_failures checks d^2 = 0 on the same coded blocks, every
+    vector's, walking up each block complex.
 
     Ranks and torsion read only the invariants, which a cache can
     restore without assembling a block; the ring table assembles only
@@ -235,27 +265,35 @@ class BarComplex:
         self._invariants = {}
         self._letters = _Letters(
             gens, (max_degree + 1) // (min(gens.degrees) - 1) + 1)
-        groups = {}
-        for i, d in enumerate(gens.degrees):
-            groups.setdefault(d, []).append(i)
-        self._groups = list(groups.values())
+        # the generators by ascending degree (see the class docstring)
+        self._order = sorted(range(len(gens.degrees)),
+                             key=gens.degrees.__getitem__)
 
     def counts(self, n):
         """The number of words of degree n (n >= 0) in each block, by
-        exponent vector; a block of vector v has s(v) - n letters."""
-        cached = self._counts.get(n)
-        if cached is None:
+        exponent vector; a block of vector v has s(v) - n letters.  The
+        first call for a degree not yet counted lists the vectors once,
+        up to max(n, max_degree + 1), and counts every degree to there;
+        the number of compositions depends on the exponents only as a
+        multiset, so each (sorted exponents, letters) pair is counted
+        once."""
+        if n not in self._counts:
             degrees = self.gens.degrees
-            if n == 0:
-                cached = {self.gens.unit_monomial(): 1}
-            else:
-                cached = {}
-                for v in _vectors(degrees, n):
-                    k = sum(map(mul, v, degrees)) - n
-                    if 1 <= k <= sum(v):
-                        cached[v] = _composition_count(v, k)
-            self._counts[n] = cached
-        return cached
+            top = max(n, self.max_degree + 1)
+            by_degree = {m: {} for m in range(top + 1)}
+            by_degree[0][self.gens.unit_monomial()] = 1
+            compositions = {}
+            for v in _vectors(degrees, top):
+                s = sum(map(mul, v, degrees))
+                exponents = tuple(sorted(v))
+                for k in range(max(1, s - top), sum(v) + 1):
+                    c = compositions.get((exponents, k))
+                    if c is None:
+                        c = compositions[exponents, k] = \
+                            _composition_count(exponents, k)
+                    by_degree[s - k][v] = c
+            self._counts = by_degree
+        return self._counts[n]
 
     def _words(self, n, v):
         """The words of degree n with exponent vector v, coded by the
@@ -296,7 +334,7 @@ class BarComplex:
         for v in self.boundary_vectors(n):
             cod_words = self._words(n + 1, v)
             columns = _block_matrix(self._letters, self._words(n, v),
-                                    cod_words)
+                                    {w: i for i, w in enumerate(cod_words)})
             out.append(([tuple(map(decode, w)) for w in cod_words], columns))
         return out
 
@@ -322,10 +360,8 @@ class BarComplex:
 
     def _representative(self, v):
         out = list(v)
-        for group in self._groups:
-            for i, e in zip(group, sorted((v[i] for i in group),
-                                          reverse=True)):
-                out[i] = e
+        for i, e in zip(self._order, sorted(v, reverse=True)):
+            out[i] = e
         return tuple(out)
 
     def block_invariants(self, n):
@@ -339,37 +375,48 @@ class BarComplex:
 
     def _walk(self):
         """Fill the invariants of every degree up to the bound by one walk
-        up the block complex C^*_v of each orbit representative v, after
-        checking the cap of every degree.  Each degree's words are listed
-        once, as the rows of d_(n-1) and the domain of d_n, and d_n is
-        assembled only on the words that are not pivot rows of d_(n-1)
-        (see the module docstring).  The words are int tuples coded by
-        the complex's _Letters table, whose base exceeds every exponent
-        of the blocks, up to degree max_degree + 1, that the walk lists,
-        so merging two letters adds their codes with no carry."""
+        up the block complex C^*_r of each orbit representative r, after
+        checking the cap of every degree; degree n of a member v of the
+        orbit reads degree n + s(r) - s(v) of r (see the class
+        docstring).  Each degree's words are listed once, as the rows of
+        d_(n-1) and the domain of d_n, and d_n is assembled only on the
+        words that are not pivot rows of d_(n-1) (see the module
+        docstring).  The last step, at the bound or with no words two
+        degrees up, lists no codomain: its rows are numbered as the
+        merges reach them (_Rows).  The words are int tuples coded by the
+        complex's _Letters table, whose base exceeds every exponent of
+        the blocks, up to degree max_degree + 1, that the walk lists, so
+        merging two letters adds their codes with no carry."""
         top = self.max_degree
+        internal = self.gens.monomial_degree
         self.check_caps()
-        # the lowest degree of d on each representative's blocks
-        bottom = {}
-        for n in range(top, -1, -1):
-            for v in self.boundary_vectors(n):
-                bottom[self._representative(v)] = n
+        orbit = {v: self._representative(v) for n in range(top + 1)
+                 for v in self.boundary_vectors(n)}
         found = {}
         ring = self.gens.ring
-        for v, low in bottom.items():
-            words = self._words(low, v)
+        for r in dict.fromkeys(orbit.values()):
+            # the lowest degree of r, with |r| letters
+            n = internal(r) - sum(r)
+            words = self._words(n, r)
             paired = ()
-            for n in range(low, top + 1):
-                if v not in self.counts(n + 1):
-                    break
+            while True:
                 dom = [w for i, w in enumerate(words) if i not in paired]
-                words = self._words(n + 1, v)
+                last = n == top or r not in self.counts(n + 2)
+                if last:
+                    rows = _Rows()
+                else:
+                    words = self._words(n + 1, r)
+                    rows = {w: i for i, w in enumerate(words)}
                 rank, factors, paired = matrix_invariants(
-                    _block_matrix(self._letters, dom, words), ring)
-                found[n, v] = rank, factors
+                    _block_matrix(self._letters, dom, rows), ring)
+                found[n, r] = rank, factors
+                if last:
+                    break
+                n += 1
         for n in range(top + 1):
-            self._invariants[n] = [found[n, self._representative(v)]
-                                   for v in self.boundary_vectors(n)]
+            self._invariants[n] = [
+                found[n + internal(orbit[v]) - internal(v), orbit[v]]
+                for v in self.boundary_vectors(n)]
 
     def d_squared_failures(self):
         """Check d^2 = 0 on every word of degree 1 to the bound, after
@@ -381,11 +428,16 @@ class BarComplex:
         It walks up the block complex C^*_v of each vector v with words
         in those degrees, on the words coded by the complex's _Letters
         table (the rows of d_(n+1) have the vector v of words in degree
-        n, so its base serves them): d_n is assembled from the listed
-        words (_block_words, _block_matrix) and composed with d_(n+1)
-        (linalg.composition_failures), which is kept as d_n of the next
-        degree, so each matrix is assembled once, up to d from degree
-        max_degree + 1."""
+        n, so its base serves them): d_n is assembled (_block_matrix) and
+        composed with d_(n+1) (linalg.composition_failures), which is
+        kept as d_n of the next degree, so each matrix is assembled once,
+        up to d from degree max_degree + 1.  Only the lowest degree's
+        words are listed (_block_words).  A word of v in any degree above
+        has fewer letters than the exponent sum of v, so one of its
+        letters splits in two and it is a merge of a word one degree
+        down: the words of each degree above are the rows of d below it,
+        numbered as the merges reach them (_Rows), and their number is
+        asserted to be the count of the block."""
         top = self.max_degree
         self.check_caps()
         # the lowest degree >= 1 with words of each vector
@@ -398,15 +450,19 @@ class BarComplex:
         failures = []
         for v, n in low.items():
             dom = self._words(n, v)
-            cod = self._words(n + 1, v)
-            d = _block_matrix(letters, dom, cod)
+            rows = _Rows()
+            d = _block_matrix(letters, dom, rows)
             while dom and n <= top:
+                # every word of degree n + 1 merges two letters of one of
+                # degree n, so the rows of d are all of them
+                cod = list(rows)
+                assert len(cod) == self.counts(n + 1).get(v, 0)
                 checked += len(dom)
-                nxt = self._words(n + 2, v)
-                d_next = _block_matrix(letters, cod, nxt)
+                rows = _Rows()
+                d_next = _block_matrix(letters, cod, rows)
                 failures.extend((n, tuple(map(letters.decode, dom[j])))
                                 for j in composition_failures(d_next, d, p))
-                n, dom, cod, d = n + 1, cod, nxt, d_next
+                n, dom, d = n + 1, cod, d_next
 
         def order(failure):
             # bar.bar_basis lists a degree's words by weight, then
@@ -515,12 +571,11 @@ class RingTable:
         if cached is None:
             cx = self.cx
             cx.check_cap(n - 1)
-            words = cx._words(n, key)
+            index = {w: i for i, w in enumerate(cx._words(n, key))}
             columns = _block_matrix(cx._letters, cx._words(n - 1, key),
-                                    words)
+                                    index)
             pivots, residual = unit_pivots(columns, self.ring.char)
-            cached = ({w: i for i, w in enumerate(words)}, pivots,
-                      bool(residual))
+            cached = (index, pivots, bool(residual))
             self._solvers[(n, key)] = cached
         return cached
 

@@ -2,12 +2,14 @@
 
 Elements are plain Python ints (Z and F_p, the latter stored in [0, p))
 or Fractions (Q).  All arithmetic goes through the RingSpec so callers
-never touch floating point.
+never touch floating point.  The fractions module is imported only when
+a Q ring is built, as it and the decimal and numbers modules it loads
+take a good part of the package's import time, and no Z or F_p job uses
+them.
 """
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 
 class RingError(Exception):
@@ -50,6 +52,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# fractions.Fraction, bound when the first Q ring is built
+Fraction = None
+
+
 def _rational(op):
     """op with its result made a Fraction: a Fraction argument gives one
     already, and only int arguments need the wrapping."""
@@ -84,6 +90,8 @@ class RingSpec:
                 operator.add, operator.sub, operator.mul, operator.neg)
             self.is_zero = operator.not_
         elif kind == "rationals":
+            global Fraction
+            from fractions import Fraction
             self.add, self.sub, self.mul, self.neg = map(
                 _rational, (operator.add, operator.sub, operator.mul,
                             operator.neg))

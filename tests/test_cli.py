@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -366,11 +368,13 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
 
     monkeypatch.setattr(homology, "_Letters", CountedLetters)
     cache = ["--cache-dir", str(tmp_path / "c")]
-    # the 326 boundary blocks fall into 129 orbits of generators of
-    # equal degree, on the block complexes of 67 representatives; the
-    # walk up each lists the words of each of its degrees once
+    # over F2 any permutation of the four generators is an automorphism,
+    # so the 326 boundary blocks fall into 78 orbits, on the block
+    # complexes of 37 representatives; the walk up each lists the words
+    # of its lowest degree and the codomain of each step but its last
+    # (41 steps), whose rows are the merged words
     assert run(["ranks", "--config", cfg] + cache)[0] == 0
-    assert calls == {"_block_matrix": 129, "_block_words": 129 + 67}
+    assert calls == {"_block_matrix": 78, "_block_words": 37 + 41}
     calls.update(dict.fromkeys(calls, 0))
     assert run(["ranks", "--config", cfg] + cache)[0] == 0
     assert calls == {"_block_matrix": 0, "_block_words": 0}
@@ -380,9 +384,45 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
     # table code their words on the bar complex's one letter table.
     tables.clear()
     assert run(["check-exterior", "--config", cfg])[0] == 0
-    assert calls["_block_matrix"] == 129 + 20
-    assert calls["_block_words"] == 129 + 67 + 20 + 8
+    assert calls["_block_matrix"] == 78 + 20
+    assert calls["_block_words"] == 78 + 20 + 8
     assert len(tables) == 1
+
+
+@pytest.mark.parametrize("command, doc, loaded", [
+    ("check-exterior",
+     {"ring": "F2",
+      "generators": [{"name": n, "degree": d} for n, d in
+                     (("v2", 2), ("w2", 2), ("t3", 3), ("u3", 3))],
+      "sq1": {"v2": "t3", "u3": "v2 w2"}, "bounds": {"max_degree": 6}},
+     False),
+    ("ranks",
+     {"ring": "Z", "generators": [{"name": "x2", "degree": 2},
+                                  {"name": "y2", "degree": 2}],
+      "bounds": {"max_degree": 6}},
+     False),
+    # the control: a Q job loads it
+    ("ranks",
+     {"ring": "Q", "generators": [{"name": "x2", "degree": 2},
+                                  {"name": "y2", "degree": 2}],
+      "bounds": {"max_degree": 6}},
+     True),
+], ids=["F2 check-exterior", "Z ranks", "Q ranks"])
+def test_only_a_q_job_imports_fractions(tmp_path, command, doc, loaded):
+    # fractions, with the decimal and numbers modules it loads, is a good
+    # part of the import time of a job; a fresh interpreter runs the
+    # command cold and then warm from a cache
+    cfg = write_config(tmp_path, doc)
+    argv = [command, "--config", cfg, "--cache-dir", str(tmp_path / "c")]
+    script = ("import sys\n"
+              "from loopcoh.cli import main\n"
+              f"codes = [main({argv!r}) for _ in range(2)]\n"
+              "print(codes, 'fractions' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.splitlines()[-1] == f"[0, 0] {loaded}"
 
 
 @pytest.mark.parametrize("command", ["ranks", "check-exterior", "verify"])

@@ -245,14 +245,18 @@ def _reference_invariants(columns, ring):
 def assert_blocks_match_reference(gens, max_degree):
     """Every block of every degree, listed, assembled and eliminated on
     its own, against BarComplex's counts, words, matrices and the
-    invariants it copies along each orbit."""
+    invariants it copies along each orbit.  The counts are checked up to
+    degree max_degree + 2, one past the degrees their first pass counts,
+    and the words up to max_degree + 1, the degrees the letter codes
+    serve."""
     cx = BarComplex(gens, max_degree)
     blocks = [_reference_basis_by_block(gens, n)
-              for n in range(max_degree + 2)]
+              for n in range(max_degree + 3)]
+    for n in range(max_degree + 3):
+        assert cx.counts(n) == {v: len(words)
+                                for v, words in blocks[n].items()}
     for n in range(max_degree + 2):
-        assert sorted(cx.counts(n)) == sorted(blocks[n])
         for v, words in blocks[n].items():
-            assert cx.counts(n)[v] == len(words)
             assert cx.words(n, v) == words
         assert cx.dimension(n) == sum(map(len, blocks[n].values()))
     for n in range(max_degree + 1):
@@ -273,8 +277,8 @@ def assert_blocks_match_reference(gens, max_degree):
 @st.composite
 def algebras_with_repeated_degrees(draw):
     ring = draw(st.sampled_from([Z, Q, F2, F3]))
-    # odd degrees need characteristic two; a group of equal degrees need
-    # not be contiguous
+    # odd degrees need characteristic two; generators of one degree need
+    # not be contiguous, and an orbit mixes degrees
     degrees = [2, 3] if ring == F2 else [2, 4]
     degs = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=4))
     names = tuple(f"g{i}" for i in range(len(degs)))
@@ -297,8 +301,14 @@ def test_orbit_invariants_match_every_block(gens):
     (GeneratorSet(("x2", "y2"), (2, 2), Q), 9),
     (GeneratorSet(("v2", "w2", "t3", "u3"), (2, 2, 3, 3), F2), 8),
     (GeneratorSet(("a2", "b2", "c2"), (2, 2, 2), Z), 6),
+    # orbits that mix generators of different degrees
     (GeneratorSet(("a2", "b6"), (2, 6), Z), 8),
-], ids=["Q[x2,y2]", "F2[v2,w2,t3,u3]", "Z[a2,b2,c2]", "Z[a2,b6]"])
+    (GeneratorSet(("a2", "b4"), (2, 4), Z), 9),
+    (GeneratorSet(("a2", "b2", "c4"), (2, 2, 4), F3), 7),
+    (GeneratorSet(("a2", "b3", "c4"), (2, 3, 4), F2), 8),
+    (GeneratorSet(("u2", "u3"), (2, 3), F2), 10),
+], ids=["Q[x2,y2]", "F2[v2,w2,t3,u3]", "Z[a2,b2,c2]", "Z[a2,b6]",
+        "Z[a2,b4]", "F3[a2,b2,c4]", "F2[a2,b3,c4]", "F2[u2,u3]"])
 def test_orbit_invariants_match_every_block_pinned(gens, max_degree):
     assert_blocks_match_reference(gens, max_degree)
 
