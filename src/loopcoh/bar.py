@@ -244,22 +244,20 @@ def check_chain_map(table: HirschOpTable, weight_pairs, degree_bound):
     for weight_x, weight_y in weight_pairs:
         for nx in range(weight_x, degree_bound):
             xs = words.get((nx, weight_x), ())
-            sign = one if nx % 2 == 0 else ring.neg(one)
+            # -(-1)^|x|, the coefficient of x*dy in the difference
+            sign = ring.neg(one) if nx % 2 == 0 else one
             for ny in range(weight_y, degree_bound - nx + 1):
                 ys = words.get((ny, weight_y), ())
                 for xw, dx in xs:
                     x = {xw: one}
                     for yw, dy in ys:
                         y = {yw: one}
-                        lhs = bar_differential(gens, muE_product(table, x, y))
-                        rhs = add_elements(
-                            muE_product(table, dx, y),
-                            scale_element(muE_product(table, x, dy), sign,
-                                          ring),
-                            ring)
-                        diff = add_elements(
-                            lhs, scale_element(rhs, ring.neg(one), ring),
-                            ring)
+                        diff = bar_differential(
+                            gens, muE_product(table, x, y))
+                        for w, c in muE_product(table, dx, y).items():
+                            add_into(diff, w, ring.neg(c), ring)
+                        for w, c in muE_product(table, x, dy).items():
+                            add_into(diff, w, ring.mul(sign, c), ring)
                         if diff:
                             bad.append({"left": word_str(gens, xw),
                                         "right": word_str(gens, yw),

@@ -279,15 +279,20 @@ def cmd_verify(cfg, max_degree, out):
     bad = [{"word": str(w), "degree": n} for n, w in failures]
     suites.append(_suite("bar_d_squared", len(bad), checked, bad))
 
-    # resolution differential squares to zero
-    res_cap = min(max_degree, 10)
+    # the resolution basis and Differential, shared by the three
+    # resolution suites; each (res, internal) key lists the same words
+    # whatever the bounds, which only filter letters and prefixes
+    bound = cfg.bounds["max_resolution_degree"]
     d = Differential(gens)
-    basis = enumerate_rh_basis(gens,
-                               r_min=cfg.bounds["max_resolution_degree"],
-                               n_max=res_cap)
+    basis = enumerate_rh_basis(gens, r_min=min(bound, -2),
+                               n_max=min(max_degree, 10))
+
+    # resolution differential squares to zero
     bad = []
     checked = 0
-    for words in basis.values():
+    for (r, _n), words in basis.items():
+        if r < bound:
+            continue
         for word in words:
             checked += 1
             dd = d.of_element(d.of_element({word: ring.one()}))
@@ -302,7 +307,7 @@ def cmd_verify(cfg, max_degree, out):
         if sum(gens.degrees[i] for i in t) > max_degree + 2:
             continue
         checked += 1
-        if not check_hexagon(gens, *t):
+        if not check_hexagon(d, *t):
             bad.append({"triple": list(t)})
     suites.append(_suite("hexagon", len(bad), checked, bad))
 
@@ -326,12 +331,10 @@ def cmd_verify(cfg, max_degree, out):
 
     # contraction iteration terminates on low resolution degrees
     sit_cap = min(max_degree, 8)
-    basis = enumerate_rh_basis(gens,
-                               r_min=-2, n_max=sit_cap)
     bad = []
     checked = 0
-    for (r, _n), words in sorted(basis.items()):
-        if r == 0:
+    for (r, n), words in sorted(basis.items()):
+        if not -2 <= r < 0 or n > sit_cap:
             continue
         for word in words:
             checked += 1

@@ -298,7 +298,13 @@ class BarComplex:
     def _words(self, n, v):
         """The words of degree n with exponent vector v, coded by the
         complex's letter table, in the order of bar.bar_basis; empty
-        when there is no such block."""
+        when there is no such block.  Raises HomologyError above degree
+        max_degree + 1, where the table's base no longer bounds the
+        exponents."""
+        if n > self.max_degree + 1:
+            raise HomologyError(
+                f"words are coded up to degree {self.max_degree + 1}, "
+                f"not {n}")
         if v not in self.counts(n):
             return []
         return _block_words(self._letters, self._letters.encode(v),

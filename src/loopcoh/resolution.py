@@ -122,7 +122,7 @@ class Differential:
     (of_word) and per word's contraction (contraction_s).
 
     The memos live as long as the Differential: `verify` makes one per
-    job and shares it between its two resolution suites, and the
+    job and shares it between its three resolution suites, and the
     internal-degree bound of the words the job asks for bounds their
     size.  Each value is stored only once it is complete.  The memoised
     dicts are shared, so callers must not change them; of_element
@@ -272,24 +272,6 @@ class Differential:
 # ---------------------------------------------------------------------------
 # normal form for nested E expressions
 
-def _letter_parity(letter):
-    """Total-degree parity, computable without generator degrees when
-    those are all even (always the case away from F2)."""
-    if letter[0] in ("v", "C"):
-        return 0
-    _, p, q, args = letter
-    return (sum(_word_parity(w) for w in args) + p + q + 1) % 2
-
-
-def _word_parity(word):
-    return sum(_letter_parity(l) for l in word) % 2
-
-
-def _word_shift_parity(word):
-    """Parity of the desuspended total degree of an argument word."""
-    return (_word_parity(word) + 1) % 2
-
-
 def _is_nonnormal(letter):
     """A letter E_{1,r}(w; ...) whose single left argument is a
     one-letter word carrying an E letter can be rewritten by the
@@ -300,7 +282,7 @@ def _is_nonnormal(letter):
     return p == 1 and len(args[0]) == 1 and args[0][0][0] == "E"
 
 
-def _relation_sum(side_left, aargs, bargs, cargs, skip_head=False):
+def _relation_sum(side_left, aargs, bargs, cargs, ring, skip_head=False):
     """One side of the block-composition relation, as an element.
 
     side_left: sum over splittings of (a; b) into blocks feeding an
@@ -308,6 +290,7 @@ def _relation_sum(side_left, aargs, bargs, cargs, skip_head=False):
     E_{k, blocks}(a; ...).  skip_head drops the single-block term (used
     when that term is the letter being rewritten).
     """
+    one = ring.one()
     out = {}
     inner = (aargs, bargs) if side_left else (bargs, cargs)
     for split in block_splittings(*inner):
@@ -325,11 +308,11 @@ def _relation_sum(side_left, aargs, bargs, cargs, skip_head=False):
             else:
                 new = make_E_word(aargs, tuple(blocks))
             if new is not None:
-                out[new] = out.get(new, 0) ^ 1
-    return {w: 1 for w, c in out.items() if c}
+                add_into(out, new, one, ring)
+    return out
 
 
-def rewrite_letter(letter, ring):
+def rewrite_letter(letter, gens):
     """Rewrite one non-normal letter via the block-composition relation.
 
     Over F2 the relation is available for all shapes.  Over other rings
@@ -342,45 +325,41 @@ def rewrite_letter(letter, ring):
     _, k, l, inner_args = inner
     aargs, bargs = inner_args[:k], inner_args[k:]
     cargs = args[1:]
+    ring = gens.ring
     if ring.char != 2:
         if (k, l) != (1, 1):
             raise RingError(
                 "E-normal form away from F2 covers only cup-one composites")
         aw, bw = aargs[0], bargs[0]
-        pa, pb = _word_shift_parity(aw), _word_shift_parity(bw)
+        # shifted (desuspended) total-degree parities
+        pa, pb, *pcs = [(word_total_degree(gens, w) - 1) % 2
+                        for w in (aw, bw) + cargs]
         if pa == 0 or pb == 0:
             raise RingError(
                 "E-normal form away from F2 needs odd-shifted inner "
                 "arguments (both inner arguments of even total degree)")
         # signed law for E_{1,q}(E_{1,1}(a;b); c_1..c_q) with a, b of
-        # even total degree; Koszul signs use shifted (desuspended)
-        # degree parities
-        pcs = [_word_shift_parity(w) for w in cargs]
-        terms = []
+        # even total degree; Koszul signs use the shifted parities
+        one = ring.one()
+        minus = ring.neg(one)
+        out = {}
         for i in range(1, q + 2):          # slot receiving the b-block
-            sign = -1 if (pb * sum(pcs[:i - 1])) % 2 else 1
+            sign = minus if (pb * sum(pcs[:i - 1])) % 2 else one
             for t in range(0, q - i + 2):  # c's absorbed into the block
                 if t == 0:
                     block = bw
                 else:
                     block = (e_letter((bw,), cargs[i - 1:i - 1 + t]),)
                 new_rargs = cargs[:i - 1] + (block,) + cargs[i - 1 + t:]
-                terms.append(((e_letter((aw,), new_rargs),), sign))
-        terms.append(((e_letter((aw, bw), cargs),), -1))
-        terms.append(((e_letter((bw, aw), cargs),), 1 if (pa * pb) % 2 else -1))
-        out = {}
-        for w, c in terms:
-            out[w] = out.get(w, 0) + c
-        return {w: c for w, c in out.items() if c != 0}
-    rhs = _relation_sum(False, aargs, bargs, cargs)
-    lhs_rest = _relation_sum(True, aargs, bargs, cargs, skip_head=True)
-    out = dict(rhs)
-    for w in lhs_rest:
-        if w in out:
-            out.pop(w)
-        else:
-            out[w] = 1
-    return out
+                add_into(out, (e_letter((aw,), new_rargs),), sign, ring)
+        add_into(out, (e_letter((aw, bw), cargs),), minus, ring)
+        add_into(out, (e_letter((bw, aw), cargs),),
+                 one if (pa * pb) % 2 else minus, ring)
+        return out
+    return add_elements(
+        _relation_sum(False, aargs, bargs, cargs, ring),
+        _relation_sum(True, aargs, bargs, cargs, ring, skip_head=True),
+        ring)
 
 
 def _find_nonnormal(word):
@@ -397,36 +376,35 @@ def _find_nonnormal(word):
     return None
 
 
-def _rewrite_in_word(word, pos, ring):
+def _rewrite_in_word(word, pos, gens):
     i, sub = pos
     letter = word[i]
+    ring = gens.ring
     if sub is None:
-        repl = rewrite_letter(letter, ring)
+        repl = rewrite_letter(letter, gens)
     else:
         ai, deeper = sub
         _, p, q, args = letter
-        inner_elt = _rewrite_in_word(args[ai], deeper, ring)
         # rebuild: replace argument ai by each word of the inner element
         repl = {}
-        for w, c in inner_elt.items():
+        for w, c in _rewrite_in_word(args[ai], deeper, gens).items():
             new_args = args[:ai] + (w,) + args[ai + 1:]
             nw = make_E_word(new_args[:p], new_args[p:])
             if nw is not None:
-                repl[nw] = ring.add(repl.get(nw, 0), c)
-        repl = {w: c for w, c in repl.items() if c != 0}
+                add_into(repl, nw, c, ring)
     out = {}
     for w, c in repl.items():
-        nw = word[:i] + w + word[i + 1:]
-        out[nw] = ring.add(out.get(nw, 0), c)
-    return {w: c for w, c in out.items() if c != 0}
+        add_into(out, word[:i] + w + word[i + 1:], c, ring)
+    return out
 
 
-def normalize_element(x, ring):
+def normalize_element(x, gens):
     """Rewrite until no word contains a non-normal letter; idempotent.
     Raises after NORMALIZE_STEP_CAP rewrites, or when a shape with
     unpinned signs occurs away from F2."""
     if not x:
         return {}
+    ring = gens.ring
     work = dict(x)
     steps = 0
     while True:
@@ -445,7 +423,7 @@ def normalize_element(x, ring):
                 f"offending word: {target[0]!r}")
         w, pos = target
         coeff = work.pop(w)
-        for nw, c in _rewrite_in_word(w, pos, ring).items():
+        for nw, c in _rewrite_in_word(w, pos, gens).items():
             add_into(work, nw, ring.mul(coeff, c), ring)
 
 
@@ -615,7 +593,7 @@ def _prime(letter):
     return rebuild(letter, 0)
 
 
-def _case1(gens, word):
+def _case1(word):
     """Adjacent cup-one insertion at the first ascent of a weakly
     descending degree-0 prefix."""
     n = len(word)
@@ -647,7 +625,7 @@ def _case1(gens, word):
     return word[:k - 1] + (new_letter,) + word[k + 1:]
 
 
-def _case2(gens, word):
+def _case2(word):
     for k, letter in enumerate(word):
         if _is_eop(letter):
             if any(not _is_w(l) or _is_eop(l) for l in word[:k]):
@@ -660,7 +638,7 @@ def _case2(gens, word):
     return None
 
 
-def _case3(gens, word):
+def _case3(word):
     for k, letter in enumerate(word):
         if _is_edot(letter):
             if any(not _is_w(l) for l in word[:k]):
@@ -696,7 +674,7 @@ def _contraction_value(d: Differential, word):
     gens = d.gens
     results = []
     for tag, fn in (("pair", _case1), ("cup", _case2), ("split", _case3)):
-        got = fn(gens, word)
+        got = fn(word)
         if got is not None:
             results.append((tag, got))
     if len(results) > 1:
@@ -709,7 +687,7 @@ def _contraction_value(d: Differential, word):
     out_word = results[0][1]
     if ring.char == 2:
         return {out_word: ring.one()}
-    image = normalize_element(d.of_element({out_word: ring.one()}), ring)
+    image = normalize_element(d.of_element({out_word: ring.one()}), gens)
     coeff = image.get(word, 0)
     if coeff == 0:
         raise ResolutionError(
@@ -742,7 +720,7 @@ def verify_siteration(d: Differential, x, iteration_cap):
     cur = dict(x)
     for n in range(1, iteration_cap + 1):
         cur = T(cur)
-        cur = normalize_element(cur, ring)
+        cur = normalize_element(cur, d.gens)
         if not cur:
             return n
     return {"failed": True, "cap": iteration_cap, "residual": cur}
@@ -876,34 +854,25 @@ def enumerate_rh_basis(gens: GeneratorSet, r_min=-3, n_max=12):
 # ---------------------------------------------------------------------------
 # hexagon check
 
-def check_hexagon(gens: GeneratorSet, i, j, k):
-    """Compare the differentials of the two sides of the cubic relation
-    on three degree-0 generators; raw comparison first, normalized (over
-    F2) as a fallback."""
+def check_hexagon(d: Differential, i, j, k):
+    """Compare the differentials, under the job's d, of the two sides of
+    the cubic relation on three degree-0 generators; over F2 both are
+    normalized first."""
+    gens = d.gens
     ring = gens.ring
     one = ring.one()
+    minus = ring.neg(one)
     a, b, c = ((v_letter(t),) for t in (i, j, k))
-    d = Differential(gens)
-
-    def elt(word):
-        return {word: one}
-
-    lhs = {}
-    lhs = add_elements(lhs, elt((e_letter((a,), (b, c)),)), ring)
-    lhs = add_elements(lhs, scale_element(elt((e_letter((a,), (c, b)),)),
-                                          ring.neg(one), ring), ring)
-    lhs = add_elements(
-        lhs, elt((e_letter((a,), ((e_letter((b,), (c,)),),)),)), ring)
-    rhs = {}
-    rhs = add_elements(
-        rhs, elt((e_letter(((e_letter((a,), (b,)),),), (c,)),)), ring)
-    rhs = add_elements(rhs, elt((e_letter((a, b), (c,)),)), ring)
-    rhs = add_elements(rhs, scale_element(elt((e_letter((b, a), (c,)),)),
-                                          ring.neg(one), ring), ring)
+    lhs, rhs = {}, {}
+    for side, largs, rargs, coeff in (
+            (lhs, (a,), (b, c), one),
+            (lhs, (a,), (c, b), minus),
+            (lhs, (a,), ((e_letter((b,), (c,)),),), one),
+            (rhs, ((e_letter((a,), (b,)),),), (c,), one),
+            (rhs, (a, b), (c,), one),
+            (rhs, (b, a), (c,), minus)):
+        add_into(side, (e_letter(largs, rargs),), coeff, ring)
     dl, dr = d.of_element(lhs), d.of_element(rhs)
-    if dl == dr:
-        return True
     if ring.char == 2:
-        return normalize_element(dl, ring) == normalize_element(dr, ring)
-    diff = add_elements(dl, scale_element(dr, ring.neg(one), ring), ring)
-    return not diff
+        dl, dr = normalize_element(dl, gens), normalize_element(dr, gens)
+    return dl == dr

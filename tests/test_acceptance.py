@@ -105,7 +105,8 @@ def test_criterion_05_resolution_differential_and_hexagon():
                     (gens.names, res.word_str(gens, word))
         k = len(gens.names)
         for t in itertools.product(range(k), repeat=3):
-            assert res.check_hexagon(gens, *t), (gens.names, t)
+            assert res.check_hexagon(res.Differential(gens), *t), \
+                (gens.names, t)
 
 
 def test_criterion_06_contraction_iteration_terminates_within_cap():

@@ -313,6 +313,15 @@ def test_orbit_invariants_match_every_block_pinned(gens, max_degree):
     assert_blocks_match_reference(gens, max_degree)
 
 
+def test_words_refuse_degrees_past_the_letter_codes():
+    """The letter codes bound the exponents only up to degree
+    max_degree + 1; the counts still answer past it."""
+    cx = BarComplex(GeneratorSet(("a2", "b6"), (2, 6), Z), 8)
+    with pytest.raises(HomologyError):
+        cx.words(10, (10, 0))
+    assert cx.counts(10)[(10, 0)] == 1
+
+
 def reference_ring_entries(table, max_degree):
     """The ring table reduced on whole degrees: each homogeneous part of
     a product is solved against every boundary column of its degree,

@@ -1,8 +1,9 @@
 """Every name a loopcoh module imports is used in that module, every
 function, method and class it defines is referenced somewhere in
 loopcoh or its tests, every parameter default it declares is
-overridden by some call there, and no module keeps mutable state in a
-global or a process-wide functools cache."""
+overridden by some call there, every parameter it declares is read,
+and no module keeps mutable state in a global or a process-wide
+functools cache."""
 import ast
 import pathlib
 
@@ -124,8 +125,9 @@ def test_only_the_pinned_definitions_are_reached_from_tests_alone():
 
 def _defaults(node, scope=()):
     """(callee names, dotted name, positional parameters, parameters with
-    a default) of every function defined under node; self and cls are
-    dropped from a method, and a class names its __init__ as a callee."""
+    a default, the definition) of every function defined under node;
+    self and cls are dropped from a method, and a class names its
+    __init__ as a callee."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = child.args
@@ -141,7 +143,7 @@ def _defaults(node, scope=()):
             defaults += [a.arg for a, d in
                          zip(args.kwonlyargs, args.kw_defaults) if d]
             yield names, ".".join(scope + (child.name,)), positional, \
-                defaults
+                defaults, child
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
             yield from _defaults(child, scope + (child.name,))
@@ -177,7 +179,7 @@ def unpassed_defaults(sources, users):
             calls.setdefault(name, []).append(call)
     unpassed = []
     for source in sources:
-        for names, dotted, positional, defaults in _defaults(
+        for names, dotted, positional, defaults, _ in _defaults(
                 ast.parse(source)):
             found = [c for n in names for c in calls.get(n, ())]
             for param in defaults:
@@ -213,6 +215,43 @@ def test_every_default_is_passed():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert unpassed_defaults(sources, sources + tests) == []
+
+
+def unused_parameters(source):
+    """Parameters of the functions defined in a module that their body,
+    nested definitions included, never reads as a Name, as dotted names
+    (outer.inner.param, Class.method.param); self and cls of a method
+    are skipped."""
+    unused = []
+    for _, dotted, positional, _, node in _defaults(ast.parse(source)):
+        args = node.args
+        params = positional + [a.arg for a in args.kwonlyargs] + [
+            a.arg for a in (args.vararg, args.kwarg) if a]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        unused.extend(f"{dotted}.{p}" for p in params if p not in read)
+    return sorted(unused)
+
+
+def test_the_scan_finds_unused_parameters():
+    source = ("def f(a, b, *args, c, d=0, **kw):\n"
+              "    def inner(x, y):\n"
+              "        return a + x\n"
+              "    return inner(c, args)\n"
+              "class A:\n"
+              "    def m(self, p, q): return p\n"
+              "    @staticmethod\n"
+              "    def st(u, v): return v\n"
+              "    @classmethod\n"
+              "    def make(cls, t): return cls()\n")
+    assert unused_parameters(source) == \
+        ["A.m.q", "A.make.t", "A.st.u", "f.b", "f.d", "f.inner.y", "f.kw"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unused_parameters(path.read_text()) == []
 
 
 _MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",

@@ -1,8 +1,12 @@
+import io
 import itertools
+import json
 
 import pytest
 
 from loopcoh import resolution as res
+from loopcoh.cli import cmd_verify
+from loopcoh.config import parse_config
 from loopcoh.polynomial import GeneratorSet
 from loopcoh.rings import RingError, RingSpec
 from references import reference_rh_basis, reference_rh_letters, rho
@@ -17,6 +21,15 @@ def zgens():
 
 def f2gens():
     return GeneratorSet(("u2", "u3"), (2, 3), F2)
+
+
+def qgens():
+    return GeneratorSet(("x2", "y2"), (2, 2), RingSpec.rationals())
+
+
+def f3gens():
+    return GeneratorSet(("a2", "b2", "c4"), (2, 2, 4),
+                        RingSpec.prime_field(3))
 
 
 def test_letter_bidegrees():
@@ -68,7 +81,8 @@ def test_rho_vanishes_on_differentials():
 def test_hexagon_all_triples():
     for gens in (zgens(), f2gens()):
         for t in itertools.product(range(2), repeat=3):
-            assert res.check_hexagon(gens, *t), (gens.names, t)
+            assert res.check_hexagon(res.Differential(gens), *t), \
+                (gens.names, t)
 
 
 def test_normalize_is_idempotent():
@@ -79,8 +93,8 @@ def test_normalize_is_idempotent():
     for words in basis.values():
         for word in words:
             el = res.normalize_element(d.of_element({word: ring.one()}),
-                                       ring)
-            assert res.normalize_element(el, ring) == el
+                                       gens)
+            assert res.normalize_element(el, gens) == el
 
 
 def test_contraction_single_cases():
@@ -110,7 +124,7 @@ def test_contraction_inverts_one_summand_of_d():
                 continue
             (out_word, coeff), = sx.items()
             image = res.normalize_element(
-                d.of_element({out_word: coeff}), ring)
+                d.of_element({out_word: coeff}), gens)
             assert image.get(word) == ring.one()
 
 
@@ -141,13 +155,17 @@ def test_contraction_never_matches_two_cases():
 # -- the Differential's memos --------------------------------------------
 
 @pytest.mark.parametrize("make_gens, r_min, n_max",
-                         [(f2gens, -3, 9), (zgens, -3, 10)],
-                         ids=["F2[u2,u3]", "Z[x2,x4]"])
+                         [(f2gens, -3, 9), (zgens, -3, 10), (qgens, -3, 8),
+                          (f3gens, -3, 8)],
+                         ids=["F2[u2,u3]", "Z[x2,x4]", "Q[x2,y2]",
+                              "F3[a2,b2,c4]"])
 def test_a_shared_differential_matches_a_fresh_one_per_word(
         make_gens, r_min, n_max):
     """One Differential serves every word of the basis, its memos filled
     by the words before; a fresh one per word starts from nothing.  The
-    values, d^2 and the contractions agree, in key order too."""
+    values, d^2 and the contractions agree, in key order too, and so
+    does the hexagon check on every generator triple once the memos
+    are full."""
     gens = make_gens()
     ring = gens.ring
     shared = res.Differential(gens)
@@ -162,6 +180,9 @@ def test_a_shared_differential_matches_a_fresh_one_per_word(
                 list(fresh.of_element(fresh.of_element(x)).items())
             assert _contraction_items(shared, word) == \
                 _contraction_items(res.Differential(gens), word)
+    for t in itertools.product(range(len(gens.names)), repeat=3):
+        assert res.check_hexagon(shared, *t) == \
+            res.check_hexagon(res.Differential(gens), *t), t
 
 
 def _contraction_items(d, word):
@@ -274,3 +295,35 @@ def test_no_word_lies_below_the_internal_degree_bound(name):
     basis = res.enumerate_rh_basis(gens, r_min, n_max)
     assert all(n >= g * (-(r // 2) + 1) for r, n in basis)
     assert min(r for r, _ in basis) == r_min
+
+
+# -- the one basis a verify job slices ------------------------------------
+
+@pytest.mark.parametrize("make_gens", [f2gens, zgens, qgens, f3gens],
+                         ids=["F2[u2,u3]", "Z[x2,x4]", "Q[x2,y2]",
+                              "F3[a2,b2,c4]"])
+@pytest.mark.parametrize("bound", [0, -1, -3, -6])
+def test_one_basis_slices_into_the_bases_of_each_suite(make_gens, bound):
+    """verify enumerates once, at min(bound, -2) and internal degree 10:
+    its keys with r >= bound are the d^2 suite's basis, and its keys
+    with -2 <= r and n <= 8 the contraction suite's, in key order and
+    word order.  verify at degree 10 checks exactly those words."""
+    gens = make_gens()
+    merged = res.enumerate_rh_basis(gens, min(bound, -2), 10)
+    d_squared = res.enumerate_rh_basis(gens, bound, 10)
+    contraction = res.enumerate_rh_basis(gens, -2, 8)
+    assert [(k, ws) for k, ws in merged.items() if k[0] >= bound] == \
+        list(d_squared.items())
+    assert [(k, ws) for k, ws in merged.items()
+            if k[0] >= -2 and k[1] <= 8] == list(contraction.items())
+    cfg = parse_config(json.dumps({
+        "ring": gens.ring.describe(),
+        "generators": [{"name": name, "degree": deg}
+                       for name, deg in zip(gens.names, gens.degrees)],
+        "bounds": {"max_degree": 10, "max_resolution_degree": bound}}))
+    report, _ = cmd_verify(cfg, 10, io.StringIO())
+    checked = {s["name"]: s["checked"] for s in report["suites"]}
+    assert checked["resolution_d_squared"] == \
+        sum(map(len, d_squared.values()))
+    assert checked["contraction_iteration"] == \
+        sum(len(ws) for (r, _), ws in contraction.items() if r != 0)
