@@ -5,15 +5,20 @@ text report (with timings) and an optional machine-readable JSON report
 Exit codes: 0 success, 1 outside the configured bounds or verdict not
 computable, 2 internal check failure or invalid input.  Every failure
 also writes a JSON report whose "errors" field names it, except a
-failure to write that report, which exits 2 with an error line.
+failure to write that report, which exits 2 with an error line.  A
+usage error writes its report too, when --json stands on the line.
+
+The command line is read as argparse reads it, by a parser of its own:
+a job then loads neither argparse nor the gettext and locale modules
+argparse loads.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
 import json
 import os
+import re
 import sys
 import time
 
@@ -162,6 +167,12 @@ def _base_report(command, cfg, max_degree):
                            cfg.bounds["max_resolution_degree"]},
         "errors": [],
     }
+
+
+def _error_report(command, errors):
+    """The report of a job that stopped before its command ran."""
+    return {"command": command, "convention_version": CONVENTION_VERSION,
+            "errors": errors}
 
 
 def _torsion_json(torsion):
@@ -363,30 +374,149 @@ COMMANDS = {
 }
 
 
-def _max_degree(text):
-    try:
-        return ascii_int(text)
-    except ValueError:
-        # argparse's own message for a value int() refuses
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
+# ---------------------------------------------------------------------------
+# command line
+
+# the usage and help argparse printed for this command line at 80 columns
+USAGE = """\
+usage: loopcoh [-h] --config CONFIG [--max-degree MAX_DEGREE] [--json OUT]
+               [--cache-dir DIR]
+               {check-exterior,oracle-compare,ranks,ring,verify}
+"""
+
+HELP = USAGE + """
+Loop-space cohomology of polynomial algebras: ranks, ring structure and
+exterior-algebra checks.
+
+positional arguments:
+  {check-exterior,oracle-compare,ranks,ring,verify}
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       path to a JSON job description
+  --max-degree MAX_DEGREE
+                        override the degree bound from the config
+  --json OUT            write the machine-readable report here
+  --cache-dir DIR       override the cache directory from the config
+"""
+
+# every option string, in the order prefixes are matched, and the
+# argument it sets
+_OPTIONS = {"-h": "help", "--help": "help", "--config": "config",
+            "--max-degree": "max_degree", "--json": "json",
+            "--cache-dir": "cache_dir"}
+# a negative number is a value, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="loopcoh",
-        description="Loop-space cohomology of polynomial algebras: "
-                    "ranks, ring structure and exterior-algebra checks.")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", required=True,
-                        help="path to a JSON job description")
-    parser.add_argument("--max-degree", type=_max_degree, default=None,
-                        help="override the degree bound from the config")
-    parser.add_argument("--json", default=None, metavar="OUT",
-                        help="write the machine-readable report here")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="override the cache directory from the config")
-    return parser
+def _option(arg, faults):
+    """(argument, explicit value or None) of the option arg names: its
+    string, that string with =VALUE, a unique prefix of a long option, or
+    -h with text run on; the argument is None for an option the CLI does
+    not have.  None when arg is a value: no leading dash, a lone dash, a
+    negative number or a blank inside.  An ambiguous prefix adds its
+    fault to faults and reads as an unknown option."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in _OPTIONS:
+        return _OPTIONS[arg], None
+    name, eq, value = arg.partition("=")
+    if eq and name in _OPTIONS:
+        return _OPTIONS[name], value
+    if arg.startswith("--"):
+        matches = [o for o in _OPTIONS if o.startswith(name)]
+        value = value if eq else None
+    else:
+        matches = ["-h"] if arg.startswith("-h") else []
+        value = arg[2:]
+    if len(matches) > 1:
+        faults.append(f"ambiguous option: {arg} could match "
+                      f"{', '.join(matches)}")
+        return None, None
+    if matches:
+        return _OPTIONS[matches[0]], value
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def parse_args(argv):
+    """The arguments of the command line argv, read as argparse reads
+    them, and the message of the first fault argparse reports, or None.
+    The arguments are a dict of command, config, max_degree (an int),
+    json, cache_dir, each None unless given (a repeated option keeps
+    its last value), and help.  The walk goes on past a fault, so that
+    --json is read wherever it stands; it stops at -h when no fault
+    came before.  After "--" every argument is a value."""
+    args = dict.fromkeys(("command", "config", "max_degree", "json",
+                          "cache_dir"))
+    args["help"] = False
+    faults = []
+    # every argument is classified, and every ambiguous prefix found,
+    # before any value is read
+    kinds, rest = [], False
+    for arg in argv:
+        kinds.append(None if rest else "--" if arg == "--"
+                     else _option(arg, faults))
+        rest = rest or arg == "--"
+    command_at = None
+    extras = []
+    i = 0
+    while i < len(argv):
+        arg, kind = argv[i], kinds[i]
+        i += 1
+        if kind == "--":
+            # taken with the command's value next to it, or left over
+            if command_at not in (None, i - 2):
+                extras.append(arg)
+            continue
+        if kind is None:
+            if command_at is not None:
+                extras.append(arg)
+                continue
+            command_at = i - 1
+            if arg in COMMANDS:
+                args["command"] = arg
+            else:
+                choices = ", ".join(map(repr, sorted(COMMANDS)))
+                faults.append(f"argument command: invalid choice: {arg!r} "
+                              f"(choose from {choices})")
+            continue
+        dest, value = kind
+        if dest is None:
+            extras.append(arg)
+        elif dest == "help":
+            if value is not None:
+                faults.append("argument -h/--help: ignored explicit "
+                              f"argument {value!r}")
+            elif not faults:
+                args["help"] = True
+                return args, None
+        else:
+            if value is None:
+                if i == len(argv) or kinds[i] is not None:
+                    option = "--" + dest.replace("_", "-")
+                    faults.append(f"argument {option}: expected one argument")
+                    continue
+                value = argv[i]
+                i += 1
+            if dest == "max_degree":
+                try:
+                    value = ascii_int(value)
+                except ValueError:
+                    faults.append("argument --max-degree: invalid int "
+                                  f"value: {value!r}")
+                    continue
+            args[dest] = value
+    missing = [name for name, dest in (("command", "command"),
+                                       ("--config", "config"))
+               if args[dest] is None]
+    if missing:
+        faults.append("the following arguments are required: "
+                      + ", ".join(missing))
+    if extras:
+        faults.append("unrecognized arguments: " + " ".join(extras))
+    return args, (faults[0] if faults else None)
 
 
 def _config(args):
@@ -394,14 +524,14 @@ def _config(args):
     degree bound; raises ConfigError when the file cannot be read or
     the job is invalid."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args["config"], "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeError) as exc:
         raise ConfigError([f"{type(exc).__name__}: {exc}"]) from exc
     cfg = parse_config(text)
-    if args.cache_dir is not None:
-        cfg.cache_dir = args.cache_dir
-    max_degree = args.max_degree if args.max_degree is not None \
+    if args["cache_dir"] is not None:
+        cfg.cache_dir = args["cache_dir"]
+    max_degree = args["max_degree"] if args["max_degree"] is not None \
         else cfg.bounds["max_degree"]
     if max_degree < 1:
         raise ConfigError(["max degree must be positive"])
@@ -415,19 +545,17 @@ def _run(args, out):
     except ConfigError as exc:
         for p in exc.problems:
             out.write("config error: %s\n" % p)
-        return {"command": args.command,
-                "convention_version": CONVENTION_VERSION,
-                "errors": exc.problems}, 2
+        return _error_report(args["command"], exc.problems), 2
     t0 = time.perf_counter()
     try:
-        report, code = COMMANDS[args.command](cfg, max_degree, out)
+        report, code = COMMANDS[args["command"]](cfg, max_degree, out)
     except (AlgebraError, HomologyError, OSError, ResolutionError,
             ResourceCapError, RingError) as exc:
         # an OSError comes from making the cache directory or writing
         # its entry
         message = f"{type(exc).__name__}: {exc}"
         out.write("error: %s\n" % message)
-        report = _base_report(args.command, cfg, max_degree)
+        report = _base_report(args["command"], cfg, max_degree)
         report["errors"] = [message]
         return report, 1 if isinstance(exc, ResourceCapError) else 2
     out.write("elapsed: %.2f s\n" % (time.perf_counter() - t0))
@@ -435,14 +563,28 @@ def _run(args, out):
 
 
 def main(argv=None, out=None):
+    """Run the command line argv (sys.argv[1:] by default), writing the
+    text report to out (sys.stdout by default); returns the exit code.
+    -h writes the help and raises SystemExit(0).  A usage error writes
+    argparse's usage and error lines to stderr and the JSON report, and
+    raises SystemExit(2)."""
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
-    report, code = _run(args, out)
+    args, fault = parse_args(sys.argv[1:] if argv is None else argv)
+    if args["help"]:
+        out.write(HELP)
+        raise SystemExit(0)
+    if fault is None:
+        report, code = _run(args, out)
+    else:
+        sys.stderr.write(f"{USAGE}loopcoh: error: {fault}\n")
+        report, code = _error_report(args["command"], [fault]), 2
     try:
-        _emit(report, args.json)
+        _emit(report, args["json"])
     except OSError as exc:
         out.write("error: cannot write the JSON report: %s\n" % exc)
-        return 2
+        code = 2
+    if fault is not None:
+        raise SystemExit(code)
     return code
 
 

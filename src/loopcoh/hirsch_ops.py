@@ -254,25 +254,6 @@ def associativity_sides(table, a, b, c):
             _nested_sum(table, False, a, b, c))
 
 
-def check_associativity_relation(table: HirschOpTable, k, l, r,
-                                 degree_bound):
-    """Compare the two nested sums of the associativity relation over
-    all basis tuples up to the degree bound; returns the argument tuples
-    where they differ."""
-    if table.gens.ring.char != 2:
-        raise RingError("relation checkers run in characteristic 2 only")
-    gens = table.gens
-    violations = []
-    for monos in _basis_tuples(gens, k + l + r, degree_bound):
-        a, b, c = ([Polynomial.monomial(gens, m) for m in part]
-                   for part in (monos[:k], monos[k:k + l], monos[k + l:]))
-        lhs, rhs = associativity_sides(table, a, b, c)
-        if lhs != rhs:
-            violations.append(((tuple(map(repr, a)), tuple(map(repr, b)),
-                                tuple(map(repr, c))), lhs, rhs))
-    return violations
-
-
 def _shuffles(xs, ys):
     """All interleavings of two tuples, preserving internal order."""
     if not xs:

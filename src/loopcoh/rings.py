@@ -3,9 +3,10 @@
 Elements are plain Python ints (Z and F_p, the latter stored in [0, p))
 or Fractions (Q).  All arithmetic goes through the RingSpec so callers
 never touch floating point.  The fractions module is imported only when
-a Q ring is built, as it and the decimal and numbers modules it loads
-take a good part of the package's import time, and no Z or F_p job uses
-them.
+a ring operation makes the first Fraction, as it and the decimal and
+numbers modules it loads take a good part of the package's import time;
+no Z or F_p job uses them, and neither does a Q job whose elimination
+runs on ints.
 """
 from __future__ import annotations
 
@@ -52,8 +53,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# fractions.Fraction, bound when the first Q ring is built
+# fractions.Fraction, bound by _fraction when it makes the first one
 Fraction = None
+
+
+def _fraction(x):
+    """Fraction(x); the first call imports the fractions module."""
+    global Fraction
+    if Fraction is None:
+        from fractions import Fraction
+    return Fraction(x)
 
 
 def _rational(op):
@@ -61,7 +70,7 @@ def _rational(op):
     already, and only int arguments need the wrapping."""
     def bound(*args):
         c = op(*args)
-        return c if type(c) is Fraction else Fraction(c)
+        return c if type(c) is Fraction else _fraction(c)
     return bound
 
 
@@ -90,8 +99,6 @@ class RingSpec:
                 operator.add, operator.sub, operator.mul, operator.neg)
             self.is_zero = operator.not_
         elif kind == "rationals":
-            global Fraction
-            from fractions import Fraction
             self.add, self.sub, self.mul, self.neg = map(
                 _rational, (operator.add, operator.sub, operator.mul,
                             operator.neg))
@@ -128,16 +135,16 @@ class RingSpec:
         return self.kind == "prime_field" and self.p == 2
 
     def zero(self):
-        return Fraction(0) if self.kind == "rationals" else 0
+        return _fraction(0) if self.kind == "rationals" else 0
 
     def one(self):
-        return Fraction(1) if self.kind == "rationals" else 1
+        return _fraction(1) if self.kind == "rationals" else 1
 
     def normalize(self, x):
         if self.kind == "integers":
             return int(x)
         if self.kind == "rationals":
-            return Fraction(x)
+            return _fraction(x)
         return int(x) % self.p
 
     def inv(self, a):
@@ -148,7 +155,7 @@ class RingSpec:
         if self.kind == "rationals":
             if a == 0:
                 raise RingError("division by zero")
-            return 1 / Fraction(a)
+            return 1 / _fraction(a)
         a = a % self.p
         if a == 0:
             raise RingError("division by zero")

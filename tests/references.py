@@ -2,14 +2,20 @@
 echelon, which both ranks a matrix and solves in a column span,
 membership of an integer column lattice by Smith forms, the projection
 of the resolution onto H, the resolution's letters and basis without
-pruning, and the bar d^2 check word by word."""
+pruning, the bar d^2 check word by word, the associativity relation of
+the Hirsch operations over all basis tuples, and the argparse parser
+of the command line."""
+import argparse
 import itertools
 
 from loopcoh import resolution as res
 from loopcoh.bar import bar_basis, bar_differential
+from loopcoh.cli import COMMANDS
+from loopcoh.config import ascii_int
+from loopcoh.hirsch_ops import _basis_tuples, associativity_sides
 from loopcoh.linalg import _euclidean_smith
 from loopcoh.polynomial import Polynomial
-from loopcoh.rings import RingSpec
+from loopcoh.rings import RingError, RingSpec
 
 Q = RingSpec.rationals()
 
@@ -223,3 +229,48 @@ def bar_d_squared_failures(gens, max_degree):
             if bar_differential(gens, bar_differential(gens, {w: one})):
                 failures.append((n, w))
     return checked, failures
+
+
+def check_associativity_relation(table, k, l, r, degree_bound):
+    """Compare the two nested sums of the associativity relation over
+    all basis tuples up to the degree bound; returns the argument tuples
+    where they differ."""
+    if table.gens.ring.char != 2:
+        raise RingError("relation checkers run in characteristic 2 only")
+    gens = table.gens
+    violations = []
+    for monos in _basis_tuples(gens, k + l + r, degree_bound):
+        a, b, c = ([Polynomial.monomial(gens, m) for m in part]
+                   for part in (monos[:k], monos[k:k + l], monos[k + l:]))
+        lhs, rhs = associativity_sides(table, a, b, c)
+        if lhs != rhs:
+            violations.append(((tuple(map(repr, a)), tuple(map(repr, b)),
+                                tuple(map(repr, c))), lhs, rhs))
+    return violations
+
+
+def _max_degree(text):
+    try:
+        return ascii_int(text)
+    except ValueError:
+        # argparse's own message for a value int() refuses
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
+def build_parser():
+    """The argparse parser the command line once had."""
+    parser = argparse.ArgumentParser(
+        prog="loopcoh",
+        description="Loop-space cohomology of polynomial algebras: "
+                    "ranks, ring structure and exterior-algebra checks.")
+    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("--config", required=True,
+                        help="path to a JSON job description")
+    parser.add_argument("--max-degree", type=_max_degree, default=None,
+                        help="override the degree bound from the config")
+    parser.add_argument("--json", default=None, metavar="OUT",
+                        help="write the machine-readable report here")
+    parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="override the cache directory from the config")
+    return parser

@@ -14,12 +14,12 @@ import json
 import time
 
 from loopcoh import bar, cli, koszul, resolution as res
-from loopcoh.hirsch_ops import (HirschOpTable, check_associativity_relation,
-                                check_derivation_relations)
+from loopcoh.hirsch_ops import HirschOpTable, check_derivation_relations
 from loopcoh.homology import (BarComplex, RingTable, exterior_verdict,
                               homology_ranks)
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
+from references import check_associativity_relation
 
 Z = RingSpec.integers()
 Q = RingSpec.rationals()

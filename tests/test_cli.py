@@ -8,13 +8,14 @@ import time
 
 import pytest
 
-from loopcoh.cli import _cache_key, _read_cache, main
+from loopcoh.cli import _cache_key, _read_cache, main, parse_args
 from loopcoh.config import parse_config
 from loopcoh.homology import BarComplex
 from loopcoh.koszul import oracle_dimensions
 from loopcoh.linalg import DEFAULT_DIMENSION_CAP
 from loopcoh.polynomial import GeneratorSet
 from loopcoh.rings import RingSpec
+from references import build_parser
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -163,6 +164,94 @@ def test_max_degree_takes_ascii_digits_only(tmp_path, capsys):
         assert exc.value.code == 2
         assert f"argument --max-degree: invalid int value: {bad!r}" \
             in capsys.readouterr().err
+
+
+# command lines for the parser and argparse to read alike: each reads to
+# the same values, or fails with the same exit code and error line
+ARGV_CASES = [
+    ["ranks", "--config", "c.json"],
+    ["--config", "c.json", "ranks"],
+    ["--json", "o.json", "verify", "--cache-dir", "d", "--config", "c.json",
+     "--max-degree", "7"],
+    ["ring", "--config=c.json", "--max-degree=5", "--json=o.json",
+     "--cache-dir="],
+    ["ranks", "--conf", "c.json", "--cache", "d", "--max", "4", "--js=o"],
+    ["ranks", "--c", "c.json"],
+    ["ranks", "--c=c.json", "--config", "c.json"],
+    ["ranks", "--config", "a", "--config", "b", "--max-degree", "3",
+     "--max-degree", "4", "--json", "x", "--json", "y"],
+    ["ranks", "--config"],
+    ["ranks", "--config", "--json", "o.json"],
+    ["ranks", "--config", "c.json", "--max-degree"],
+    ["ranks", "--config", "c.json", "--bogus"],
+    ["ranks", "-x", "--config", "c.json"],
+    ["--bogus", "ranks", "--config", "c.json"],
+    ["ranks", "--config", "c.json", "extra", "more"],
+    ["foo", "--config", "c.json"],
+    ["foo", "--max-degree", "٣"],
+    [],
+    ["ranks"],
+    ["--config", "c.json"],
+    ["ranks", "--config", "c.json", "--max-degree", "-3"],
+    ["ranks", "--config", "c.json", "--max-degree", "٣"],
+    ["ranks", "--config", "c.json", "--max-degree", "３"],
+    ["ranks", "--config", "c.json", "--max-degree", "1_0"],
+    ["ranks", "--config", "c.json", "--max-degree", "-3.5"],
+    ["ranks", "--config", "-a b", "--max-degree", "+2"],
+    ["--config", "c.json", "--", "ranks"],
+    ["--config", "c.json", "ranks", "--", "x"],
+    ["ranks", "--config", "c.json", "--", "x"],
+    ["ranks", "--config", "--", "c.json"],
+    ["-h"],
+    ["ranks", "--he", "--bogus"],
+    ["--help=x"],
+    ["-hx"],
+    ["foo", "-h"],
+    ["ranks", "--config", "c.json", "--max-degree", "٣", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CASES,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_the_parser_reads_argv_as_argparse_did(tmp_path, monkeypatch,
+                                               capsys, argv):
+    # argparse wraps its help to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    try:
+        expected = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        expected = exc.code
+    want = capsys.readouterr()
+    args, fault = parse_args(argv)
+    if isinstance(expected, dict):
+        assert fault is None and not args.pop("help")
+        assert args == expected
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv, out=sys.stdout)
+    got = capsys.readouterr()
+    assert exc.value.code == expected
+    assert got.err.splitlines()[-1:] == want.err.splitlines()[-1:]
+    assert got.out == want.out
+
+
+def test_a_usage_error_writes_the_json_report(tmp_path, capsys):
+    cfg = z_single(tmp_path)
+    json_path = str(tmp_path / "out.json")
+    fault = "argument --max-degree: invalid int value: '٣'"
+    with pytest.raises(SystemExit) as exc:
+        run(["ranks", "--config", cfg, "--max-degree", "٣",
+             "--json", json_path])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"loopcoh: error: {fault}\n")
+    _assert_report(json_path, "ranks", [fault])
+    # the command is null when it was never read
+    with pytest.raises(SystemExit) as exc:
+        run(["--json", json_path, "--config", cfg])
+    assert exc.value.code == 2
+    _assert_report(json_path, None,
+                   ["the following arguments are required: command"])
 
 
 def test_cold_and_warm_cache_byte_identical(tmp_path):
@@ -389,39 +478,47 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
     assert len(tables) == 1
 
 
-@pytest.mark.parametrize("command, doc, loaded", [
+Q_PAIR = {"ring": "Q", "generators": [{"name": "x2", "degree": 2},
+                                     {"name": "y2", "degree": 2}],
+          "bounds": {"max_degree": 6}}
+
+
+@pytest.mark.parametrize("command, doc, makes_fractions", [
     ("check-exterior",
      {"ring": "F2",
       "generators": [{"name": n, "degree": d} for n, d in
                      (("v2", 2), ("w2", 2), ("t3", 3), ("u3", 3))],
       "sq1": {"v2": "t3", "u3": "v2 w2"}, "bounds": {"max_degree": 6}},
      False),
-    ("ranks",
-     {"ring": "Z", "generators": [{"name": "x2", "degree": 2},
-                                  {"name": "y2", "degree": 2}],
-      "bounds": {"max_degree": 6}},
+    ("ranks", dict(Q_PAIR, ring="Z"), False),
+    # its elimination runs on ints
+    ("ranks", Q_PAIR, False),
+    ("verify",
+     {"ring": "F2", "generators": [{"name": "u2", "degree": 2},
+                                   {"name": "u3", "degree": 3}],
+      "sq1": {"u2": "u3"}, "bounds": {"max_degree": 6}},
      False),
-    # the control: a Q job loads it
-    ("ranks",
-     {"ring": "Q", "generators": [{"name": "x2", "degree": 2},
-                                  {"name": "y2", "degree": 2}],
-      "bounds": {"max_degree": 6}},
-     True),
-], ids=["F2 check-exterior", "Z ranks", "Q ranks"])
-def test_only_a_q_job_imports_fractions(tmp_path, command, doc, loaded):
-    # fractions, with the decimal and numbers modules it loads, is a good
-    # part of the import time of a job; a fresh interpreter runs the
-    # command cold and then warm from a cache
+    # the control: the ring table's coordinates are Fractions
+    ("ring", Q_PAIR, True),
+], ids=["F2 check-exterior", "Z ranks", "Q ranks", "F2 verify", "Q ring"])
+def test_a_job_loads_only_what_it_runs(tmp_path, command, doc,
+                                       makes_fractions):
+    # argparse with gettext and locale, and fractions with the decimal
+    # and numbers modules it loads, are each a good part of the import
+    # time of a job; a fresh interpreter runs the command cold and then
+    # warm from a cache
     cfg = write_config(tmp_path, doc)
     argv = [command, "--config", cfg, "--cache-dir", str(tmp_path / "c")]
-    script = ("import sys\n"
+    script = ("import io, sys\n"
               "from loopcoh.cli import main\n"
-              f"codes = [main({argv!r}) for _ in range(2)]\n"
-              "print(codes, 'fractions' in sys.modules)\n")
+              f"codes = [main({argv!r}, io.StringIO()) for _ in range(2)]\n"
+              "print(codes, sorted(set(sys.modules) & {'argparse', "
+              "'gettext', 'locale', 'fractions'}))\n")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     out = subprocess.run([sys.executable, "-c", script], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
+    loaded = ["fractions"] if makes_fractions else []
     assert out.splitlines()[-1] == f"[0, 0] {loaded}"
 
 

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopcoh.hirsch_ops import (HirschOpTable, block_splittings,
-                                check_associativity_relation,
                                 check_derivation_relations,
                                 check_sq_specialization_cases, sq11,
                                 sq1_decomposability_verdict)
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
+from references import check_associativity_relation
 from test_bar import SQ_IDS, SQ_TABLES
 
 F2 = RingSpec.prime_field(2)
