@@ -310,22 +310,14 @@ def check_sq_specialization_cases(table: HirschOpTable, degree_bound):
         if dx + dy > degree_bound:
             continue
         xy = x * y
-        # case 1 at p = 3: a = (x); b = c = (xy); u = (x, y, x), v = (xy)
-        rhs_a, rhs_d = specialization_sides(
-            table, (x,), (xy,), (xy,), (x, y, x), (xy,))
-        report.append(("1", (repr(x), repr(y)), rhs_a == rhs_d))
-        # case 1': mirrored
-        rhs_a, rhs_d = specialization_sides(
-            table, (xy,), (xy,), (x,), (xy,), (x, y, x))
-        report.append(("1'", (repr(x), repr(y)), rhs_a == rhs_d))
-        # case 2: (a; b; c) = (xy; x; x), u = (x, y, x), v = (x)
-        rhs_a, rhs_d = specialization_sides(
-            table, (xy,), (x,), (x,), (x, y, x), (x,))
-        report.append(("2", (repr(x), repr(y)), rhs_a == rhs_d))
-        # case 2': (a; b; c) = (x; x; xy), u = (x), v = (x, y, x)
-        rhs_a, rhs_d = specialization_sides(
-            table, (x,), (x,), (xy,), (x,), (x, y, x))
-        report.append(("2'", (repr(x), repr(y)), rhs_a == rhs_d))
+        # (case, a, b, c, u, v), case 1 at p = 3; 1' and 2' mirror 1, 2
+        for case, a, b, c, u, v in (
+                ("1", (x,), (xy,), (xy,), (x, y, x), (xy,)),
+                ("1'", (xy,), (xy,), (x,), (xy,), (x, y, x)),
+                ("2", (xy,), (x,), (x,), (x, y, x), (x,)),
+                ("2'", (x,), (x,), (xy,), (x,), (x, y, x))):
+            rhs_a, rhs_d = specialization_sides(table, a, b, c, u, v)
+            report.append((case, (repr(x), repr(y)), rhs_a == rhs_d))
     return report
 
 

@@ -271,15 +271,17 @@ class BarComplex:
 
     def counts(self, n):
         """The number of words of degree n (n >= 0) in each block, by
-        exponent vector; a block of vector v has s(v) - n letters.  The
-        first call for a degree not yet counted lists the vectors once,
-        up to max(n, max_degree + 1), and counts every degree to there;
-        the number of compositions depends on the exponents only as a
-        multiset, so each (sorted exponents, letters) pair is counted
-        once."""
+        exponent vector; a block of vector v has s(v) - n letters.  A
+        call for a degree not yet counted lists the vectors once and
+        counts every degree up to n, or up to twice the degrees counted
+        so far when that is more, but not past max_degree + 1: a caller
+        that stops at a low degree, or at the first degree over the cap,
+        counts no degree far above it.  The number of compositions
+        depends on the exponents only as a multiset, so each (sorted
+        exponents, letters) pair is counted once."""
         if n not in self._counts:
             degrees = self.gens.degrees
-            top = max(n, self.max_degree + 1)
+            top = max(n, min(2 * len(self._counts), self.max_degree + 1))
             by_degree = {m: {} for m in range(top + 1)}
             by_degree[0][self.gens.unit_monomial()] = 1
             compositions = {}

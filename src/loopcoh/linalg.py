@@ -15,8 +15,11 @@ seen above 24 columns on any job, so the core is a plain loop, not a
 heap: the sparsest column with a unit first, its pivot taken in the
 unit row with the fewest live columns, cleared from the other columns.
 Each step is unimodular, so every pivot is an invariant factor 1; what
-no unit pivot reaches is left to a Euclidean Smith loop.  Ranks and
-Smith forms count the pivots; the ring table keeps their record and
+no unit pivot reaches is left to a Euclidean Smith loop on the columns
+(_euclidean_smith), whose body only tests reach: on every block a
+command eliminates, the unit pivots take every pivot.  The core, _replay
+and the Smith loop share one sparse update, v -= f*w (_subtract).  Ranks
+and Smith forms count the pivots; the ring table keeps their record and
 replays it on the vectors it solves (solve_in_span).  F2 ranks come from
 bit-packed columns (_gf2_pivot_rows).
 
@@ -31,13 +34,11 @@ is zero in r.  _replay, and through it solve_in_span, rely on this, and
 so does the bar complex when it drops the columns at pivot rows (see
 homology).
 
-matrix_invariants is the one entry point for the boundary matrices of
-the bar blocks and, through rank_over_field and smith_normal_form, of
-the Koszul oracle.  Besides the rank and the invariant factors it
-returns the rows its pivots took, which the bar complex uses to drop
-columns from the next differential (see homology.BarComplex).
-composition_failures checks d^2 = 0 for both, on the bar blocks and on
-the Koszul complex.
+matrix_invariants is the one entry point for the bar blocks and,
+through rank_over_field and smith_normal_form, the Koszul oracle.
+Besides the rank and the invariant factors it returns the pivot rows,
+from which the bar complex drops columns of the next differential (see
+homology.BarComplex).  composition_failures checks d^2 = 0 for both.
 """
 from __future__ import annotations
 
@@ -174,19 +175,10 @@ def unit_pivots(columns, p):
                 key=lambda i: (sum(i in ck for ck in cols.values()), i))
         inv = pow(c.pop(r), -1, p) if p else c.pop(r)
         for k, ck in list(cols.items()):
-            if r not in ck:
-                continue
-            f = ck.pop(r) * inv
-            for i, v in c.items():
-                x = ck.get(i, 0) - f * v
-                if p:
-                    x %= p
-                if x:
-                    ck[i] = x
-                else:
-                    del ck[i]
-            if not ck:
-                del cols[k]
+            if r in ck:
+                _subtract(ck, ck.pop(r) * inv, c, p)
+                if not ck:
+                    del cols[k]
         pivots.append((r, c, inv))
     return pivots, list(cols.values())
 
@@ -200,16 +192,21 @@ def _replay(pivots, v, p):
     for r, col, inv in pivots:
         x = v.pop(r, 0)
         if x:
-            f = x * inv
-            for i, w in col.items():
-                y = v.get(i, 0) - f * w
-                if p:
-                    y %= p
-                if y:
-                    v[i] = y
-                else:
-                    del v[i]
+            _subtract(v, x * inv, col, p)
     return v
+
+
+def _subtract(v, f, w, p):
+    """v -= f*w in place, mod p when p is a prime, dropping the entries
+    that cancel; f*w has no entry that is zero (mod p)."""
+    for i, x in w.items():
+        y = v.get(i, 0) - f * x
+        if p:
+            y %= p
+        if y:
+            v[i] = y
+        else:
+            del v[i]
 
 
 def solve_in_span(pivots, residual, v, r, ring: RingSpec):
@@ -246,86 +243,53 @@ def smith_normal_form(columns):
 
     Returns (diagonal, rank) with diagonal = (d_1, ..., d_r), d_i > 0 and
     d_1 | d_2 | ... | d_r: a 1 for each unit pivot (unit_pivots), then
-    the Euclidean Smith form of the residual (matrix_invariants).
-    """
+    the Euclidean Smith form of the residual (matrix_invariants)."""
     rank, factors, _ = matrix_invariants(columns, RingSpec.integers())
     return (1,) * (rank - len(factors)) + factors, rank
 
 
 def _euclidean_smith(columns):
-    """Sorted invariant factors of integer columns, by Euclidean row and
-    column operations on any pivot."""
-    rows = {}
-    cols = {}
-    for j, col in enumerate(columns):
-        for i, val in col.items():
-            rows.setdefault(i, {})[j] = val
-            cols.setdefault(j, {})[i] = val
+    """Sorted invariant factors of integer columns, which are consumed,
+    by Euclidean steps on the columns alone.  A step pivots on an entry
+    x of least absolute value m, at row i and column j, and subtracts
+    multiples of column j from the others, leaving remainders of x in
+    row i.  When they are zero, row i is x alone, so the row operations
+    that clear column j change column j alone, leaving remainders of x
+    there.  When those are zero too, |x| is a factor if it divides every
+    entry, and so every factor of the rest; if not, row i gains a row r
+    holding an entry that x does not divide, less multiples of column j.
 
-    def set_entry(i, j, val):
-        if val:
-            rows.setdefault(i, {})[j] = val
-            cols.setdefault(j, {})[i] = val
-        else:
-            if i in rows and j in rows[i]:
-                del rows[i][j]
-                if not rows[i]:
-                    del rows[i]
-            if j in cols and i in cols[j]:
-                del cols[j][i]
-                if not cols[j]:
-                    del cols[j]
-
-    def row_op(i1, i2, q):
-        # row i2 += q * row i1
-        for j, val in list(rows.get(i1, {}).items()):
-            set_entry(i2, j, rows.get(i2, {}).get(j, 0) + q * val)
-
-    def col_op(j1, j2, q):
-        for i, val in list(cols.get(j1, {}).items()):
-            set_entry(i, j2, cols.get(j2, {}).get(i, 0) + q * val)
-
-    diagonal = []
-    while rows:
-        # pivot: smallest absolute value, ties by position
-        _, pi, pj = min((abs(val), i, j)
-                        for i in rows for j, val in rows[i].items())
-        # clear the pivot row and column
-        while True:
-            moved = False
-            for i in list(cols.get(pj, {})):
-                if i == pi:
-                    continue
-                val = cols[pj][i]
-                q = val // rows[pi][pj]
-                row_op(pi, i, -q)
-                if cols.get(pj, {}).get(i):
-                    # remainder smaller than pivot: swap roles
-                    pi = i
-                    moved = True
-                    break
-            if moved:
-                continue
-            for j in list(rows.get(pi, {})):
-                if j == pj:
-                    continue
-                val = rows[pi][j]
-                q = val // rows[pi][pj]
-                col_op(pj, j, -q)
-                if rows.get(pi, {}).get(j):
-                    pj = j
-                    moved = True
-                    break
-            if not moved:
-                break
-        pv = rows[pi][pj]
-        # divisibility: the pivot must divide every remaining entry
-        offender = next((i for i in rows if i != pi
-                         and any(val % pv for val in rows[i].values())),
-                        None)
-        if offender is not None:
-            row_op(offender, pi, 1)
+    The loop ends: a step that records no factor leaves a nonzero
+    remainder of x, so between two factors the least absolute entry
+    strictly falls."""
+    cols = {j: c for j, c in enumerate(columns) if c}
+    factors = []
+    while cols:
+        _, i, j = min((abs(x), i, j) for j, c in cols.items()
+                      for i, x in c.items())
+        c = cols[j]
+        x = c[i]
+        for k, ck in list(cols.items()):
+            if k != j and i in ck:
+                _subtract(ck, ck[i] // x, c, 0)
+                if not ck:
+                    del cols[k]
+        if any(i in ck for k, ck in cols.items() if k != j):
             continue
-        diagonal.append(abs(pv))
-        set_entry(pi, pj, 0)
-    return tuple(sorted(diagonal))
+        # row i is x alone, so the row operations change column j alone
+        cols[j] = c = {r: y % x for r, y in c.items() if y % x}
+        c[i] = x
+        if len(c) > 1:
+            continue
+        r = next((r for ck in cols.values() for r, y in ck.items() if y % x),
+                 None)
+        if r is None:
+            factors.append(abs(x))
+            del cols[j]
+        else:
+            # row i += row r, less multiples of column j: row i is zero
+            # outside column j, which is zero in row r
+            for ck in cols.values():
+                if ck.get(r, 0) % x:
+                    ck[i] = ck[r] % x
+    return tuple(sorted(factors))

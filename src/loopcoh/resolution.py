@@ -180,44 +180,31 @@ class Differential:
         gens = self.gens
         _, p, q, args = letter
         largs, rargs = args[:p], args[p:]
-        adeg = [word_total_degree(gens, w) - 1 for w in largs]
-        bdeg = [word_total_degree(gens, w) - 1 for w in rargs]
-        P = sum(adeg)
+        deg = [word_total_degree(gens, w) - 1 for w in args]
+        adeg, bdeg = deg[:p], deg[p:]
         out = {}
 
-        # internal differentials of the arguments
-        for i in range(p):
-            da = self.of_element({largs[i]: ring.one()})
+        # internal differentials of the argument slots, slot k signed by
+        # the shifted degrees before it
+        for k in range(p + q):
+            da = self.of_element({args[k]: ring.one()})
             if not da:
                 continue
-            sign = self._sign(sum(adeg[:i]))
+            sign = self._sign(sum(deg[:k]))
             for w, c in da.items():
-                new = make_E_word(largs[:i] + (w,) + largs[i + 1:], rargs)
-                if new is not None:
-                    add_into(out, new, ring.mul(sign, c), ring)
-        for j in range(q):
-            db = self.of_element({rargs[j]: ring.one()})
-            if not db:
-                continue
-            sign = self._sign(P + sum(bdeg[:j]))
-            for w, c in db.items():
-                new = make_E_word(largs, rargs[:j] + (w,) + rargs[j + 1:])
+                slots = args[:k] + (w,) + args[k + 1:]
+                new = make_E_word(slots[:p], slots[p:])
                 if new is not None:
                     add_into(out, new, ring.mul(sign, c), ring)
 
-        # adjacent merges
-        for i in range(p - 1):
-            sign = self._sign(sum(adeg[:i + 1]))
-            new = make_E_word(
-                largs[:i] + (largs[i] + largs[i + 1],) + largs[i + 2:],
-                rargs)
-            if new is not None:
-                add_into(out, new, sign, ring)
-        for j in range(q - 1):
-            sign = self._sign(P + sum(bdeg[:j + 1]))
-            new = make_E_word(
-                largs,
-                rargs[:j] + (rargs[j] + rargs[j + 1],) + rargs[j + 2:])
+        # adjacent merges within each side, so not across slot p - 1
+        for k in range(p + q - 1):
+            if k == p - 1:
+                continue
+            sign = self._sign(sum(deg[:k + 1]))
+            slots = args[:k] + (args[k] + args[k + 1],) + args[k + 2:]
+            cut = p - 1 if k < p else p
+            new = make_E_word(slots[:cut], slots[cut:])
             if new is not None:
                 add_into(out, new, sign, ring)
 

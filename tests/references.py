@@ -1,10 +1,10 @@
 """Slow references that the tests compare the engine against: a field
-echelon, which both ranks a matrix and solves in a column span,
-membership of an integer column lattice by Smith forms, the projection
-of the resolution onto H, the resolution's letters and basis without
-pruning, the bar d^2 check word by word, the associativity relation of
-the Hirsch operations over all basis tuples, and the argparse parser
-of the command line."""
+echelon, which both ranks a matrix and solves in a column span, a
+row-indexed Euclidean Smith form and membership of an integer column
+lattice by it, the projection of the resolution onto H, the
+resolution's letters and basis without pruning, the bar d^2 check word
+by word, the associativity relation of the Hirsch operations over all
+basis tuples, and the argparse parser of the command line."""
 import argparse
 import itertools
 
@@ -13,7 +13,6 @@ from loopcoh.bar import bar_basis, bar_differential
 from loopcoh.cli import COMMANDS
 from loopcoh.config import ascii_int
 from loopcoh.hirsch_ops import _basis_tuples, associativity_sides
-from loopcoh.linalg import _euclidean_smith
 from loopcoh.polynomial import Polynomial
 from loopcoh.rings import RingError, RingSpec
 
@@ -80,8 +79,88 @@ def span_solution(columns, v, ring):
 def in_lattice(columns, v):
     """Whether the integer vector v lies in the lattice the integer
     columns span: adding it to them changes no invariant factor."""
-    return _euclidean_smith(list(columns) + [v]) == \
-        _euclidean_smith(columns)
+    return reference_euclidean_smith(list(columns) + [v]) == \
+        reference_euclidean_smith(columns)
+
+
+def reference_euclidean_smith(columns):
+    """Sorted invariant factors of integer columns, by Euclidean row and
+    column operations on any pivot, with every entry kept both in a row
+    dict and in a column dict."""
+    rows = {}
+    cols = {}
+    for j, col in enumerate(columns):
+        for i, val in col.items():
+            rows.setdefault(i, {})[j] = val
+            cols.setdefault(j, {})[i] = val
+
+    def set_entry(i, j, val):
+        if val:
+            rows.setdefault(i, {})[j] = val
+            cols.setdefault(j, {})[i] = val
+        else:
+            if i in rows and j in rows[i]:
+                del rows[i][j]
+                if not rows[i]:
+                    del rows[i]
+            if j in cols and i in cols[j]:
+                del cols[j][i]
+                if not cols[j]:
+                    del cols[j]
+
+    def row_op(i1, i2, q):
+        # row i2 += q * row i1
+        for j, val in list(rows.get(i1, {}).items()):
+            set_entry(i2, j, rows.get(i2, {}).get(j, 0) + q * val)
+
+    def col_op(j1, j2, q):
+        for i, val in list(cols.get(j1, {}).items()):
+            set_entry(i, j2, cols.get(j2, {}).get(i, 0) + q * val)
+
+    diagonal = []
+    while rows:
+        # pivot: smallest absolute value, ties by position
+        _, pi, pj = min((abs(val), i, j)
+                        for i in rows for j, val in rows[i].items())
+        # clear the pivot row and column
+        while True:
+            moved = False
+            for i in list(cols.get(pj, {})):
+                if i == pi:
+                    continue
+                val = cols[pj][i]
+                q = val // rows[pi][pj]
+                row_op(pi, i, -q)
+                if cols.get(pj, {}).get(i):
+                    # remainder smaller than pivot: swap roles
+                    pi = i
+                    moved = True
+                    break
+            if moved:
+                continue
+            for j in list(rows.get(pi, {})):
+                if j == pj:
+                    continue
+                val = rows[pi][j]
+                q = val // rows[pi][pj]
+                col_op(pj, j, -q)
+                if rows.get(pi, {}).get(j):
+                    pj = j
+                    moved = True
+                    break
+            if not moved:
+                break
+        pv = rows[pi][pj]
+        # divisibility: the pivot must divide every remaining entry
+        offender = next((i for i in rows if i != pi
+                         and any(val % pv for val in rows[i].values())),
+                        None)
+        if offender is not None:
+            row_op(offender, pi, 1)
+            continue
+        diagonal.append(abs(pv))
+        set_entry(pi, pj, 0)
+    return tuple(sorted(diagonal))
 
 
 def class_coefficients(image_cols, rep_cols, v, ring):

@@ -11,8 +11,8 @@ from loopcoh.hirsch_ops import HirschOpTable
 from loopcoh.homology import (BarComplex, HomologyError, RingTable,
                               exterior_verdict, homology_ranks)
 from loopcoh.koszul import oracle_dimensions
-from loopcoh.linalg import (rank_over_field, smith_normal_form,
-                            solve_in_span, unit_pivots)
+from loopcoh.linalg import (ResourceCapError, rank_over_field,
+                            smith_normal_form, solve_in_span, unit_pivots)
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
 from references import (bar_d_squared_failures, class_coefficients,
@@ -51,6 +51,16 @@ def test_bar_complex_dimensions():
     assert cx.dimension(1) == 1
     assert cx.dimension(2) == 1
     assert cx.dimension(3) == 2
+
+
+def test_a_far_degree_bound_is_refused_without_counting_far_degrees():
+    # Q[x2,y2] first exceeds the cap at degree 13, and a bound of 60 is
+    # refused there, without counting the degrees up to 61
+    cx = BarComplex(GeneratorSet(("x2", "y2"), (2, 2), Q), 60)
+    with pytest.raises(ResourceCapError,
+                       match="^matrix 22980x6402 exceeds cap 20000$"):
+        cx.check_caps()
+    assert 61 not in cx._counts
 
 
 def test_euler_characteristic_is_block_consistent():

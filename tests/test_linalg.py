@@ -8,7 +8,8 @@ from loopcoh.linalg import (_euclidean_smith, _replay, matrix_invariants,
                             rank_over_field, smith_normal_form,
                             solve_in_span, unit_pivots)
 from loopcoh.rings import RingSpec
-from references import class_coefficients, echelon_rank, in_lattice
+from references import (class_coefficients, echelon_rank, in_lattice,
+                        reference_euclidean_smith)
 
 Z = RingSpec.integers()
 Q = RingSpec.rationals()
@@ -231,7 +232,7 @@ def test_unit_peeling_matches_the_euclidean_reference():
         min_size=1, max_size=8)))
     def check(rows):
         residuals.append(bool(unit_pivots(dense(rows, Z), 0)[1]))
-        diagonal = _euclidean_smith(dense(rows, Z))
+        diagonal = reference_euclidean_smith(dense(rows, Z))
         assert smith_normal_form(dense(rows, Z)) == (diagonal, len(diagonal))
         for ring in (Q, F3, F5):
             assert rank_over_field(dense(rows, ring), ring) == \
@@ -239,6 +240,54 @@ def test_unit_peeling_matches_the_euclidean_reference():
 
     check()
     assert any(residuals)
+
+
+def _first_step(rows):
+    """The branch that the first step of _euclidean_smith takes on the
+    integer matrix with the given rows, where the input decides it:
+    "remainder" when its pivot, an entry x of least absolute value,
+    ties by row and then column, fails to divide an entry of its row or
+    column, and "divisibility" when x stands alone in both and fails to
+    divide another entry."""
+    entries = [(abs(x), i, j, x) for i, row in enumerate(rows)
+               for j, x in enumerate(row) if x]
+    if not entries:
+        return None
+    _, i, j, x = min(entries)
+    if any(y % x for _, r, k, y in entries if r == i or k == j):
+        return "remainder"
+    alone = all(r != i and k != j for _, r, k, _ in entries
+                if (r, k) != (i, j))
+    if alone and any(y % x for _, _, _, y in entries):
+        return "divisibility"
+    return None
+
+
+def _matrices(entries):
+    return st.integers(1, 6).flatmap(lambda n_cols: st.lists(
+        st.lists(st.sampled_from(entries), min_size=n_cols,
+                 max_size=n_cols),
+        min_size=1, max_size=6))
+
+
+def test_euclidean_smith_matches_the_row_indexed_reference():
+    # entries from a set with non-units, so that some first steps leave
+    # a remainder, and matrices with a pivot 2 alone in its row and
+    # column above a block of larger entries, so that some first pivots
+    # divide not every entry; the test asserts that both occur
+    first_steps = set()
+    lone = _matrices([0, 0, 3, -3, 4, 6, 9]).map(
+        lambda rows: [[2] + [0] * len(rows[0])] + [[0] + r for r in rows])
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(_matrices([0, 0, 0, 1, -1, 2, -2, 3, 4, -6, 9]), lone))
+    def check(rows):
+        first_steps.add(_first_step(rows))
+        assert _euclidean_smith(dense(rows, Z)) == \
+            reference_euclidean_smith(dense(rows, Z))
+
+    check()
+    assert {"remainder", "divisibility"} <= first_steps
 
 
 def test_block_solve_matches_the_reference():
