@@ -216,8 +216,7 @@ def cmd_ring(cfg, max_degree, out):
     table = cfg.op_table()
     rt = RingTable(table, _complex_for(cfg, max_degree))
     entries = []
-    for (s1, s2) in sorted(rt.entries):
-        e = rt.entries[(s1, s2)]
+    for (s1, s2), e in rt.entries.items():
         entries.append({
             "left": list(s1),
             "right": list(s2),

@@ -57,7 +57,7 @@ from math import comb, prod
 from operator import mul
 
 from . import bar
-from .hirsch_ops import HirschOpTable
+from .hirsch_ops import HirschOpTable, sq1_decomposability_verdict
 from .koszul import oracle_dimensions
 from .linalg import (DEFAULT_DIMENSION_CAP, ResourceCapError,
                      composition_failures, matrix_invariants, solve_in_span,
@@ -541,8 +541,16 @@ class RingTable:
     complex cx of the table's generators, up to its degree bound.
 
     classes: generator subsets (by declared index) with their cocycle
-    representatives; entries: (S1, S2) -> dict with the reduced class
-    coordinates and any flags raised on the way.
+    representatives; pairs: the pairs (S1, S2) of subsets whose degrees
+    sum to at most the bound, in sorted order; entries: (S1, S2) -> dict
+    with the reduced class coordinates and any flags raised on the way,
+    for every pair, in that order.
+
+    An entry is formed, cocycle-checked and reduced the first time it is
+    read (entry), and memoised per pair: no entry depends on another, so
+    one formed on demand is the one a full table holds, and a caller that
+    reads a few entries, as exterior_verdict does up to its witness,
+    forms no more.  entries forms those not yet read.
     """
 
     def __init__(self, table: HirschOpTable, cx: BarComplex):
@@ -566,8 +574,32 @@ class RingTable:
                 indicator = tuple(int(i in s) for i in range(n_gens))
                 self._rep_of[(deg, indicator)] = s
         self._solvers = {}
-        self.entries = {}
-        self._build()
+        keys = sorted(self.reps)
+        degree = {s: sum(self.gens.degrees[i] - 1 for i in s) for s in keys}
+        self.pairs = [(s1, s2) for s1 in keys for s2 in keys
+                      if degree[s1] + degree[s2] <= self.max_degree]
+        self._entries = {}
+
+    @property
+    def entries(self):
+        return {pair: self.entry(pair) for pair in self.pairs}
+
+    def entry(self, pair):
+        """The entry of the pair (S1, S2): the product of their
+        representatives, flagged when it is not a cocycle and otherwise
+        reduced (reduce_cocycle); formed on the first read."""
+        found = self._entries.get(pair)
+        if found is None:
+            s1, s2 = pair
+            prod = bar.muE_product(self.table, self.reps[s1],
+                                   self.reps[s2])
+            if bar.bar_differential(self.gens, prod):
+                coords, flags = {}, ["product is not a cocycle"]
+            else:
+                coords, flags = self.reduce_cocycle(prod)
+            found = self._entries[pair] = {"coords": coords,
+                                           "flags": flags}
+        return found
 
     def _reduction_data(self, n, key):
         """The index of the coded words of the (n, key) block, the
@@ -636,27 +668,6 @@ class RingTable:
                                                      self.reps[s])
         return solve_in_span(pivots, residual, v, rep, self.ring)
 
-    def _build(self):
-        ring = self.ring
-        keys = sorted(self.reps)
-        for s1 in keys:
-            for s2 in keys:
-                d1 = sum(self.gens.degrees[i] - 1 for i in s1)
-                d2 = sum(self.gens.degrees[i] - 1 for i in s2)
-                if d1 + d2 > self.max_degree:
-                    continue
-                prod = bar.muE_product(self.table, self.reps[s1],
-                                       self.reps[s2])
-                flags = []
-                if bar.bar_differential(self.gens, prod):
-                    flags.append("product is not a cocycle")
-                    coords = {}
-                else:
-                    coords, rflags = self.reduce_cocycle(prod)
-                    flags.extend(rflags)
-                self.entries[(s1, s2)] = {"coords": coords,
-                                          "flags": flags}
-
 
 # ---------------------------------------------------------------------------
 # verdict
@@ -665,6 +676,24 @@ def _is_unit(ring, c):
     if ring.is_field:
         return not ring.is_zero(c)
     return c in (1, -1)
+
+
+def _ring_witness(ring, s1, s2, coords):
+    """The witness that the unflagged entry (S1, S2), with class
+    coordinates coords, gives against the exterior algebra, or None:
+    a square or an overlapping product must vanish, and the product of
+    disjoint subsets must be a unit times the class of their union."""
+    value = {str(k): repr(c) for k, c in sorted(coords.items())}
+    if set(s1) & set(s2):
+        if not coords:
+            return None
+        return {"kind": "square" if s1 == s2 else "overlap",
+                "left": s1, "right": s2, "value": value}
+    union = tuple(sorted(s1 + s2))
+    if sorted(coords) == [union] and _is_unit(ring, coords[union]):
+        return None
+    return {"kind": "product", "left": s1, "right": s2,
+            "expected": union, "value": value}
 
 
 def exterior_verdict(table: HirschOpTable, cx: BarComplex):
@@ -676,7 +705,24 @@ def exterior_verdict(table: HirschOpTable, cx: BarComplex):
     Returns a report with verdict exterior / not_exterior (with the
     first witness found, in a fixed deterministic order) or inconclusive
     when some ring entry was flagged.
+
+    The ring entries are read in the sorted order of their pairs, each
+    formed as it is read (RingTable.entry), and the walk stops at the
+    first unflagged entry that contradicts the exterior algebra.  No
+    entry depends on another, so this is the witness a scan of the full
+    table in the same order finds; flags then lists the flags of the
+    entries read before it, and a rank or torsion witness, found before
+    any entry is formed, lists none.  Only when there is no witness is
+    every entry read and graded commutativity checked.  A definite
+    verdict is then checked against the paper's theorem
+    (_check_theorem).
     """
+    report = _verdict(table, cx)
+    _check_theorem(table, cx.max_degree, report)
+    return report
+
+
+def _verdict(table, cx):
     gens = cx.gens
     ring = gens.ring
     ranks = homology_ranks(cx)
@@ -702,43 +748,26 @@ def exterior_verdict(table: HirschOpTable, cx: BarComplex):
         return report
 
     rt = RingTable(table, cx)
-    report["flags"] = sorted(
-        {f for e in rt.entries.values() for f in e["flags"]})
+    flags = set()
     witness = None
-    for (s1, s2) in sorted(rt.entries):
-        entry = rt.entries[(s1, s2)]
+    for pair in rt.pairs:
+        entry = rt.entry(pair)
         if entry["flags"]:
+            flags.update(entry["flags"])
             continue
-        coords = entry["coords"]
-        overlap = set(s1) & set(s2)
-        if overlap:
-            # squares and overlapping products must vanish
-            if coords:
-                witness = {"kind": "square" if s1 == s2 else "overlap",
-                           "left": s1, "right": s2,
-                           "value": {str(k): repr(c)
-                                     for k, c in sorted(coords.items())}}
-                break
-        else:
-            union = tuple(sorted(s1 + s2))
-            keys = sorted(coords)
-            if keys != [union] or not _is_unit(ring, coords[union]):
-                witness = {"kind": "product", "left": s1, "right": s2,
-                           "expected": union,
-                           "value": {str(k): repr(c)
-                                     for k, c in sorted(coords.items())}}
-                break
+        witness = _ring_witness(ring, *pair, entry["coords"])
+        if witness is not None:
+            break
+    report["flags"] = sorted(flags)
     if witness is not None:
         report["verdict"] = "not_exterior"
         report["witness"] = witness
         return report
     # graded commutativity of the table entries
-    for (s1, s2) in sorted(rt.entries):
-        if (s2, s1) not in rt.entries:
-            continue
-        a = rt.entries[(s1, s2)]
-        b = rt.entries[(s2, s1)]
-        if a["flags"] or b["flags"]:
+    entries = rt.entries
+    for (s1, s2), a in entries.items():
+        b = entries.get((s2, s1))
+        if b is None or a["flags"] or b["flags"]:
             continue
         d1 = sum(gens.degrees[i] - 1 for i in s1)
         d2 = sum(gens.degrees[i] - 1 for i in s2)
@@ -753,3 +782,43 @@ def exterior_verdict(table: HirschOpTable, cx: BarComplex):
     else:
         report["verdict"] = "exterior"
     return report
+
+
+def _check_theorem(table, max_degree, report):
+    """Raise HomologyError when a definite verdict contradicts the
+    theorem of the paper, the converse of Borel's.  Over Z, Q and odd
+    F_p the loop cohomology of a polynomial algebra is exterior (no Sq1
+    table exists there).  Over F2 it is exterior exactly when Sq1 of
+    every generator is decomposable; a generator u whose Sq1 u is not
+    has the witness (s^-1 u)^2 = s^-1 Sq1 u != 0 in degree 2|u| - 2,
+    which the verdict reaches when that is at most max_degree.  So a
+    table with such a generator must give not_exterior, one with none
+    that is indecomposable must give exterior, and one whose
+    indecomposable Sq1 all lie past the bound is not compared; nor is an
+    inconclusive verdict."""
+    verdict = report["verdict"]
+    if verdict == "inconclusive":
+        return
+    gens = table.gens
+    indecomposable = [] if table.sq1 is None else \
+        sq1_decomposability_verdict(gens, table.sq1)[1]
+    reached = [(name, image) for name, image in indecomposable
+               if 2 * gens.degrees[gens.index(name)] - 2 <= max_degree]
+    if reached and verdict != "not_exterior":
+        name, image = reached[0]
+        raise HomologyError(
+            f"the verdict is {verdict}, but Sq1({name}) = {image} is "
+            f"indecomposable, so the square of the class of {name} is "
+            f"nonzero in degree {2 * gens.degrees[gens.index(name)] - 2}")
+    if not indecomposable and verdict != "exterior":
+        witness = report["witness"]
+        if "left" in witness:
+            where = "at " + ", ".join(
+                gens.names[i]
+                for i in sorted(set(witness["left"] + witness["right"])))
+        else:
+            where = f"in degree {witness['degree']}"
+        raise HomologyError(
+            f"the verdict is {verdict}, with a {witness['kind']} witness "
+            f"{where}, but Sq1 of every generator is decomposable, so the "
+            f"loop cohomology is exterior")

@@ -4,7 +4,8 @@ row-indexed Euclidean Smith form and membership of an integer column
 lattice by it, the projection of the resolution onto H, the
 resolution's letters and basis without pruning, the bar d^2 check word
 by word, the associativity relation of the Hirsch operations over all
-basis tuples, and the argparse parser of the command line."""
+basis tuples, the exterior verdict read off a full ring table, and the
+argparse parser of the command line."""
 import argparse
 import itertools
 
@@ -13,6 +14,8 @@ from loopcoh.bar import bar_basis, bar_differential
 from loopcoh.cli import COMMANDS
 from loopcoh.config import ascii_int
 from loopcoh.hirsch_ops import _basis_tuples, associativity_sides
+from loopcoh.homology import RingTable, homology_ranks
+from loopcoh.koszul import oracle_dimensions
 from loopcoh.polynomial import Polynomial
 from loopcoh.rings import RingError, RingSpec
 
@@ -326,6 +329,76 @@ def check_associativity_relation(table, k, l, r, degree_bound):
             violations.append(((tuple(map(repr, a)), tuple(map(repr, b)),
                                 tuple(map(repr, c))), lhs, rhs))
     return violations
+
+
+def reference_exterior_verdict(table, cx):
+    """homology.exterior_verdict as it was when the ring table formed
+    every entry first: every entry built, then the scan of the sorted
+    pairs for the first unflagged witness, with the flags of every entry
+    reported, and graded commutativity checked when there is none; no
+    check against the theorem."""
+    gens = cx.gens
+    ring = gens.ring
+    ranks = homology_ranks(cx)
+    oracle = oracle_dimensions(gens, cx.max_degree)
+    report = {"ranks": ranks["ranks"], "oracle": oracle,
+              "torsion": ranks["torsion"], "flags": [], "witness": None}
+    for n, (got, want) in enumerate(zip(ranks["ranks"], oracle)):
+        if got != want:
+            report["verdict"] = "not_exterior"
+            report["witness"] = {"kind": "rank", "degree": n,
+                                 "rank": got, "oracle": want}
+            return report
+    if ranks["torsion"]:
+        n = min(ranks["torsion"])
+        report["verdict"] = "not_exterior"
+        report["witness"] = {"kind": "torsion", "degree": n,
+                             "factors": ranks["torsion"][n]}
+        return report
+
+    entries = RingTable(table, cx).entries
+    report["flags"] = sorted({f for e in entries.values()
+                              for f in e["flags"]})
+    witness = None
+    for (s1, s2) in sorted(entries):
+        entry = entries[(s1, s2)]
+        if entry["flags"]:
+            continue
+        coords = entry["coords"]
+        value = {str(k): repr(c) for k, c in sorted(coords.items())}
+        if set(s1) & set(s2):
+            # squares and overlapping products must vanish
+            if coords:
+                witness = {"kind": "square" if s1 == s2 else "overlap",
+                           "left": s1, "right": s2, "value": value}
+                break
+        else:
+            union = tuple(sorted(s1 + s2))
+            unit = coords.get(union) in (1, -1) if not ring.is_field \
+                else not ring.is_zero(coords.get(union, 0))
+            if sorted(coords) != [union] or not unit:
+                witness = {"kind": "product", "left": s1, "right": s2,
+                           "expected": union, "value": value}
+                break
+    if witness is not None:
+        report["verdict"] = "not_exterior"
+        report["witness"] = witness
+        return report
+    for (s1, s2) in sorted(entries):
+        if (s2, s1) not in entries:
+            continue
+        a, b = entries[(s1, s2)], entries[(s2, s1)]
+        if a["flags"] or b["flags"]:
+            continue
+        d1 = sum(gens.degrees[i] - 1 for i in s1)
+        d2 = sum(gens.degrees[i] - 1 for i in s2)
+        sign = ring.one() if (d1 * d2) % 2 == 0 else ring.neg(ring.one())
+        flipped = {k: ring.mul(sign, c) for k, c in b["coords"].items()}
+        if a["coords"] != flipped:
+            report["flags"].append(
+                f"graded commutativity fails at {s1} x {s2}")
+    report["verdict"] = "inconclusive" if report["flags"] else "exterior"
+    return report
 
 
 def _max_degree(text):

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from loopcoh import bar
 from loopcoh.cli import _cache_key, _read_cache, main, parse_args
 from loopcoh.config import parse_config
 from loopcoh.homology import BarComplex
@@ -467,15 +468,51 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
     calls.update(dict.fromkeys(calls, 0))
     assert run(["ranks", "--config", cfg] + cache)[0] == 0
     assert calls == {"_block_matrix": 0, "_block_words": 0}
-    # the ring table reaches 20 blocks and builds the matrix into each
-    # once, 8 of them from a nonempty domain; it lists the words of each
-    # block once, and those of the 8 domains.  The walk and the ring
-    # table code their words on the bar complex's one letter table.
+    products = []
+
+    def counted_product(*args):
+        products.append(args)
+        return product(*args)
+
+    product = bar.muE_product
+    monkeypatch.setattr(bar, "muE_product", counted_product)
+    # the verdict forms ring entries only up to its witness, the square
+    # of the class of v2, which is the first: one product, reduced in one
+    # block, built from an empty domain.  The walk and the ring table
+    # code their words on the bar complex's one letter table.
     tables.clear()
+    calls.update(dict.fromkeys(calls, 0))
     assert run(["check-exterior", "--config", cfg])[0] == 0
-    assert calls["_block_matrix"] == 78 + 20
-    assert calls["_block_words"] == 78 + 20 + 8
+    assert calls == {"_block_matrix": 78 + 1, "_block_words": 78 + 1}
+    assert len(products) == 1
     assert len(tables) == 1
+    # the full ring table forms all 190 products; they reach 20 blocks,
+    # and it builds the matrix into each once, 8 of them from a nonempty
+    # domain; it lists the words of each block once, and those of the 8
+    # domains.  ring reads no invariants, so there is no walk.
+    products.clear()
+    calls.update(dict.fromkeys(calls, 0))
+    assert run(["ring", "--config", cfg])[0] == 0
+    assert calls == {"_block_matrix": 20, "_block_words": 20 + 8}
+    assert len(products) == 190
+
+
+def test_a_verdict_against_the_theorem_exits_two(tmp_path, monkeypatch):
+    # without its mixed shapes the twisted product is the shuffle product,
+    # and the exterior-f2 algebra would read as exterior; Sq1(v2) = t3 is
+    # indecomposable, so the theorem refuses that verdict
+    from loopcoh.hirsch_ops import HirschOpTable
+    monkeypatch.setattr(HirschOpTable, "mixed_shapes", lambda self: [])
+    cfg = write_config(tmp_path, GOLDEN_CONFIGS["f2-four"])
+    json_path = str(tmp_path / "out.json")
+    code, text = run(["check-exterior", "--config", cfg, "--json",
+                      json_path])
+    error = ("HomologyError: the verdict is exterior, but Sq1(v2) = t3 is "
+             "indecomposable, so the square of the class of v2 is nonzero "
+             "in degree 2")
+    assert code == 2
+    assert json.loads(open(json_path).read())["errors"] == [error]
+    assert f"error: {error}" in text
 
 
 Q_PAIR = {"ring": "Q", "generators": [{"name": "x2", "degree": 2},

@@ -16,7 +16,8 @@ from loopcoh.linalg import (ResourceCapError, rank_over_field,
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
 from references import (bar_d_squared_failures, class_coefficients,
-                        echelon_rank)
+                        echelon_rank, reference_exterior_verdict)
+from test_cli import GOLDEN_CONFIGS
 
 Z = RingSpec.integers()
 Q = RingSpec.rationals()
@@ -462,6 +463,7 @@ def test_ring_table_factors_each_reached_block_once(monkeypatch, table,
     monkeypatch.setattr(homology, "unit_pivots", counted_pivots)
     monkeypatch.setattr(homology, "solve_in_span", counted_solve)
     rt = RingTable(table, BarComplex(table.gens, max_degree))
+    assert len(rt.entries) == len(rt.pairs)
     # one factoring per block the solves reached, and more solves
     assert len(factored) == len(rt._solvers) < len(solves)
 
@@ -485,6 +487,203 @@ def test_a_block_that_does_not_reduce_drops_its_whole_degree():
         {(0,): 1}, ["cocycle not reducible in degree 2"])
     assert rt.reduce_cocycle({(u2,): 1, (u3,): 1}) == (
         {(0,): 1, (1,): 1}, [])
+
+
+def _assert_verdict_matches_reference(table, max_degree):
+    """exterior_verdict against the eager reference, which forms every
+    entry first: the same verdict, witness, ranks, oracle and torsion,
+    and the same flags, except that a not_exterior verdict may list only
+    some of them, those raised before its witness."""
+    got = exterior_verdict(table, BarComplex(table.gens, max_degree))
+    want = reference_exterior_verdict(table,
+                                      BarComplex(table.gens, max_degree))
+    for key in ("verdict", "witness", "ranks", "oracle", "torsion"):
+        assert got[key] == want[key], key
+    if got["verdict"] == "not_exterior":
+        assert set(got["flags"]) <= set(want["flags"])
+    else:
+        assert got["flags"] == want["flags"]
+    return got, want
+
+
+# the two tables of criterion 7
+CRITERION_7_PAIR = _sq((("u2", 2), ("u3", 3)), {"u2": ("u3",)})
+CRITERION_7_FOUR = _sq((("v2", 2), ("w2", 2), ("t3", 3), ("u3", 3)),
+                       {"v2": ("t3",), "u3": ("v2", "w2")})
+
+
+def _golden(name):
+    doc = GOLDEN_CONFIGS[name]
+    return parse_config(json.dumps(doc)).op_table(), \
+        doc["bounds"]["max_degree"]
+
+
+# w2 before v2: the witness is the overlap ((0, 1), (1,)), the 24th of
+# the 190 entries
+W2_FIRST = _sq((("w2", 2), ("v2", 2), ("t3", 3), ("u3", 3)),
+               {"v2": ("t3",), "u3": ("v2", "w2")})
+
+
+@pytest.mark.parametrize("table, max_degree", [
+    (CRITERION_7_PAIR, 8),
+    (CRITERION_7_FOUR, 8),
+    (CRITERION_7_FOUR, 5),
+    _golden("q-pair"),
+    _golden("z-pair"),
+    _golden("f2-pair"),
+    _golden("f2-four"),
+    (W2_FIRST, 8),
+    (_trivial(Z, ("x2", 2), ("x4", 4)), 9),
+    (_trivial(Z, ("a2", 2), ("b2", 2), ("c4", 4)), 8),
+    (_trivial(Q, ("x2", 2), ("y2", 2), ("z4", 4)), 8),
+    (_trivial(F3, ("a2", 2), ("b2", 2), ("c4", 4)), 7),
+    (_sq((("u2", 2), ("u5", 5)), {"u5": ("u2", "u2", "u2")}), 9),
+], ids=["criterion 7 F2[u2,u3]", "criterion 7 F2[v2,w2,t3,u3]",
+        "criterion 7 F2[v2,w2,t3,u3] at 5", "golden q-pair",
+        "golden z-pair", "golden f2-pair", "golden f2-four",
+        "F2[w2,v2,t3,u3]", "Z[x2,x4]", "Z[a2,b2,c4]", "Q[x2,y2,z4]",
+        "F3[a2,b2,c4]", "F2[u2,u5] sq1 u5=u2^3"])
+def test_verdict_matches_the_eager_reference(table, max_degree):
+    _assert_verdict_matches_reference(table, max_degree)
+
+
+@st.composite
+def f2_sq1_tables(draw):
+    """An F2 algebra of 2 to 4 generators of degree 2 to 5 with a drawn
+    Sq1 table, each image a sum of monomials of degree |u| + 1, and a
+    degree bound from 5 to 8."""
+    degrees = sorted(draw(st.lists(st.integers(2, 5), min_size=2,
+                                   max_size=4)))
+    names = tuple(f"{'abcd'[i]}{d}" for i, d in enumerate(degrees))
+    gens = GeneratorSet(names, tuple(degrees), F2)
+    images = {}
+    for name, d in zip(names, degrees):
+        monomials = gens.basis_in_degree(d + 1)
+        if monomials:
+            chosen = draw(st.lists(st.sampled_from(monomials),
+                                   unique=True))
+            images[name] = sum((Polynomial.monomial(gens, m)
+                                for m in chosen), Polynomial.zero(gens))
+    return HirschOpTable(gens, Sq1Table(gens, images)), \
+        draw(st.integers(5, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f2_sq1_tables())
+def test_verdict_matches_the_eager_reference_on_drawn_sq1_tables(drawn):
+    _assert_verdict_matches_reference(*drawn)
+
+
+def _forced_residual(monkeypatch, block):
+    """Make the unit-pivot record of the (degree, vector) block read as
+    having left a residual, so that a part there that does not vanish
+    on the pivots flags its degree."""
+    reduction_data = RingTable._reduction_data
+
+    def forced(self, n, key):
+        index, pivots, residual = reduction_data(self, n, key)
+        return index, pivots, residual or (n, key) == block
+
+    monkeypatch.setattr(RingTable, "_reduction_data", forced)
+
+
+def test_a_flag_raised_before_the_witness_is_reported(monkeypatch):
+    # [w2]*[v2], the second entry, lies in this block, which holds the
+    # representative of {w2, v2} and receives no boundary
+    _forced_residual(monkeypatch, (2, (1, 1, 0, 0)))
+    got, want = _assert_verdict_matches_reference(W2_FIRST, 8)
+    assert got["witness"]["left"] == (0, 1)
+    assert got["flags"] == want["flags"] == \
+        ["cocycle not reducible in degree 2"]
+
+
+def test_a_flag_raised_after_the_witness_is_not_reported(monkeypatch):
+    # only the products of t3 and u3, after the witness, reach this block
+    _forced_residual(monkeypatch, (4, (0, 0, 1, 1)))
+    got, want = _assert_verdict_matches_reference(W2_FIRST, 8)
+    assert got["witness"]["left"] == (0, 1)
+    assert got["flags"] == []
+    assert want["flags"] == ["cocycle not reducible in degree 4"]
+
+
+def test_the_verdict_forms_entries_only_up_to_its_witness(monkeypatch):
+    formed = []
+    entry = RingTable.entry
+
+    def counted(self, pair):
+        if pair not in self._entries:
+            formed.append(pair)
+        return entry(self, pair)
+
+    monkeypatch.setattr(RingTable, "entry", counted)
+    rt = RingTable(W2_FIRST, BarComplex(W2_FIRST.gens, 8))
+    assert formed == []
+    verdict = exterior_verdict(W2_FIRST, BarComplex(W2_FIRST.gens, 8))
+    assert verdict["witness"]["kind"] == "overlap"
+    assert formed == rt.pairs[:rt.pairs.index(((0, 1), (1,))) + 1]
+    formed.clear()
+    # the full table holds every pair, in sorted order
+    assert list(rt.entries) == sorted(rt.pairs) == rt.pairs
+    assert formed == rt.pairs
+
+
+@pytest.mark.parametrize("max_degree, verdict", [
+    (7, "exterior"), (8, "not_exterior")])
+def test_an_indecomposable_sq1_decides_from_degree_2u_minus_2(max_degree,
+                                                              verdict):
+    # the square of the class of u5 lies in degree 8: below it the
+    # verdict sees an exterior algebra, which the theorem check allows
+    table = _sq((("u5", 5), ("w6", 6)), {"u5": ("w6",)})
+    got = exterior_verdict(table, BarComplex(table.gens, max_degree))
+    assert got["verdict"] == verdict
+
+
+def _untwisted_products(monkeypatch):
+    # every table multiplies as the shuffle product does
+    monkeypatch.setattr(HirschOpTable, "mixed_shapes", lambda self: [])
+
+
+def _rank_two_off(monkeypatch):
+    import loopcoh.homology as homology
+    oracle = homology.oracle_dimensions
+
+    def shifted(gens, max_degree):
+        out = oracle(gens, max_degree)
+        out[2] += 1
+        return out
+
+    monkeypatch.setattr(homology, "oracle_dimensions", shifted)
+
+
+def _first_disjoint_product_lost(monkeypatch):
+    entry = RingTable.entry
+
+    def lost(self, pair):
+        found = entry(self, pair)
+        return {"coords": {}, "flags": []} if pair == ((0,), (1,)) \
+            else found
+
+    monkeypatch.setattr(RingTable, "entry", lost)
+
+
+@pytest.mark.parametrize("table, plant, message", [
+    (_sq((("u2", 2), ("u3", 3)), {"u2": ("u3",)}), _untwisted_products,
+     r"^the verdict is exterior, but Sq1\(u2\) = u3 is indecomposable, "
+     r"so the square of the class of u2 is nonzero in degree 2$"),
+    (_trivial(Q, ("x2", 2), ("y2", 2)), _rank_two_off,
+     r"^the verdict is not_exterior, with a rank witness in degree 2, "
+     r"but Sq1 of every generator is decomposable, so the loop "
+     r"cohomology is exterior$"),
+    (_trivial(Z, ("x2", 2), ("x4", 4)), _first_disjoint_product_lost,
+     r"with a product witness at x2, x4, but"),
+    (_sq((("u2", 2), ("u5", 5)), {"u5": ("u2", "u2", "u2")}),
+     _first_disjoint_product_lost, r"with a product witness at u2, u5, but"),
+], ids=["F2 indecomposable", "Q rank", "Z product", "F2 decomposable"])
+def test_a_verdict_against_the_theorem_is_refused(monkeypatch, table, plant,
+                                                  message):
+    plant(monkeypatch)
+    with pytest.raises(HomologyError, match=message):
+        exterior_verdict(table, BarComplex(table.gens, 6))
 
 
 def _job_gens(ring, generators, **extra):

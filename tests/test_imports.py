@@ -113,8 +113,7 @@ def test_every_definition_is_referenced():
 # that tests compare against belongs in tests/references.py.  The
 # method BarComplex.words decodes a block's words for the reference
 # tests that read them.
-TEST_ONLY = ["boundary_blocks", "oracle_small_resolution_check",
-             "sq1_decomposability_verdict", "words"]
+TEST_ONLY = ["boundary_blocks", "oracle_small_resolution_check", "words"]
 
 
 def test_only_the_pinned_definitions_are_reached_from_tests_alone():
