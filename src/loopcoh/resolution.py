@@ -10,6 +10,18 @@ Letters (generators of V) are hashable tuples:
 A word is a tuple of letters; an element is a dict word -> coefficient.
 Resolution degree is <= 0, internal degree matches H, and total degree
 (their sum) drives all Koszul signs.
+
+Contraction.  W is the set of degree-0 letters, cup clusters, and
+right-nested cup-one iterations E_{1,1}(a_1; E_{1,1}(a_2; ... a_n)) of
+one-letter arguments whose entries are degree-0 letters or clusters;
+_iteration reads such a letter's entries once.  An E^o letter is an
+iteration of strictly ascending degree-0 entries, which _case1 tests on
+those entries.  An E^op letter is an iteration whose entries ascend in
+degree 0 up to a descending pair; _eop_position finds the pair on the
+entries, and _tilde merges it into a cluster.  The split promotes the
+leading letter of the first multi-letter argument string in a nest to
+a slot of its own; _prime finds and builds it in one pass.  Each case
+returns the word it rewrites to, or None.
 """
 from __future__ import annotations
 
@@ -417,99 +429,51 @@ def normalize_element(x, gens):
 # ---------------------------------------------------------------------------
 # contraction homotopy
 
-def _is_v0(letter):
-    return letter[0] == "v"
-
-
-def _is_cup(letter):
-    return letter[0] == "C"
-
-
-def _cup1_args(letter):
-    """For a cup-one letter E_{1,1}(x; y) with one-letter word
-    arguments, the pair of inner letters; otherwise None."""
-    if letter[0] != "E":
-        return None
-    _, p, q, args = letter
-    if (p, q) != (1, 1):
-        return None
-    if len(args[0]) != 1 or len(args[1]) != 1:
-        return None
-    return args[0][0], args[1][0]
-
-
-def _iteration_flatten(letter):
-    """Letters a_1, ..., a_n of a right-nested cup-one iteration with
+def _iteration(letter):
+    """Entries a_1, ..., a_n of a right-nested cup-one iteration
+    E_{1,1}(a_1; E_{1,1}(a_2; ... a_n)) with one-letter arguments and
     degree-0 or cup-cluster entries; None when the letter is not one."""
-    pair = _cup1_args(letter)
-    if pair is None:
-        return None
-    x, y = pair
-    if not (_is_v0(x) or _is_cup(x)):
-        return None
-    if _is_v0(y) or _is_cup(y):
-        return [x, y]
-    rest = _iteration_flatten(y)
-    if rest is None:
-        return None
-    return [x] + rest
+    entries = []
+    while letter[0] == "E":
+        _, p, q, args = letter
+        if (p, q) != (1, 1) or len(args[0]) != 1 or len(args[1]) != 1 \
+                or args[0][0][0] == "E":
+            return None
+        entries.append(args[0][0])
+        letter = args[1][0]
+    return entries + [letter] if entries else None
 
 
-def _is_e1(letter):
-    return _iteration_flatten(letter) is not None
+def _is_w(letter):
+    return letter[0] != "E" or _iteration(letter) is not None
 
 
-def _is_eo(letter):
-    seq = _iteration_flatten(letter)
-    if seq is None or any(not _is_v0(l) for l in seq):
-        return False
-    idx = [l[1] for l in seq]
-    return all(a < b for a, b in zip(idx, idx[1:]))
-
-
-def _eop_position(letter):
-    """Index kappa (1-based) of the descending pair of an iteration whose
-    entries start with a strictly ascending degree-0 prefix a_1 < ... <
-    a_kappa >= a_{kappa+1}; None when the letter is not of that shape."""
-    seq = _iteration_flatten(letter)
-    if seq is None or len(seq) < 2:
-        return None
+def _eop_position(seq):
+    """Index kappa (1-based) of the descending pair of iteration entries
+    that start with a strictly ascending degree-0 prefix a_1 < ... <
+    a_kappa >= a_{kappa+1}, a cluster a_{kappa+1} counting as descending
+    when a_kappa is at least each of its entries; None when the entries
+    are not of that shape."""
     kappa = 1
-    while (kappa < len(seq) and _is_v0(seq[kappa - 1]) and _is_v0(seq[kappa])
-           and seq[kappa - 1][1] < seq[kappa][1]):
+    while (kappa < len(seq) and seq[kappa - 1][0] == "v"
+           and seq[kappa][0] == "v" and seq[kappa - 1][1] < seq[kappa][1]):
         kappa += 1
-    if kappa >= len(seq) or not _is_v0(seq[kappa - 1]):
+    if kappa == len(seq) or seq[kappa - 1][0] != "v":
         return None
+    # a degree-0 successor stopped the ascent, so only a cluster is tested
     nxt = seq[kappa]
-    if _is_v0(nxt):
-        return kappa if seq[kappa - 1][1] >= nxt[1] else None
-    if _is_cup(nxt) and all(seq[kappa - 1][1] >= m for m in nxt[1]):
+    if nxt[0] == "v" or all(seq[kappa - 1][1] >= m for m in nxt[1]):
         return kappa
     return None
 
 
-def _is_eop(letter):
-    return _eop_position(letter) is not None
-
-
-def _is_w(letter):
-    return _is_v0(letter) or _is_cup(letter) or _is_e1(letter)
-
-
-def _cup_merge(i, letter):
-    """a u2 x for a degree-0 letter index i and x a degree-0 or cup
-    letter: clusters absorb the new entry."""
-    if _is_v0(letter):
-        return cup_letter((i, letter[1]))
-    return cup_letter((i,) + letter[1])
-
-
-def _tilde(letter):
-    """Replace the descending pair of an E^op iteration by the cup-two
-    of its entries, keeping the rest of the iteration right-nested."""
-    seq = _iteration_flatten(letter)
-    kappa = _eop_position(letter)
-    merged = _cup_merge(seq[kappa - 1][1], seq[kappa])
+def _tilde(seq, kappa):
+    """Replace the descending pair of E^op iteration entries by the
+    cup-two of its entries, keeping the rest of the iteration
+    right-nested; clusters absorb the new entry."""
+    nxt = seq[kappa]
+    merged = cup_letter((seq[kappa - 1][1],)
+                        + ((nxt[1],) if nxt[0] == "v" else nxt[1]))
     entries = seq[:kappa - 1] + [merged] + seq[kappa + 1:]
     rebuilt = entries[-1]
     for l in reversed(entries[:-1]):
@@ -517,130 +481,94 @@ def _tilde(letter):
     return rebuilt
 
 
-def _edot_info(letter):
-    """For letters in the splittable class: the path of argument indices
-    from this letter down to the operation holding the first multi-letter
-    string, together with that string's slot; None when no argument
-    string anywhere in the nest has more than one letter, or the shape
-    rules forbid the split."""
+def _prime(letter):
+    """Split the first multi-letter argument string in the nest,
+    promoting its leading letter to a new slot of its operation; None
+    when no argument string anywhere in the nest has more than one
+    letter, or the shape rules forbid the split.  The string may occupy
+    the leading left slot, or the leading right slot of an E_{1,q} whose
+    left argument is a single letter in W."""
     if letter[0] != "E":
         return None
     _, p, q, args = letter
     for k, w in enumerate(args):
         if len(w) > 1:
-            # first multi-letter string: it may occupy the leading left
-            # slot, or the leading right slot of an E_{1,q} whose left
-            # argument is a single plain letter
-            if k == 0:
-                return ((), 0)
-            if p == 1 and k == 1 and len(args[0]) == 1 and _is_w(args[0][0]):
-                return ((), 1)
+            if k == 0 or (k == 1 and p == 1 and _is_w(args[0][0])):
+                slots = args[:k] + ((w[0],), w[1:]) + args[k + 1:]
+                cut = p + 1 if k < p else p
+                return e_letter(slots[:cut], slots[cut:])
             return None
-        x = w[0]
-        if _is_w(x):
-            continue
-        if x[0] == "E":
-            sub = _edot_info(x)
-            if sub is not None:
-                path, slot = sub
-                return ((k,) + path, slot)
-            # a nested operation with only one-letter strings: scan on
-            continue
-        return None
+        # a one-letter string: split inside its letter, or scan on
+        inner = _prime(w[0])
+        if inner is not None:
+            slots = args[:k] + ((inner,),) + args[k + 1:]
+            return e_letter(slots[:p], slots[p:])
     return None
-
-
-def _is_edot(letter):
-    return _edot_info(letter) is not None
-
-
-def _split_slot(letter, slot):
-    _, p, q, args = letter
-    w = args[slot]
-    x, y = (w[0],), w[1:]
-    if slot == 0:
-        return e_letter((x, y) + args[1:p], args[p:])
-    return e_letter((args[0],), (x, y) + args[p + 1:])
-
-
-def _prime(letter):
-    """Split the first multi-letter argument string in the nest,
-    promoting its leading letter to a new slot of its operation."""
-    path, slot = _edot_info(letter)
-
-    def rebuild(cur, depth):
-        if depth == len(path):
-            return _split_slot(cur, slot)
-        _, p, q, args = cur
-        k = path[depth]
-        inner = rebuild(args[k][0], depth + 1)
-        new_args = args[:k] + ((inner,),) + args[k + 1:]
-        return e_letter(new_args[:p], new_args[p:])
-
-    return rebuild(letter, 0)
 
 
 def _case1(word):
     """Adjacent cup-one insertion at the first ascent of a weakly
-    descending degree-0 prefix."""
-    n = len(word)
-    k = None
-    for pos in range(1, n):
-        prev, cur = word[pos - 1], word[pos]
-        if not _is_v0(prev):
+    descending degree-0 prefix, to a greater degree-0 letter or to an
+    E^o letter whose entries all exceed the last of the prefix."""
+    for k in range(1, len(word)):
+        prev, cur = word[k - 1], word[k]
+        if prev[0] != "v":
             return None
-        if _is_v0(cur):
-            if prev[1] < cur[1]:
-                k = pos
-                break
-            continue
-        if _is_eo(cur):
-            seq = _iteration_flatten(cur)
-            if all(prev[1] < l[1] for l in seq):
-                k = pos
-                break
-        return None
-    if k is None:
-        return None
-    for l in word[k + 1:]:
-        # cup clusters are excluded alongside E^op iterations: the
-        # differential of a cluster regenerates an E^op letter, whose
-        # word would give a second preimage of the same insertion
-        if not _is_w(l) or _is_eop(l) or _is_cup(l):
-            return None
-    new_letter = e_letter(((word[k - 1],),), ((word[k],),))
-    return word[:k - 1] + (new_letter,) + word[k + 1:]
+        if cur[0] == "v":
+            if prev[1] >= cur[1]:
+                continue
+        else:
+            seq = _iteration(cur)
+            if seq is None or any(l[0] != "v" for l in seq):
+                return None
+            idx = [prev[1]] + [l[1] for l in seq]
+            if any(a >= b for a, b in zip(idx, idx[1:])):
+                return None
+        for l in word[k + 1:]:
+            # cup clusters are excluded alongside E^op iterations: the
+            # differential of a cluster regenerates an E^op letter, whose
+            # word would give a second preimage of the same insertion
+            if l[0] == "C":
+                return None
+            if l[0] == "E":
+                seq = _iteration(l)
+                if seq is None or _eop_position(seq) is not None:
+                    return None
+        new_letter = e_letter(((prev,),), ((cur,),))
+        return word[:k - 1] + (new_letter,) + word[k + 1:]
+    return None
 
 
 def _case2(word):
+    """Cup-two merge of the first E^op letter, after letters in W and
+    followed by letters in W only."""
     for k, letter in enumerate(word):
-        if _is_eop(letter):
-            if any(not _is_w(l) or _is_eop(l) for l in word[:k]):
+        if letter[0] != "E":
+            continue
+        seq = _iteration(letter)
+        if seq is None:
+            return None
+        kappa = _eop_position(seq)
+        if kappa is not None:
+            if not all(_is_w(l) for l in word[k + 1:]):
                 return None
-            if any(not _is_w(l) for l in word[k + 1:]):
-                return None
-            return word[:k] + (_tilde(letter),) + word[k + 1:]
+            return word[:k] + (_tilde(seq, kappa),) + word[k + 1:]
+    return None
+
+
+def _case3(word):
+    """Split of the first letter that has one, after letters in W."""
+    for k, letter in enumerate(word):
+        new = _prime(letter)
+        if new is not None:
+            return word[:k] + (new,) + word[k + 1:]
         if not _is_w(letter):
             return None
     return None
 
 
-def _case3(word):
-    for k, letter in enumerate(word):
-        if _is_edot(letter):
-            if any(not _is_w(l) for l in word[:k]):
-                return None
-            return word[:k] + (_prime(letter),) + word[k + 1:]
-        if not _is_w(letter) and letter[0] == "E":
-            # an E letter that is neither a plain iteration nor
-            # splittable blocks this case
-            if not _is_e1(letter):
-                return None
-    return None
-
-
 def contraction_s(d: Differential, word):
-    """Degree (-1, 0) homotopy on a single word; exactly one case may
+    """Degree (-1, 0) homotopy on a single word; at most one case may
     apply, otherwise the value is zero.  d is the differential of the
     resolution the word lives in.
 

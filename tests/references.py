@@ -2,10 +2,11 @@
 echelon, which both ranks a matrix and solves in a column span, a
 row-indexed Euclidean Smith form and membership of an integer column
 lattice by it, the projection of the resolution onto H, the
-resolution's letters and basis without pruning, the bar d^2 check word
-by word, the associativity relation of the Hirsch operations over all
-basis tuples, the exterior verdict read off a full ring table, and the
-argparse parser of the command line."""
+resolution's letters and basis without pruning, the contraction's cases
+with one predicate per shape, the bar d^2 check word by word, the
+associativity relation of the Hirsch operations over all basis tuples,
+the exterior verdict read off a full ring table, and the argparse
+parser of the command line."""
 import argparse
 import itertools
 
@@ -295,6 +296,231 @@ def reference_rh_basis(gens, letters, r_min, n_max):
 
     build([], 0, 0)
     return basis
+
+
+# The contraction's three cases as the resolution module wrote them with
+# one predicate per shape, each read again to build what it found.
+
+def _is_v0(letter):
+    return letter[0] == "v"
+
+
+def _is_cup(letter):
+    return letter[0] == "C"
+
+
+def _cup1_args(letter):
+    """For a cup-one letter E_{1,1}(x; y) with one-letter word
+    arguments, the pair of inner letters; otherwise None."""
+    if letter[0] != "E":
+        return None
+    _, p, q, args = letter
+    if (p, q) != (1, 1):
+        return None
+    if len(args[0]) != 1 or len(args[1]) != 1:
+        return None
+    return args[0][0], args[1][0]
+
+
+def _iteration_flatten(letter):
+    """Letters a_1, ..., a_n of a right-nested cup-one iteration with
+    degree-0 or cup-cluster entries; None when the letter is not one."""
+    pair = _cup1_args(letter)
+    if pair is None:
+        return None
+    x, y = pair
+    if not (_is_v0(x) or _is_cup(x)):
+        return None
+    if _is_v0(y) or _is_cup(y):
+        return [x, y]
+    rest = _iteration_flatten(y)
+    if rest is None:
+        return None
+    return [x] + rest
+
+
+def _is_e1(letter):
+    return _iteration_flatten(letter) is not None
+
+
+def _is_eo(letter):
+    seq = _iteration_flatten(letter)
+    if seq is None or any(not _is_v0(l) for l in seq):
+        return False
+    idx = [l[1] for l in seq]
+    return all(a < b for a, b in zip(idx, idx[1:]))
+
+
+def _eop_position(letter):
+    """Index kappa (1-based) of the descending pair of an iteration whose
+    entries start with a strictly ascending degree-0 prefix a_1 < ... <
+    a_kappa >= a_{kappa+1}; None when the letter is not of that shape."""
+    seq = _iteration_flatten(letter)
+    if seq is None or len(seq) < 2:
+        return None
+    kappa = 1
+    while (kappa < len(seq) and _is_v0(seq[kappa - 1]) and _is_v0(seq[kappa])
+           and seq[kappa - 1][1] < seq[kappa][1]):
+        kappa += 1
+    if kappa >= len(seq) or not _is_v0(seq[kappa - 1]):
+        return None
+    nxt = seq[kappa]
+    if _is_v0(nxt):
+        return kappa if seq[kappa - 1][1] >= nxt[1] else None
+    if _is_cup(nxt) and all(seq[kappa - 1][1] >= m for m in nxt[1]):
+        return kappa
+    return None
+
+
+def _is_eop(letter):
+    return _eop_position(letter) is not None
+
+
+def _is_w(letter):
+    return _is_v0(letter) or _is_cup(letter) or _is_e1(letter)
+
+
+def _cup_merge(i, letter):
+    """a u2 x for a degree-0 letter index i and x a degree-0 or cup
+    letter: clusters absorb the new entry."""
+    if _is_v0(letter):
+        return res.cup_letter((i, letter[1]))
+    return res.cup_letter((i,) + letter[1])
+
+
+def _tilde(letter):
+    """Replace the descending pair of an E^op iteration by the cup-two
+    of its entries, keeping the rest of the iteration right-nested."""
+    seq = _iteration_flatten(letter)
+    kappa = _eop_position(letter)
+    merged = _cup_merge(seq[kappa - 1][1], seq[kappa])
+    entries = seq[:kappa - 1] + [merged] + seq[kappa + 1:]
+    rebuilt = entries[-1]
+    for l in reversed(entries[:-1]):
+        rebuilt = res.e_letter(((l,),), ((rebuilt,),))
+    return rebuilt
+
+
+def _edot_info(letter):
+    """For letters in the splittable class: the path of argument indices
+    from this letter down to the operation holding the first multi-letter
+    string, together with that string's slot; None when no argument
+    string anywhere in the nest has more than one letter, or the shape
+    rules forbid the split."""
+    if letter[0] != "E":
+        return None
+    _, p, q, args = letter
+    for k, w in enumerate(args):
+        if len(w) > 1:
+            # first multi-letter string: it may occupy the leading left
+            # slot, or the leading right slot of an E_{1,q} whose left
+            # argument is a single plain letter
+            if k == 0:
+                return ((), 0)
+            if p == 1 and k == 1 and len(args[0]) == 1 and _is_w(args[0][0]):
+                return ((), 1)
+            return None
+        x = w[0]
+        if _is_w(x):
+            continue
+        if x[0] == "E":
+            sub = _edot_info(x)
+            if sub is not None:
+                path, slot = sub
+                return ((k,) + path, slot)
+            # a nested operation with only one-letter strings: scan on
+            continue
+        return None
+    return None
+
+
+def _is_edot(letter):
+    return _edot_info(letter) is not None
+
+
+def _split_slot(letter, slot):
+    _, p, q, args = letter
+    w = args[slot]
+    x, y = (w[0],), w[1:]
+    if slot == 0:
+        return res.e_letter((x, y) + args[1:p], args[p:])
+    return res.e_letter((args[0],), (x, y) + args[p + 1:])
+
+
+def _prime(letter):
+    """Split the first multi-letter argument string in the nest,
+    promoting its leading letter to a new slot of its operation."""
+    path, slot = _edot_info(letter)
+
+    def rebuild(cur, depth):
+        if depth == len(path):
+            return _split_slot(cur, slot)
+        _, p, q, args = cur
+        k = path[depth]
+        inner = rebuild(args[k][0], depth + 1)
+        new_args = args[:k] + ((inner,),) + args[k + 1:]
+        return res.e_letter(new_args[:p], new_args[p:])
+
+    return rebuild(letter, 0)
+
+
+def reference_case1(word):
+    """Adjacent cup-one insertion at the first ascent of a weakly
+    descending degree-0 prefix."""
+    n = len(word)
+    k = None
+    for pos in range(1, n):
+        prev, cur = word[pos - 1], word[pos]
+        if not _is_v0(prev):
+            return None
+        if _is_v0(cur):
+            if prev[1] < cur[1]:
+                k = pos
+                break
+            continue
+        if _is_eo(cur):
+            seq = _iteration_flatten(cur)
+            if all(prev[1] < l[1] for l in seq):
+                k = pos
+                break
+        return None
+    if k is None:
+        return None
+    for l in word[k + 1:]:
+        # cup clusters are excluded alongside E^op iterations: the
+        # differential of a cluster regenerates an E^op letter, whose
+        # word would give a second preimage of the same insertion
+        if not _is_w(l) or _is_eop(l) or _is_cup(l):
+            return None
+    new_letter = res.e_letter(((word[k - 1],),), ((word[k],),))
+    return word[:k - 1] + (new_letter,) + word[k + 1:]
+
+
+def reference_case2(word):
+    for k, letter in enumerate(word):
+        if _is_eop(letter):
+            if any(not _is_w(l) or _is_eop(l) for l in word[:k]):
+                return None
+            if any(not _is_w(l) for l in word[k + 1:]):
+                return None
+            return word[:k] + (_tilde(letter),) + word[k + 1:]
+        if not _is_w(letter):
+            return None
+    return None
+
+
+def reference_case3(word):
+    for k, letter in enumerate(word):
+        if _is_edot(letter):
+            if any(not _is_w(l) for l in word[:k]):
+                return None
+            return word[:k] + (_prime(letter),) + word[k + 1:]
+        if not _is_w(letter) and letter[0] == "E":
+            # an E letter that is neither a plain iteration nor
+            # splittable blocks this case
+            if not _is_e1(letter):
+                return None
+    return None
 
 
 def bar_d_squared_failures(gens, max_degree):

@@ -9,7 +9,8 @@ from loopcoh.cli import cmd_verify
 from loopcoh.config import parse_config
 from loopcoh.polynomial import GeneratorSet
 from loopcoh.rings import RingError, RingSpec
-from references import reference_rh_basis, reference_rh_letters, rho
+from references import (reference_case1, reference_case2, reference_case3,
+                        reference_rh_basis, reference_rh_letters, rho)
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -30,6 +31,10 @@ def qgens():
 def f3gens():
     return GeneratorSet(("a2", "b2", "c4"), (2, 2, 4),
                         RingSpec.prime_field(3))
+
+
+def f2gens_abc():
+    return GeneratorSet(("a2", "b2", "c3"), (2, 2, 3), F2)
 
 
 def test_letter_bidegrees():
@@ -98,7 +103,8 @@ def test_normalize_is_idempotent():
 
 
 def test_contraction_single_cases():
-    d = res.Differential(f2gens())
+    gens = f2gens()
+    d = res.Differential(gens)
     u2, u3 = res.v_letter(0), res.v_letter(1)
     # ascending pair of degree-0 letters: cup-one insertion
     got = res.contraction_s(d, (u2, u3))
@@ -110,22 +116,49 @@ def test_contraction_single_cases():
     eop = res.e_letter(((u2,),), ((u2,),))
     got = res.contraction_s(d, (eop,))
     assert got == {(res.cup_letter((0, 0)),): 1}
+    # the first multi-letter string splits: in the leading left slot, in
+    # the leading right slot of an E_{1,q}, and inside a nested letter
+    split = res.e_letter(((u2,),), ((u3, u2),))
+    for word, want in (
+            ((res.e_letter(((u2, u3),), ((u2,),)),), "E21(u2,u3;u2)"),
+            ((split,), "E12(u2;u3,u2)"),
+            ((res.e_letter(((u3,),), ((split,),)),),
+             "E11(u3;E12(u2;u3,u2))")):
+        got = res.contraction_s(d, word)
+        assert {res.word_str(gens, w): c for w, c in got.items()} == \
+            {want: 1}
+    # no split in a later right slot or a later left slot, nor after a
+    # letter outside W
+    outside = res.e_letter(((u2,),), ((u3,), (u2,)))
+    assert res.word_str(gens, (outside,)) == "E12(u2;u3,u2)"
+    for word in ((res.e_letter(((u2,),), ((u3,), (u2, u3))),),
+                 (res.e_letter(((u2,), (u3, u2)), ((u3,),)),),
+                 (outside, res.e_letter(((u2, u3),), ((u2,),)))):
+        assert res.contraction_s(d, word) == {}, res.word_str(gens, word)
 
 
 def test_contraction_inverts_one_summand_of_d():
-    gens = zgens()
-    ring = gens.ring
-    d = res.Differential(gens)
-    basis = res.enumerate_rh_basis(gens, r_min=-2, n_max=8)
-    for words in basis.values():
-        for word in words:
-            sx = res.contraction_s(d, word)
-            if not sx:
-                continue
-            (out_word, coeff), = sx.items()
-            image = res.normalize_element(
-                d.of_element({out_word: coeff}), gens)
-            assert image.get(word) == ring.one()
+    """w occurs with coefficient one in N(d(s(w))); away from F2 the
+    contraction scales s(w) to make it so, over F2 nothing checks it
+    but this test."""
+    for gens, r_min, n_max in ((zgens(), -2, 8), (f2gens(), -4, 9),
+                               (f2gens_abc(), -4, 9)):
+        ring = gens.ring
+        d = res.Differential(gens)
+        basis = res.enumerate_rh_basis(gens, r_min=r_min, n_max=n_max)
+        hits = 0
+        for words in basis.values():
+            for word in words:
+                sx = res.contraction_s(d, word)
+                if not sx:
+                    continue
+                (out_word, coeff), = sx.items()
+                image = res.normalize_element(
+                    d.of_element({out_word: coeff}), gens)
+                assert image.get(word) == ring.one(), \
+                    (gens.names, res.word_str(gens, word))
+                hits += 1
+        assert hits, gens.names
 
 
 def test_siteration_terminates_low_degrees():
@@ -216,6 +249,41 @@ def test_overlapping_contraction_cases_raise_on_every_call(monkeypatch):
     for _ in range(2):
         with pytest.raises(res.ResolutionError, match="both match"):
             res.contraction_s(d, word)
+
+
+# -- the contraction's cases against the one-predicate-per-shape reference --
+
+@pytest.mark.parametrize("make_gens, r_min, n_max",
+                         [(f2gens, -6, 10), (f2gens_abc, -5, 9), (qgens, -4, 9),
+                          (zgens, -4, 10), (f3gens, -4, 8)],
+                         ids=["F2[u2,u3]", "F2[a2,b2,c3]", "Q[x2,y2]",
+                              "Z[x2,x4]", "F3[a2,b2,c4]"])
+def test_contraction_cases_match_the_reference(make_gens, r_min, n_max,
+                                               monkeypatch):
+    """Each case gives the reference's word, None included, on every
+    basis word and every word of d of a basis word; the d-image words
+    hold shapes the basis lacks, such as an E letter as the left
+    argument of a cup-one letter, or an argument string with an E letter
+    after its first.  contraction_s then gives the reference's values,
+    or raises the same error."""
+    gens = make_gens()
+    d = res.Differential(gens)
+    words = {}
+    for basis_words in res.enumerate_rh_basis(gens, r_min, n_max).values():
+        for word in basis_words:
+            words[word] = None
+            words.update(dict.fromkeys(d.of_word(word)))
+    cases = (("_case1", reference_case1), ("_case2", reference_case2),
+             ("_case3", reference_case3))
+    for word in words:
+        for name, reference in cases:
+            assert getattr(res, name)(word) == reference(word), \
+                (name, res.word_str(gens, word))
+    got = [_contraction_items(d, word) for word in words]
+    for name, reference in cases:
+        monkeypatch.setattr(res, name, reference)
+    fresh = res.Differential(gens)
+    assert got == [_contraction_items(fresh, word) for word in words]
 
 
 # -- letter enumeration against the product-then-filter reference ---------
