@@ -24,29 +24,6 @@ def word_str(gens, word) -> str:
     return "[" + "|".join(gens.monomial_str(m) for m in word) + "]"
 
 
-def add_into(out, word, coeff, ring):
-    # ring.add normalizes the int 0 + coeff as it would ring.zero() + coeff
-    cur = ring.add(out.get(word, 0), coeff)
-    if ring.is_zero(cur):
-        out.pop(word, None)
-    else:
-        out[word] = cur
-    return out
-
-
-def add_elements(x, y, ring):
-    out = dict(x)
-    for word, c in y.items():
-        add_into(out, word, c, ring)
-    return out
-
-
-def scale_element(x, c, ring):
-    if ring.is_zero(c):
-        return {}
-    return {w: ring.mul(v, c) for w, v in x.items()}
-
-
 def bar_basis(gens: GeneratorSet, degree):
     """All bar words of the given degree, ordered by weight then by the
     monomial order letterwise.  Degree n needs no more than n letters
@@ -97,7 +74,7 @@ def bar_differential(gens: GeneratorSet, x):
     for word, coeff in x.items():
         neg = ring.neg(coeff)
         for new, sign in boundary_terms(gens, word):
-            add_into(out, new, coeff if sign > 0 else neg, ring)
+            ring.add_into(out, new, coeff if sign > 0 else neg)
     return out
 
 
@@ -136,12 +113,10 @@ def _factored_product(table, x, y):
     out = {}
     x0, y0 = x.get(()), y.get(())
     if x0 is not None:
-        for w, c in y.items():
-            add_into(out, w, ring.mul(x0, c), ring)
+        ring.add_scaled(out, y, x0)
         x = {w: c for w, c in x.items() if w}
     if y0 is not None:
-        for w, c in x.items():
-            add_into(out, w, ring.mul(c, y0), ring)
+        ring.add_scaled(out, x, y0)
         y = {w: c for w, c in y.items() if w}
     if x and y:
         one = ring.one()
@@ -194,7 +169,7 @@ def _signed_parts(gens, x, letters):
 def _prefix_into(out, m, coeff, x, ring):
     """out += coeff * [m | x]."""
     for w, c in x.items():
-        add_into(out, (m,) + w, ring.mul(coeff, c), ring)
+        ring.add_into(out, (m,) + w, ring.mul(coeff, c))
 
 
 def canonical_symmetric_cocycle(gens: GeneratorSet, indices):
@@ -217,7 +192,7 @@ def canonical_symmetric_cocycle(gens: GeneratorSet, indices):
                 if perm[a] > perm[b]:
                     par += degs[perm[a]] * degs[perm[b]]
         coeff = ring.one() if par % 2 == 0 else ring.neg(ring.one())
-        add_into(out, word, coeff, ring)
+        ring.add_into(out, word, coeff)
     return out
 
 
@@ -230,6 +205,7 @@ def check_chain_map(table: HirschOpTable, weight_pairs, degree_bound):
     gens = table.gens
     ring = gens.ring
     one = ring.one()
+    minus = ring.neg(one)
     # the words of each degree and weight, listed once, each with its
     # differential; a word of degree degree_bound pairs with none, as
     # every word of weight >= 1 has degree >= 1
@@ -245,7 +221,7 @@ def check_chain_map(table: HirschOpTable, weight_pairs, degree_bound):
         for nx in range(weight_x, degree_bound):
             xs = words.get((nx, weight_x), ())
             # -(-1)^|x|, the coefficient of x*dy in the difference
-            sign = ring.neg(one) if nx % 2 == 0 else one
+            sign = minus if nx % 2 == 0 else one
             for ny in range(weight_y, degree_bound - nx + 1):
                 ys = words.get((ny, weight_y), ())
                 for xw, dx in xs:
@@ -254,10 +230,10 @@ def check_chain_map(table: HirschOpTable, weight_pairs, degree_bound):
                         y = {yw: one}
                         diff = bar_differential(
                             gens, muE_product(table, x, y))
-                        for w, c in muE_product(table, dx, y).items():
-                            add_into(diff, w, ring.neg(c), ring)
-                        for w, c in muE_product(table, x, dy).items():
-                            add_into(diff, w, ring.mul(sign, c), ring)
+                        ring.add_scaled(diff, muE_product(table, dx, y),
+                                        minus)
+                        ring.add_scaled(diff, muE_product(table, x, dy),
+                                        sign)
                         if diff:
                             bad.append({"left": word_str(gens, xw),
                                         "right": word_str(gens, yw),

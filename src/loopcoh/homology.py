@@ -246,11 +246,11 @@ class BarComplex:
     factors of a matrix do not depend on the order of its rows or on
     its zero rows.
 
-    The walk, d_squared_failures, boundary_blocks, words and the ring
-    table code their words as int tuples on the complex's one _Letters
-    table, whose base exceeds every exponent up to degree max_degree +
-    1, so a merged letter's code is the sum of the two codes; words()
-    and boundary_blocks() decode their words to monomial tuples.
+    The walk, d_squared_failures, boundary_blocks and the ring table
+    code their words as int tuples on the complex's one _Letters table,
+    whose base exceeds every exponent up to degree max_degree + 1, so a
+    merged letter's code is the sum of the two codes; boundary_blocks()
+    decodes its words to monomial tuples.
     d_squared_failures checks d^2 = 0 on the same coded blocks, every
     vector's, walking up each block complex.
 
@@ -312,12 +312,6 @@ class BarComplex:
         return _block_words(self._letters, self._letters.encode(v),
                             sum(map(mul, v, self.gens.degrees)) - n)
 
-    def words(self, n, v):
-        """The words of degree n with exponent vector v, as tuples of
-        monomials, in the order of bar.bar_basis."""
-        decode = self._letters.decode
-        return [tuple(map(decode, w)) for w in self._words(n, v)]
-
     def dimension(self, n):
         if n < 0 or n > self.max_degree + 1:
             return 0
@@ -334,9 +328,9 @@ class BarComplex:
 
     def boundary_blocks(self, n):
         """The matrices of d: C_n -> C_(n+1), one per vector v of
-        boundary_vectors(n): each as (words(n + 1, v), columns), the
-        words that index its rows and its columns, one per word of
-        words(n, v)."""
+        boundary_vectors(n): each as (the words of degree n + 1 and
+        vector v, as monomial tuples, which index its rows, columns),
+        one column per word of _words(n, v)."""
         out = []
         decode = self._letters.decode
         for v in self.boundary_vectors(n):

@@ -22,12 +22,18 @@ entries, and _tilde merges it into a cluster.  The split promotes the
 leading letter of the first multi-letter argument string in a nest to
 a slot of its own; _prime finds and builds it in one pass.  Each case
 returns the word it rewrites to, or None.
+
+Normal form.  A letter E_{1,r}(E_{k,l}(a; b); c) is not normal, and the
+block-composition relation rewrites it.  _rewrite_first tests each
+letter of a word before the letter's arguments, and rewrites the first
+it finds in the same pass.  Over F2, rewrite_letter sums the relation's
+two sides, with the letter's own term cancelled; away from F2 it uses
+the signed law of the cup-one composite.
 """
 from __future__ import annotations
 
 import itertools
 
-from .bar import add_elements, add_into, scale_element
 from .hirsch_ops import _compositions, _product_within, block_splittings
 from .polynomial import GeneratorSet
 from .rings import RingError
@@ -184,7 +190,7 @@ class Differential:
                     else (cup_letter(left),)
                 rw = (v_letter(right[0]),) if len(right) == 1 \
                     else (cup_letter(right),)
-                add_into(out, (e_letter((lw,), (rw,)),), ring.one(), ring)
+                ring.add_into(out, (e_letter((lw,), (rw,)),), ring.one())
         return out
 
     def _d_e(self, letter):
@@ -207,7 +213,7 @@ class Differential:
                 slots = args[:k] + (w,) + args[k + 1:]
                 new = make_E_word(slots[:p], slots[p:])
                 if new is not None:
-                    add_into(out, new, ring.mul(sign, c), ring)
+                    ring.add_into(out, new, ring.mul(sign, c))
 
         # adjacent merges within each side, so not across slot p - 1
         for k in range(p + q - 1):
@@ -218,7 +224,7 @@ class Differential:
             cut = p - 1 if k < p else p
             new = make_E_word(slots[:cut], slots[cut:])
             if new is not None:
-                add_into(out, new, sign, ring)
+                ring.add_into(out, new, sign)
 
         # quadratic splittings, extremes excluded
         for i in range(p + 1):
@@ -234,7 +240,7 @@ class Differential:
                 k_par = sum(bdeg[:j]) * sum(adeg[i:])
                 d_par = sum(adeg[:i]) + sum(bdeg[:j])
                 sign = ring.neg(self._sign(k_par + d_par))
-                add_into(out, head + tail, sign, ring)
+                ring.add_into(out, head + tail, sign)
         return out
 
     def of_word(self, word):
@@ -252,19 +258,17 @@ class Differential:
             if dl:
                 sign = self._sign(par)
                 for w, c in dl.items():
-                    add_into(out, word[:i] + w + word[i + 1:],
-                             ring.mul(sign, c), ring)
+                    ring.add_into(out, word[:i] + w + word[i + 1:],
+                                  ring.mul(sign, c))
             r, n = letter_bidegree(gens, letter)
             par += r + n
         self._word_cache[word] = out
         return out
 
     def of_element(self, x):
-        ring = self.ring
         out = {}
         for word, coeff in x.items():
-            for w, c in self.of_word(word).items():
-                add_into(out, w, ring.mul(coeff, c), ring)
+            self.ring.add_scaled(out, self.of_word(word), coeff)
         return out
 
 
@@ -279,36 +283,6 @@ def _is_nonnormal(letter):
         return False
     _, p, q, args = letter
     return p == 1 and len(args[0]) == 1 and args[0][0][0] == "E"
-
-
-def _relation_sum(side_left, aargs, bargs, cargs, ring, skip_head=False):
-    """One side of the block-composition relation, as an element.
-
-    side_left: sum over splittings of (a; b) into blocks feeding an
-    outer E_{blocks, r}(...; c); otherwise splittings of (b; c) feeding
-    E_{k, blocks}(a; ...).  skip_head drops the single-block term (used
-    when that term is the letter being rewritten).
-    """
-    one = ring.one()
-    out = {}
-    inner = (aargs, bargs) if side_left else (bargs, cargs)
-    for split in block_splittings(*inner):
-        if skip_head and len(split) == 1:
-            continue
-        blocks = []
-        for bl, br in split:
-            w = make_E_word(bl, br)
-            if w is None:
-                break
-            blocks.append(w)
-        else:
-            if side_left:
-                new = make_E_word(tuple(blocks), cargs)
-            else:
-                new = make_E_word(aargs, tuple(blocks))
-            if new is not None:
-                add_into(out, new, one, ring)
-    return out
 
 
 def rewrite_letter(letter, gens):
@@ -350,80 +324,74 @@ def rewrite_letter(letter, gens):
                 else:
                     block = (e_letter((bw,), cargs[i - 1:i - 1 + t]),)
                 new_rargs = cargs[:i - 1] + (block,) + cargs[i - 1 + t:]
-                add_into(out, (e_letter((aw,), new_rargs),), sign, ring)
-        add_into(out, (e_letter((aw, bw), cargs),), minus, ring)
-        add_into(out, (e_letter((bw, aw), cargs),),
-                 one if (pa * pb) % 2 else minus, ring)
+                ring.add_into(out, (e_letter((aw,), new_rargs),), sign)
+        ring.add_into(out, (e_letter((aw, bw), cargs),), minus)
+        ring.add_into(out, (e_letter((bw, aw), cargs),),
+                      one if (pa * pb) % 2 else minus)
         return out
-    return add_elements(
-        _relation_sum(False, aargs, bargs, cargs, ring),
-        _relation_sum(True, aargs, bargs, cargs, ring, skip_head=True),
-        ring)
-
-
-def _find_nonnormal(word):
-    for i, letter in enumerate(word):
-        if letter[0] == "E":
-            if _is_nonnormal(letter):
-                return i, None
-            # arguments may hide non-normal letters
-            _, p, q, args = letter
-            for ai, w in enumerate(args):
-                sub = _find_nonnormal(w)
-                if sub is not None:
-                    return i, (ai, sub)
-    return None
-
-
-def _rewrite_in_word(word, pos, gens):
-    i, sub = pos
-    letter = word[i]
-    ring = gens.ring
-    if sub is None:
-        repl = rewrite_letter(letter, gens)
-    else:
-        ai, deeper = sub
-        _, p, q, args = letter
-        # rebuild: replace argument ai by each word of the inner element
-        repl = {}
-        for w, c in _rewrite_in_word(args[ai], deeper, gens).items():
-            new_args = args[:ai] + (w,) + args[ai + 1:]
-            nw = make_E_word(new_args[:p], new_args[p:])
-            if nw is not None:
-                add_into(repl, nw, c, ring)
+    # over F2, the splittings of (b; c) under E_{k,blocks}(a; ...) and
+    # those of (a; b) under E_{blocks,r}(...; c); the one-block term of
+    # the second side is the letter itself, which the last add cancels.
+    # No other term equals it: the first side keeps the k arguments a
+    # on the left, and the second side's other terms have p >= 2
+    one = ring.one()
     out = {}
-    for w, c in repl.items():
-        add_into(out, word[:i] + w + word[i + 1:], c, ring)
-    return out
+    for inner, left, right in (((bargs, cargs), aargs, None),
+                               ((aargs, bargs), None, cargs)):
+        for split in block_splittings(*inner):
+            blocks = tuple(make_E_word(bl, br) for bl, br in split)
+            if None not in blocks:
+                new = e_letter(left or blocks, right or blocks)
+                ring.add_into(out, (new,), one)
+    return ring.add_into(out, (letter,), one)
+
+
+def _rewrite_first(word, gens):
+    """word with its first non-normal letter rewritten, as an element,
+    or None when word is normal.  Each letter is tested before its
+    arguments, and the arguments in order."""
+    for i, letter in enumerate(word):
+        if letter[0] != "E":
+            continue
+        if _is_nonnormal(letter):
+            repl = rewrite_letter(letter, gens)
+        else:
+            _, p, q, args = letter
+            for k, arg in enumerate(args):
+                sub = _rewrite_first(arg, gens)
+                if sub is not None:
+                    break
+            else:
+                continue
+            repl = {}
+            for w, c in sub.items():
+                slots = args[:k] + (w,) + args[k + 1:]
+                repl[(e_letter(slots[:p], slots[p:]),)] = c
+        return {word[:i] + w + word[i + 1:]: c for w, c in repl.items()}
+    return None
 
 
 def normalize_element(x, gens):
     """Rewrite until no word contains a non-normal letter; idempotent.
-    Raises after NORMALIZE_STEP_CAP rewrites, or when a shape with
-    unpinned signs occurs away from F2."""
-    if not x:
-        return {}
+    Each step rewrites the least word, in sorted order, that is not
+    normal.  Raises after NORMALIZE_STEP_CAP rewrites, or when a shape
+    with unpinned signs occurs away from F2."""
     ring = gens.ring
     work = dict(x)
     steps = 0
     while True:
-        target = None
         for w in sorted(work):
-            pos = _find_nonnormal(w)
-            if pos is not None:
-                target = (w, pos)
+            new = _rewrite_first(w, gens)
+            if new is not None:
                 break
-        if target is None:
+        else:
             return work
         steps += 1
         if steps > NORMALIZE_STEP_CAP:
             raise ResolutionError(
                 f"normalization exceeded {NORMALIZE_STEP_CAP} rewrites; "
-                f"offending word: {target[0]!r}")
-        w, pos = target
-        coeff = work.pop(w)
-        for nw, c in _rewrite_in_word(w, pos, gens).items():
-            add_into(work, nw, ring.mul(coeff, c), ring)
+                f"offending word: {w!r}")
+        ring.add_scaled(work, new, work.pop(w))
 
 
 # ---------------------------------------------------------------------------
@@ -612,25 +580,23 @@ def _contraction_value(d: Differential, word):
 
 
 def contraction_element(d: Differential, x):
-    ring = d.gens.ring
     out = {}
     for word, coeff in x.items():
-        for w, c in contraction_s(d, word).items():
-            add_into(out, w, ring.mul(coeff, c), ring)
+        d.ring.add_scaled(out, contraction_s(d, word), coeff)
     return out
 
 
 def verify_siteration(d: Differential, x, iteration_cap):
     """Smallest n with (sd + ds - Id)^n = 0 on x, or a failure report
     carrying the residual."""
-    ring = d.gens.ring
+    ring = d.ring
+    one = ring.one()
+    minus = ring.neg(one)
 
     def T(y):
-        sd = contraction_element(d, d.of_element(y))
-        ds = d.of_element(contraction_element(d, y))
-        out = add_elements(sd, ds, ring)
-        return add_elements(out, scale_element(y, ring.neg(ring.one()), ring),
-                            ring)
+        out = contraction_element(d, d.of_element(y))
+        ring.add_scaled(out, d.of_element(contraction_element(d, y)), one)
+        return ring.add_scaled(out, y, minus)
 
     cur = dict(x)
     for n in range(1, iteration_cap + 1):
@@ -786,7 +752,7 @@ def check_hexagon(d: Differential, i, j, k):
             (rhs, ((e_letter((a,), (b,)),),), (c,), one),
             (rhs, (a, b), (c,), one),
             (rhs, (b, a), (c,), minus)):
-        add_into(side, (e_letter(largs, rargs),), coeff, ring)
+        ring.add_into(side, (e_letter(largs, rargs),), coeff)
     dl, dr = d.of_element(lhs), d.of_element(rhs)
     if ring.char == 2:
         dl, dr = normalize_element(dl, gens), normalize_element(dr, gens)

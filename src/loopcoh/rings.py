@@ -147,6 +147,25 @@ class RingSpec:
             return _fraction(x)
         return int(x) % self.p
 
+    def add_into(self, out, key, c):
+        """out[key] += c in an element, a dict key -> nonzero
+        coefficient, dropping the key when the sum is zero; returns out.
+        add normalizes 0 + c as it would zero() + c, so over Q the int 1
+        is stored as a Fraction."""
+        cur = self.add(out.get(key, 0), c)
+        if self.is_zero(cur):
+            out.pop(key, None)
+        else:
+            out[key] = cur
+        return out
+
+    def add_scaled(self, out, x, c):
+        """out += c * x for elements out and x; returns out."""
+        mul = self.mul
+        for key, v in x.items():
+            self.add_into(out, key, mul(c, v))
+        return out
+
     def inv(self, a):
         if self.kind == "integers":
             if a in (1, -1):

@@ -3,7 +3,9 @@ echelon, which both ranks a matrix and solves in a column span, a
 row-indexed Euclidean Smith form and membership of an integer column
 lattice by it, the projection of the resolution onto H, the
 resolution's letters and basis without pruning, the contraction's cases
-with one predicate per shape, the bar d^2 check word by word, the
+with one predicate per shape, the normal form with a position search
+and one relation side at a time, a bar complex block's words decoded
+into monomials, the bar d^2 check word by word, the
 associativity relation of the Hirsch operations over all basis tuples,
 the exterior verdict read off a full ring table, and the argparse
 parser of the command line."""
@@ -521,6 +523,166 @@ def reference_case3(word):
             if not _is_e1(letter):
                 return None
     return None
+
+
+# The normal form as the resolution module wrote it: the F2 relation one
+# side at a time, with flags, and a search that returns a position path
+# which the rewrite walks again.  Its sums go through the ring's
+# add_into, where bar.add_into and add_elements stood.
+
+def _reference_relation_sum(side_left, aargs, bargs, cargs, ring,
+                            skip_head=False):
+    """One side of the block-composition relation, as an element.
+
+    side_left: sum over splittings of (a; b) into blocks feeding an
+    outer E_{blocks, r}(...; c); otherwise splittings of (b; c) feeding
+    E_{k, blocks}(a; ...).  skip_head drops the single-block term (used
+    when that term is the letter being rewritten).
+    """
+    one = ring.one()
+    out = {}
+    inner = (aargs, bargs) if side_left else (bargs, cargs)
+    for split in res.block_splittings(*inner):
+        if skip_head and len(split) == 1:
+            continue
+        blocks = []
+        for bl, br in split:
+            w = res.make_E_word(bl, br)
+            if w is None:
+                break
+            blocks.append(w)
+        else:
+            if side_left:
+                new = res.make_E_word(tuple(blocks), cargs)
+            else:
+                new = res.make_E_word(aargs, tuple(blocks))
+            if new is not None:
+                ring.add_into(out, new, one)
+    return out
+
+
+def reference_rewrite_letter(letter, gens):
+    """Rewrite one non-normal letter via the block-composition relation.
+
+    Over F2 the relation is available for all shapes.  Over other rings
+    only the cup-one composite E_{1,1}(E_{1,1}(a;b); c) is supported;
+    its signs are pinned by the chain-map condition (and the generator
+    degrees are forced even away from F2, so the Koszul factors below
+    are constant)."""
+    _, p, q, args = letter
+    inner = args[0][0]
+    _, k, l, inner_args = inner
+    aargs, bargs = inner_args[:k], inner_args[k:]
+    cargs = args[1:]
+    ring = gens.ring
+    if ring.char != 2:
+        if (k, l) != (1, 1):
+            raise RingError(
+                "E-normal form away from F2 covers only cup-one composites")
+        aw, bw = aargs[0], bargs[0]
+        # shifted (desuspended) total-degree parities
+        pa, pb, *pcs = [(res.word_total_degree(gens, w) - 1) % 2
+                        for w in (aw, bw) + cargs]
+        if pa == 0 or pb == 0:
+            raise RingError(
+                "E-normal form away from F2 needs odd-shifted inner "
+                "arguments (both inner arguments of even total degree)")
+        # signed law for E_{1,q}(E_{1,1}(a;b); c_1..c_q) with a, b of
+        # even total degree; Koszul signs use the shifted parities
+        one = ring.one()
+        minus = ring.neg(one)
+        out = {}
+        for i in range(1, q + 2):          # slot receiving the b-block
+            sign = minus if (pb * sum(pcs[:i - 1])) % 2 else one
+            for t in range(0, q - i + 2):  # c's absorbed into the block
+                if t == 0:
+                    block = bw
+                else:
+                    block = (res.e_letter((bw,), cargs[i - 1:i - 1 + t]),)
+                new_rargs = cargs[:i - 1] + (block,) + cargs[i - 1 + t:]
+                ring.add_into(out, (res.e_letter((aw,), new_rargs),), sign)
+        ring.add_into(out, (res.e_letter((aw, bw), cargs),), minus)
+        ring.add_into(out, (res.e_letter((bw, aw), cargs),),
+                      one if (pa * pb) % 2 else minus)
+        return out
+    out = _reference_relation_sum(False, aargs, bargs, cargs, ring)
+    return ring.add_scaled(
+        out,
+        _reference_relation_sum(True, aargs, bargs, cargs, ring,
+                                skip_head=True),
+        ring.one())
+
+
+def _reference_find_nonnormal(word):
+    for i, letter in enumerate(word):
+        if letter[0] == "E":
+            if res._is_nonnormal(letter):
+                return i, None
+            # arguments may hide non-normal letters
+            _, p, q, args = letter
+            for ai, w in enumerate(args):
+                sub = _reference_find_nonnormal(w)
+                if sub is not None:
+                    return i, (ai, sub)
+    return None
+
+
+def _reference_rewrite_in_word(word, pos, gens):
+    i, sub = pos
+    letter = word[i]
+    ring = gens.ring
+    if sub is None:
+        repl = reference_rewrite_letter(letter, gens)
+    else:
+        ai, deeper = sub
+        _, p, q, args = letter
+        # rebuild: replace argument ai by each word of the inner element
+        repl = {}
+        for w, c in _reference_rewrite_in_word(args[ai], deeper,
+                                               gens).items():
+            new_args = args[:ai] + (w,) + args[ai + 1:]
+            nw = res.make_E_word(new_args[:p], new_args[p:])
+            if nw is not None:
+                ring.add_into(repl, nw, c)
+    out = {}
+    for w, c in repl.items():
+        ring.add_into(out, word[:i] + w + word[i + 1:], c)
+    return out
+
+
+def reference_normalize_element(x, gens):
+    """Rewrite until no word contains a non-normal letter; idempotent.
+    Raises after NORMALIZE_STEP_CAP rewrites, or when a shape with
+    unpinned signs occurs away from F2."""
+    if not x:
+        return {}
+    ring = gens.ring
+    work = dict(x)
+    steps = 0
+    while True:
+        target = None
+        for w in sorted(work):
+            pos = _reference_find_nonnormal(w)
+            if pos is not None:
+                target = (w, pos)
+                break
+        if target is None:
+            return work
+        steps += 1
+        if steps > res.NORMALIZE_STEP_CAP:
+            raise res.ResolutionError(
+                f"normalization exceeded {res.NORMALIZE_STEP_CAP} rewrites; "
+                f"offending word: {target[0]!r}")
+        w, pos = target
+        coeff = work.pop(w)
+        for nw, c in _reference_rewrite_in_word(w, pos, gens).items():
+            ring.add_into(work, nw, ring.mul(coeff, c))
+
+
+def block_words(cx, n, v):
+    """The words of degree n with exponent vector v of a BarComplex, as
+    tuples of monomials, in the order of bar.bar_basis."""
+    return [tuple(map(cx._letters.decode, w)) for w in cx._words(n, v)]
 
 
 def bar_d_squared_failures(gens, max_degree):

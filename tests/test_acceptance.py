@@ -165,12 +165,9 @@ def _chain_map_ok(table, xw, yw):
     lhs = bar.bar_differential(gens, bar.muE_product(table, x, y))
     sign = ring.one() if bar.word_degree(gens, xw) % 2 == 0 \
         else ring.neg(ring.one())
-    rhs = bar.add_elements(
+    rhs = ring.add_scaled(
         bar.muE_product(table, bar.bar_differential(gens, x), y),
-        bar.scale_element(
-            bar.muE_product(table, x, bar.bar_differential(gens, y)),
-            sign, ring),
-        ring)
+        bar.muE_product(table, x, bar.bar_differential(gens, y)), sign)
     return lhs == rhs
 
 
@@ -192,7 +189,7 @@ def _comm_ok(table, xw, yw):
     nx = bar.word_degree(gens, xw)
     ny = bar.word_degree(gens, yw)
     sign = ring.one() if (nx * ny) % 2 == 0 else ring.neg(ring.one())
-    return xy == bar.scale_element(yx, sign, ring)
+    return xy == ring.add_scaled({}, yx, sign)
 
 
 def _words_to(gens, cap):

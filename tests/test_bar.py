@@ -67,7 +67,7 @@ def test_shuffle_graded_commutative():
                     yx = bar.muE_product(table, y, x)
                     sign = ring.one() if (nx * ny) % 2 == 0 \
                         else ring.neg(ring.one())
-                    assert xy == bar.scale_element(yx, sign, ring)
+                    assert xy == ring.add_scaled({}, yx, sign)
 
 
 def test_shuffle_associative():
@@ -155,10 +155,10 @@ def _reference_word_product(table, xw, yw, base, out):
     ring = gens.ring
     p, q = len(xw), len(yw)
     if p == 0:
-        bar.add_into(out, yw, base, ring)
+        ring.add_into(out, yw, base)
         return
     if q == 0:
-        bar.add_into(out, xw, base, ring)
+        ring.add_into(out, xw, base)
         return
     xd = [gens.monomial_degree(m) - 1 for m in xw]
     yd = [gens.monomial_degree(m) - 1 for m in yw]
@@ -175,7 +175,7 @@ def _reference_word_product(table, xw, yw, base, out):
             c = coeff
             for _, tc in combo:
                 c = ring.mul(c, tc)
-            bar.add_into(out, tuple(m for m, _ in combo), c, ring)
+            ring.add_into(out, tuple(m for m, _ in combo), c)
 
     def walk(i, j, letters, par):
         if i == p and j == q:

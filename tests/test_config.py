@@ -198,3 +198,16 @@ def test_non_ascii_exponent_digits_are_rejected():
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(doc))
         assert exc.value.problems == [f"sq1.u7: bad exponent {power!r}"]
+
+
+def test_sq1_of_an_even_algebra_is_refused_by_degree():
+    """In an algebra of even generators every monomial has even degree,
+    so no nonzero image reaches the odd degree |u| + 1."""
+    doc = {"ring": "F2",
+           "generators": [{"name": "a2", "degree": 2},
+                          {"name": "b4", "degree": 4}],
+           "sq1": {"a2": "a2^2"}}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.problems == [
+        "sq1: Sq1(a2) must be homogeneous of degree 3, got degree 4"]

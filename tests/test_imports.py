@@ -110,10 +110,8 @@ def test_every_definition_is_referenced():
 
 # Definitions in loopcoh that only the tests reach.  The list may only
 # shrink: a new definition needs a caller in loopcoh, and a reference
-# that tests compare against belongs in tests/references.py.  The
-# method BarComplex.words decodes a block's words for the reference
-# tests that read them.
-TEST_ONLY = ["boundary_blocks", "oracle_small_resolution_check", "words"]
+# that tests compare against belongs in tests/references.py.
+TEST_ONLY = ["boundary_blocks", "oracle_small_resolution_check"]
 
 
 def test_only_the_pinned_definitions_are_reached_from_tests_alone():

@@ -97,3 +97,17 @@ def test_basis_product_degrees(n, m):
             prod = Polynomial.monomial(gens, a) * Polynomial.monomial(gens, b)
             assert prod.degree() == n + m
             assert prod.is_homogeneous()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sum_drops_zero_terms(p):
+    gens = GeneratorSet(("u2", "w2"), (2, 2), RingSpec.prime_field(p))
+    u, w = (Polynomial.generator(gens, n) for n in ("u2", "w2"))
+    x = u * u + w * w
+    y = Polynomial.monomial(gens, (2, 0), p - 1) + u * w
+    total = x + y
+    assert total.terms == {(0, 2): 1, (1, 1): 1}
+    assert (x + Polynomial.monomial(gens, (0, 2), p - 1)).terms == \
+        {(2, 0): 1}
+    assert (x - x).is_zero()
+

@@ -10,6 +10,7 @@ from loopcoh.config import parse_config
 from loopcoh.polynomial import GeneratorSet
 from loopcoh.rings import RingError, RingSpec
 from references import (reference_case1, reference_case2, reference_case3,
+                        reference_normalize_element, reference_rewrite_letter,
                         reference_rh_basis, reference_rh_letters, rho)
 
 Z = RingSpec.integers()
@@ -211,19 +212,19 @@ def test_a_shared_differential_matches_a_fresh_one_per_word(
             assert list(dx.items()) == list(fresh.of_element(x).items())
             assert list(shared.of_element(dx).items()) == \
                 list(fresh.of_element(fresh.of_element(x)).items())
-            assert _contraction_items(shared, word) == \
-                _contraction_items(res.Differential(gens), word)
+            assert _outcome(res.contraction_s, shared, word) == \
+                _outcome(res.contraction_s, res.Differential(gens), word)
     for t in itertools.product(range(len(gens.names)), repeat=3):
         assert res.check_hexagon(shared, *t) == \
             res.check_hexagon(res.Differential(gens), *t), t
 
 
-def _contraction_items(d, word):
-    """contraction_s(d, word) as a list of items, or the error it raises
-    (over Z, some words of resolution degree -3 need a shape the normal
-    form leaves unsigned)."""
+def _outcome(fn, *args):
+    """fn(*args) as a list of items, or the error it raises (over Z,
+    some words of resolution degree -3 need a shape the normal form
+    leaves unsigned)."""
     try:
-        return list(res.contraction_s(d, word).items())
+        return list(fn(*args).items())
     except (res.ResolutionError, RingError) as exc:
         return repr(exc)
 
@@ -253,11 +254,17 @@ def test_overlapping_contraction_cases_raise_on_every_call(monkeypatch):
 
 # -- the contraction's cases against the one-predicate-per-shape reference --
 
-@pytest.mark.parametrize("make_gens, r_min, n_max",
-                         [(f2gens, -6, 10), (f2gens_abc, -5, 9), (qgens, -4, 9),
-                          (zgens, -4, 10), (f3gens, -4, 8)],
-                         ids=["F2[u2,u3]", "F2[a2,b2,c3]", "Q[x2,y2]",
-                              "Z[x2,x4]", "F3[a2,b2,c4]"])
+# five algebras, each with the resolution degree and internal degree
+# its basis is enumerated to
+FIVE_INPUTS = pytest.mark.parametrize(
+    "make_gens, r_min, n_max",
+    [(f2gens, -6, 10), (f2gens_abc, -5, 9), (qgens, -4, 9),
+     (zgens, -4, 10), (f3gens, -4, 8)],
+    ids=["F2[u2,u3]", "F2[a2,b2,c3]", "Q[x2,y2]", "Z[x2,x4]",
+         "F3[a2,b2,c4]"])
+
+
+@FIVE_INPUTS
 def test_contraction_cases_match_the_reference(make_gens, r_min, n_max,
                                                monkeypatch):
     """Each case gives the reference's word, None included, on every
@@ -279,11 +286,60 @@ def test_contraction_cases_match_the_reference(make_gens, r_min, n_max,
         for name, reference in cases:
             assert getattr(res, name)(word) == reference(word), \
                 (name, res.word_str(gens, word))
-    got = [_contraction_items(d, word) for word in words]
+    got = [_outcome(res.contraction_s, d, word) for word in words]
     for name, reference in cases:
         monkeypatch.setattr(res, name, reference)
     fresh = res.Differential(gens)
-    assert got == [_contraction_items(fresh, word) for word in words]
+    assert got == [_outcome(res.contraction_s, fresh, word) for word in words]
+
+
+# -- the normal form against the position-path reference ------------------
+
+def _nonnormal_letters(word, found):
+    """Add to found every non-normal letter of word, at any depth."""
+    for letter in word:
+        if letter[0] == "E":
+            if res._is_nonnormal(letter):
+                found[letter] = None
+            for arg in letter[3]:
+                _nonnormal_letters(arg, found)
+
+
+@FIVE_INPUTS
+def test_normal_form_matches_the_reference(make_gens, r_min, n_max,
+                                           monkeypatch):
+    """normalize_element gives the reference's element, or raises the
+    same error, on d of every basis word; over Z some words need a
+    shape the signed law does not cover.  rewrite_letter gives the
+    reference's rewrite, or its error, on every non-normal letter in
+    those images and on every letter the normal form rewrites on the
+    way."""
+    gens = make_gens()
+    d = res.Differential(gens)
+    rewritten = {}
+    rewrite = res.rewrite_letter
+
+    def recording(letter, gens):
+        rewritten[letter] = None
+        return rewrite(letter, gens)
+
+    monkeypatch.setattr(res, "rewrite_letter", recording)
+    images = [d.of_word(word)
+              for basis_words in res.enumerate_rh_basis(
+                  gens, r_min, n_max).values()
+              for word in basis_words]
+    for x in images:
+        assert _outcome(res.normalize_element, x, gens) == \
+            _outcome(reference_normalize_element, x, gens)
+    letters = dict(rewritten)
+    for x in images:
+        for word in x:
+            _nonnormal_letters(word, letters)
+    assert letters
+    for letter in letters:
+        assert _outcome(rewrite, letter, gens) == \
+            _outcome(reference_rewrite_letter, letter, gens), \
+            res.letter_str(gens, letter)
 
 
 # -- letter enumeration against the product-then-filter reference ---------

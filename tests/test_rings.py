@@ -94,3 +94,32 @@ def test_f5_field_axioms(a, b):
 def test_division_by_zero_raises():
     with pytest.raises(RingError):
         RingSpec.prime_field(2).inv(0)
+
+
+# -- element sums ------------------------------------------------------------
+
+SUM_RINGS = [RingSpec.integers(), RingSpec.rationals(),
+             RingSpec.prime_field(5)]
+
+
+def test_add_into_over_q_stores_a_fraction_even_from_an_int():
+    out = RingSpec.rationals().add_into({}, "w", 1)
+    assert out == {"w": 1} and type(out["w"]) is Fraction
+
+
+@pytest.mark.parametrize("ring", SUM_RINGS, ids=["Z", "Q", "F5"])
+def test_a_sum_that_cancels_drops_its_key(ring):
+    out = {"a": ring.normalize(2), "b": ring.one()}
+    assert ring.add_into(out, "a", ring.neg(ring.normalize(2))) is out
+    assert out == {"b": 1}
+    x = {"b": ring.one(), "c": ring.normalize(3)}
+    ring.add_scaled(out, x, ring.neg(ring.one()))
+    assert out == {"c": ring.neg(ring.normalize(3))}
+
+
+@pytest.mark.parametrize("ring", SUM_RINGS, ids=["Z", "Q", "F5"])
+def test_add_scaled_by_zero_leaves_out_unchanged(ring):
+    out = {"a": ring.normalize(2)}
+    ring.add_scaled(out, {"a": ring.one(), "b": ring.normalize(4)},
+                    ring.zero())
+    assert out == {"a": 2} and type(out["a"]) is type(ring.normalize(2))
