@@ -10,7 +10,10 @@ usage error writes its report too, when --json stands on the line.
 
 The command line is read as argparse reads it, by a parser of its own:
 a job then loads neither argparse nor the gettext and locale modules
-argparse loads.
+argparse loads.  Nor does it load hashlib and OpenSSL: the cache digest
+is CPython's built-in sha256.  Each command imports the modules it
+runs, so ranks and oracle-compare load neither bar, hirsch_ops nor
+resolution, and only verify loads resolution.
 """
 from __future__ import annotations
 
@@ -22,29 +25,28 @@ import re
 import sys
 import time
 
-from . import CONVENTION_VERSION
-from .bar import check_chain_map
+from . import CONVENTION_VERSION, LoopcohError
 from .config import ConfigError, ascii_int, parse_config
-from .hirsch_ops import (check_derivation_relations,
-                         check_sq_specialization_cases)
-from .homology import (BarComplex, HomologyError, RingTable,
-                       exterior_verdict, homology_ranks)
-from .koszul import oracle_dimensions
+from .homology import BarComplex, RingTable, exterior_verdict, homology_ranks
 from .linalg import ResourceCapError
-from .polynomial import AlgebraError
-from .resolution import (Differential, ResolutionError, check_hexagon,
-                         enumerate_rh_basis, verify_siteration, word_str)
-from .rings import RingError
 
 
 # ---------------------------------------------------------------------------
 # block-invariant cache
 
 def _sha256(data):
-    """Hex sha256 of the bytes data.  hashlib is imported here, so that a
-    job without a cache does not pay for loading it."""
-    import hashlib
-    return hashlib.sha256(data).hexdigest()
+    """Hex sha256 of the bytes data, from CPython's built-in hash module,
+    imported here so that a job without a cache does not load it.
+    hashlib loads OpenSSL, which costs a warm job more than reading its
+    cache does, so it stands in only where that module is missing."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 def _cache_key(cfg, max_degree):
@@ -255,6 +257,7 @@ def cmd_check_exterior(cfg, max_degree, out):
 
 
 def cmd_oracle_compare(cfg, max_degree, out):
+    from .koszul import oracle_dimensions
     report = _base_report("oracle-compare", cfg, max_degree)
     data = homology_ranks(_complex_for(cfg, max_degree))
     ranks = data["ranks"]
@@ -278,6 +281,11 @@ def _suite(name, failures, checked, witnesses=()):
 
 
 def cmd_verify(cfg, max_degree, out):
+    from .bar import check_chain_map
+    from .hirsch_ops import (check_derivation_relations,
+                             check_sq_specialization_cases)
+    from .resolution import (Differential, check_hexagon, enumerate_rh_basis,
+                             verify_siteration, word_str)
     report = _base_report("verify", cfg, max_degree)
     gens = cfg.gens
     ring = cfg.ring
@@ -548,10 +556,10 @@ def _run(args, out):
     t0 = time.perf_counter()
     try:
         report, code = COMMANDS[args["command"]](cfg, max_degree, out)
-    except (AlgebraError, HomologyError, OSError, ResolutionError,
-            ResourceCapError, RingError) as exc:
-        # an OSError comes from making the cache directory or writing
-        # its entry
+    except (LoopcohError, OSError) as exc:
+        # every error the engine raises derives from LoopcohError; an
+        # OSError comes from making the cache directory or writing its
+        # entry
         message = f"{type(exc).__name__}: {exc}"
         out.write("error: %s\n" % message)
         report = _base_report(args["command"], cfg, max_degree)

@@ -8,12 +8,12 @@ from __future__ import annotations
 import json
 import re
 
-from .hirsch_ops import HirschOpTable
+from . import LoopcohError
 from .polynomial import AlgebraError, GeneratorSet, Polynomial, Sq1Table
 from .rings import RingError, ring_from_name
 
 
-class ConfigError(Exception):
+class ConfigError(LoopcohError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
@@ -42,7 +42,8 @@ class JobConfig:
     def ring(self):
         return self.gens.ring
 
-    def op_table(self) -> HirschOpTable:
+    def op_table(self) -> "HirschOpTable":
+        from .hirsch_ops import HirschOpTable
         return HirschOpTable(self.gens, self.sq1)
 
     def canonical_json(self) -> str:

@@ -227,14 +227,11 @@ def block_splittings(left, right):
                 yield blocks
 
 
-def _nested_sum(table, outer_is_left, a, b, c):
-    """One side of the associativity relation for E-expressions.
-
-    outer_is_left: sum of E_{p,r}(blocks(a,b); c); otherwise
-    E_{k,q}(a; blocks(b,c)).
-    """
-    out = Polynomial.zero(table.gens)
-    for split in block_splittings(*((a, b) if outer_is_left else (b, c))):
+def _block_values(table, left, right):
+    """For each splitting of (left; right) into blocks, in
+    block_splittings order, the values of E on its blocks; a splitting
+    with a zero block is skipped."""
+    for split in block_splittings(left, right):
         blocks = []
         for bl, br in split:
             val = table.eval(len(bl), len(br), bl, br)
@@ -242,16 +239,23 @@ def _nested_sum(table, outer_is_left, a, b, c):
                 break
             blocks.append(val)
         else:
-            if outer_is_left:
-                out = out + table.eval(len(blocks), len(c), blocks, c)
-            else:
-                out = out + table.eval(len(a), len(blocks), a, blocks)
-    return out
+            yield blocks
 
 
 def associativity_sides(table, a, b, c):
-    return (_nested_sum(table, True, a, b, c),
-            _nested_sum(table, False, a, b, c))
+    """Both sides of the associativity relation for E-expressions: the
+    sums of E_{p,r}(blocks(a, b); c) and of E_{k,q}(a; blocks(b, c))."""
+    ring = table.gens.ring
+    one = ring.one()
+    outer_left, outer_right = {}, {}
+    for blocks in _block_values(table, a, b):
+        ring.add_scaled(outer_left,
+                        table.eval(len(blocks), len(c), blocks, c).terms, one)
+    for blocks in _block_values(table, b, c):
+        ring.add_scaled(outer_right,
+                        table.eval(len(a), len(blocks), a, blocks).terms, one)
+    return (Polynomial(table.gens, outer_left),
+            Polynomial(table.gens, outer_right))
 
 
 def _shuffles(xs, ys):
@@ -272,11 +276,13 @@ def _sq_of_shuffles(table, left, right, shuffle_left):
     """Sq evaluated on a formal shuffle sum placed in one slot: the
     slot (left when shuffle_left, else right) holds a pair of tuples,
     and each of their shuffles fills it in turn."""
-    out = Polynomial.zero(table.gens)
+    ring = table.gens.ring
+    out = {}
     for word in _shuffles(*(left if shuffle_left else right)):
         u, v = (word, right) if shuffle_left else (left, word)
-        out = out + table.eval(len(u), len(v), list(u), list(v))
-    return out
+        ring.add_scaled(out, table.eval(len(u), len(v), list(u),
+                                        list(v)).terms, ring.one())
+    return Polynomial(table.gens, out)
 
 
 def specialization_sides(table, a, b, c, u, v):

@@ -56,8 +56,7 @@ import itertools
 from math import comb, prod
 from operator import mul
 
-from . import bar
-from .hirsch_ops import HirschOpTable, sq1_decomposability_verdict
+from . import LoopcohError
 from .koszul import oracle_dimensions
 from .linalg import (DEFAULT_DIMENSION_CAP, ResourceCapError,
                      composition_failures, matrix_invariants, solve_in_span,
@@ -65,7 +64,7 @@ from .linalg import (DEFAULT_DIMENSION_CAP, ResourceCapError,
 from .polynomial import GeneratorSet
 
 
-class HomologyError(Exception):
+class HomologyError(LoopcohError):
     pass
 
 
@@ -547,7 +546,8 @@ class RingTable:
     forms no more.  entries forms those not yet read.
     """
 
-    def __init__(self, table: HirschOpTable, cx: BarComplex):
+    def __init__(self, table: "HirschOpTable", cx: BarComplex):
+        from . import bar
         if table.gens != cx.gens:
             raise HomologyError("bar complex does not match the algebra")
         self.table = table
@@ -584,6 +584,7 @@ class RingTable:
         reduced (reduce_cocycle); formed on the first read."""
         found = self._entries.get(pair)
         if found is None:
+            from . import bar
             s1, s2 = pair
             prod = bar.muE_product(self.table, self.reps[s1],
                                    self.reps[s2])
@@ -618,6 +619,7 @@ class RingTable:
         homogeneous degree and, within a degree, per exponent-vector
         block; a degree with a block that does not reduce is flagged and
         contributes no coordinates.  Returns (coords, flags)."""
+        from . import bar
         ring = self.ring
         parts = {}
         for w, c in x.items():
@@ -690,7 +692,7 @@ def _ring_witness(ring, s1, s2, coords):
             "expected": union, "value": value}
 
 
-def exterior_verdict(table: HirschOpTable, cx: BarComplex):
+def exterior_verdict(table: "HirschOpTable", cx: BarComplex):
     """Decide whether the bar homology with the induced product is the
     exterior algebra on the desuspended generators, up to the degree
     bound of the bar complex cx of the table's generators.  The ranks
@@ -790,6 +792,7 @@ def _check_theorem(table, max_degree, report):
     that is indecomposable must give exterior, and one whose
     indecomposable Sq1 all lie past the bound is not compared; nor is an
     inconclusive verdict."""
+    from .hirsch_ops import sq1_decomposability_verdict
     verdict = report["verdict"]
     if verdict == "inconclusive":
         return

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 
+from . import LoopcohError
 from .linalg import (composition_failures, rank_over_field,
                      smith_normal_form)
 from .polynomial import GeneratorSet
 
 
-class OracleError(Exception):
+class OracleError(LoopcohError):
     pass
 
 

@@ -42,12 +42,13 @@ homology.BarComplex).  composition_failures checks d^2 = 0 for both.
 """
 from __future__ import annotations
 
+from . import LoopcohError
 from .rings import RingError, RingSpec
 
 DEFAULT_DIMENSION_CAP = 20000
 
 
-class ResourceCapError(Exception):
+class ResourceCapError(LoopcohError):
     """A matrix exceeded the configured dimension cap."""
 
 

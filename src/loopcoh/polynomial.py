@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from operator import mul
 
+from . import LoopcohError
 from .rings import RingError, RingSpec
 
 # the most letters whose degree one generator set memoises
 LETTER_MEMO_CAP = 1 << 14
 
 
-class AlgebraError(Exception):
+class AlgebraError(LoopcohError):
     pass
 
 

@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import itertools
 
+from . import LoopcohError
 from .hirsch_ops import _compositions, _product_within, block_splittings
 from .polynomial import GeneratorSet
 from .rings import RingError
 
 
-class ResolutionError(Exception):
+class ResolutionError(LoopcohError):
     pass
 
 

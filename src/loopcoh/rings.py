@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import operator
 
+from . import LoopcohError
 
-class RingError(Exception):
+
+class RingError(LoopcohError):
     """Wrong ring for an operation, or an invalid ring description."""
 
 

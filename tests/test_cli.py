@@ -305,6 +305,14 @@ def test_check_exterior_fills_the_cache(tmp_path):
     assert os.listdir(cache)
 
 
+# the module that defines each error class a command may raise
+ERROR_MODULES = {"ResourceCapError": "loopcoh.linalg",
+                 "ResolutionError": "loopcoh.resolution",
+                 "OSError": "builtins", "RingError": "loopcoh.rings",
+                 "HomologyError": "loopcoh.homology",
+                 "AlgebraError": "loopcoh.polynomial"}
+
+
 @pytest.mark.parametrize("name, args, code", [
     ("ResourceCapError", ("boom",), 1),
     ("ResolutionError", ("boom",), 2),
@@ -315,10 +323,10 @@ def test_check_exterior_fills_the_cache(tmp_path):
 ])
 def test_command_errors_exit_with_report(tmp_path, monkeypatch, capsys,
                                          name, args, code):
-    import builtins
+    import importlib
 
     import loopcoh.cli as cli
-    exc = getattr(cli if hasattr(cli, name) else builtins, name)(*args)
+    exc = getattr(importlib.import_module(ERROR_MODULES[name]), name)(*args)
 
     def fail(*_args, **_kwargs):
         raise exc
@@ -520,37 +528,43 @@ Q_PAIR = {"ring": "Q", "generators": [{"name": "x2", "degree": 2},
           "bounds": {"max_degree": 6}}
 
 
-@pytest.mark.parametrize("command, doc, makes_fractions", [
+# the modules of the commands that build no ring table
+RINGLESS = ["loopcoh.bar", "loopcoh.hirsch_ops", "loopcoh.resolution"]
+
+
+@pytest.mark.parametrize("command, doc, makes_fractions, unused", [
     ("check-exterior",
      {"ring": "F2",
       "generators": [{"name": n, "degree": d} for n, d in
                      (("v2", 2), ("w2", 2), ("t3", 3), ("u3", 3))],
       "sq1": {"v2": "t3", "u3": "v2 w2"}, "bounds": {"max_degree": 6}},
-     False),
-    ("ranks", dict(Q_PAIR, ring="Z"), False),
+     False, ["loopcoh.resolution"]),
+    ("ranks", dict(Q_PAIR, ring="Z"), False, RINGLESS),
     # its elimination runs on ints
-    ("ranks", Q_PAIR, False),
+    ("ranks", Q_PAIR, False, RINGLESS),
     ("verify",
      {"ring": "F2", "generators": [{"name": "u2", "degree": 2},
                                    {"name": "u3", "degree": 3}],
       "sq1": {"u2": "u3"}, "bounds": {"max_degree": 6}},
-     False),
+     False, []),
     # the control: the ring table's coordinates are Fractions
-    ("ring", Q_PAIR, True),
+    ("ring", Q_PAIR, True, ["loopcoh.resolution"]),
 ], ids=["F2 check-exterior", "Z ranks", "Q ranks", "F2 verify", "Q ring"])
 def test_a_job_loads_only_what_it_runs(tmp_path, command, doc,
-                                       makes_fractions):
-    # argparse with gettext and locale, and fractions with the decimal
-    # and numbers modules it loads, are each a good part of the import
-    # time of a job; a fresh interpreter runs the command cold and then
-    # warm from a cache
+                                       makes_fractions, unused):
+    # argparse with gettext and locale, fractions with the decimal and
+    # numbers modules it loads, and hashlib with OpenSSL are each a good
+    # part of the import time of a job, and a command loads the loopcoh
+    # modules of no other command; a fresh interpreter runs the command
+    # cold and then warm from a cache
     cfg = write_config(tmp_path, doc)
     argv = [command, "--config", cfg, "--cache-dir", str(tmp_path / "c")]
+    absent = {"argparse", "gettext", "locale", "fractions", "hashlib",
+              "_hashlib", *unused}
     script = ("import io, sys\n"
               "from loopcoh.cli import main\n"
               f"codes = [main({argv!r}, io.StringIO()) for _ in range(2)]\n"
-              "print(codes, sorted(set(sys.modules) & {'argparse', "
-              "'gettext', 'locale', 'fractions'}))\n")
+              f"print(codes, sorted(set(sys.modules) & {absent!r}))\n")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     out = subprocess.run([sys.executable, "-c", script], check=True,
                          capture_output=True, text=True,
@@ -806,6 +820,30 @@ def test_reports_match_the_golden_digests(tmp_path, algebra, command):
     code, _ = run([command, "--config", cfg, "--json", json_path])
     assert (code, _sha256_file(json_path)) == \
         GOLDEN_REPORTS[(algebra, command)]
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")],
+                         ids=["built-in", "3.10 and 3.11", "hashlib"])
+def test_the_cache_digest_is_sha256_from_each_source(monkeypatch, blocked):
+    import random
+
+    from loopcoh import CONVENTION_VERSION
+    from loopcoh.cli import _sha256
+    # a module set to None in sys.modules raises ImportError on import
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    cfg = parse_config(json.dumps(GOLDEN_CONFIGS["z-pair"]))
+    key = "|".join((cfg.canonical_json(), "max_degree=8",
+                    f"convention={CONVENTION_VERSION}",
+                    "entry=block_invariants")).encode()
+    for data in (b"", key, random.Random(7).randbytes(1 << 20)):
+        assert _sha256(data) == hashlib.sha256(data).hexdigest()
+    assert _cache_key(cfg, 8) == hashlib.sha256(key).hexdigest()
+    # with hashlib blocked too, the last fallback is reached and fails
+    for name in ("_sha2", "_sha256", "hashlib"):
+        monkeypatch.setitem(sys.modules, name, None)
+    with pytest.raises(ImportError):
+        _sha256(b"")
 
 
 def test_cache_entry_matches_the_golden_digest(tmp_path):

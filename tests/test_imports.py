@@ -2,9 +2,10 @@
 function, method and class it defines is referenced somewhere in
 loopcoh or its tests, every parameter default it declares is
 overridden by some call there, every parameter it declares is read,
-and no module keeps mutable state in a global or a process-wide
-functools cache."""
+no module keeps mutable state in a global or a process-wide functools
+cache, and every exception class derives from LoopcohError."""
 import ast
+import builtins
 import pathlib
 
 import pytest
@@ -324,3 +325,52 @@ def test_the_scan_finds_functools_caches():
                          ids=lambda p: p.name)
 def test_no_module_keeps_mutable_state(path):
     assert module_mutable_state(path.read_text()) == []
+
+
+BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
+                      if isinstance(value, type)
+                      and issubclass(value, BaseException)}
+
+
+def stray_exceptions(sources):
+    """Exception classes defined in sources that do not derive from
+    LoopcohError, LoopcohError itself excepted: a class is an exception
+    when a built-in exception is among its bases or theirs, followed by
+    name through the classes the sources define."""
+    bases = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [getattr(b, "id", getattr(b, "attr", None))
+                                    for b in node.bases]
+    stray = []
+    for name in bases:
+        ancestors, todo = set(), list(bases[name])
+        while todo:
+            base = todo.pop()
+            if base not in ancestors:
+                ancestors.add(base)
+                todo.extend(bases.get(base, ()))
+        if name != "LoopcohError" and ancestors & BUILTIN_EXCEPTIONS \
+                and "LoopcohError" not in ancestors:
+            stray.append(name)
+    return sorted(stray)
+
+
+def test_the_scan_finds_stray_exceptions():
+    source = ("class LoopcohError(Exception): pass\n"
+              "class A(LoopcohError): pass\n"
+              "class B(A): pass\n"
+              "class C(ValueError): pass\n"
+              "class D(C): pass\n"
+              "class E(KeyError, B): pass\n"
+              "class F(dict): pass\n")
+    # bases are followed from one source into another
+    other = "class G(D): pass\nclass H(B): pass\n"
+    assert stray_exceptions([source]) == ["C", "D"]
+    assert stray_exceptions([source, other]) == ["C", "D", "G"]
+
+
+def test_every_exception_derives_from_the_base_class():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert stray_exceptions(sources) == []
