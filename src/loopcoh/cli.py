@@ -34,19 +34,27 @@ from .linalg import ResourceCapError
 # ---------------------------------------------------------------------------
 # block-invariant cache
 
+# the sha256 constructor, resolved at the first digest of the process
+_new_sha256 = None
+
+
 def _sha256(data):
     """Hex sha256 of the bytes data, from CPython's built-in hash module,
-    imported here so that a job without a cache does not load it.
+    imported at the first call so that a job without a cache does not
+    load it, and only then: a failed import searches sys.path again.
     hashlib loads OpenSSL, which costs a warm job more than reading its
     cache does, so it stands in only where that module is missing."""
-    try:
-        from _sha2 import sha256  # CPython 3.12 and later
-    except ImportError:
+    global _new_sha256
+    if _new_sha256 is None:
         try:
-            from _sha256 import sha256  # CPython 3.10 and 3.11
+            from _sha2 import sha256  # CPython 3.12 and later
         except ImportError:
-            from hashlib import sha256
-    return sha256(data).hexdigest()
+            try:
+                from _sha256 import sha256  # CPython 3.10 and 3.11
+            except ImportError:
+                from hashlib import sha256
+        _new_sha256 = sha256
+    return _new_sha256(data).hexdigest()
 
 
 def _cache_key(cfg, max_degree):

@@ -10,8 +10,8 @@ the blocks of constant s = n + weight, because s is the internal degree
 of the vector.  A boundary matrix is the list of its columns, one dict
 {row: entry} per word of the domain, and holds only +-1 entries.
 
-Blocks are listed and assembled on words in integer code, on one table
-(_Letters) per bar complex: a letter m is the int sum(m_i * B^i), with
+Blocks are assembled on words in integer code, on one table (_Letters)
+per bar complex: a letter m is the int sum(m_i * B^i), with
 B = (N + 1) // (g - 1) + 1 for the degree bound N and the least
 generator degree g.  A letter m adds |m| - 1 >= sum(m_i * (|x_i| - 1))
 to a word's degree, so a word of vector v in degree n <= N + 1 has
@@ -21,6 +21,18 @@ adjacent letters, whose exponents are the sums of theirs; so adding two
 codes never carries a digit past B - 1, and the product letter's code
 is the sum of the two codes.  A term of d costs one int addition, and
 its sign is a running XOR of the parities of (|m| - 1).
+
+No word is built to assemble a block: its rows and columns are indices
+into the listing of bar.bar_basis, found by rank arithmetic.  That
+listing puts the words of c letters and vector r by first letter m, in
+letter order, each followed by the words of c - 1 letters and vector
+r - m; so the words that start with m are a run, which starts at the
+offset o(r, c; m), the number of words of the letters before m
+(_Starts).  By induction on the length, the word w = (w_0, ..., w_(k-1))
+of vector v has the index g = sum_(j < k-1) o(r_j, k - j; w_j), where
+r_j = v - w_0 - ... - w_(j-1) is the rest at letter j; the last letter
+is r_(k-1).  The same offsets give back the word of an index, letter by
+letter, and the rows of d (see BarComplex).
 
 The blocks of one vector v form a chain complex C^*_v, and its
 invariants come from one walk up its degrees (BarComplex._walk), which
@@ -46,9 +58,9 @@ span of the boundary image and the representatives is the direct sum of
 its block parts, so a cocycle lies in that span (over Z, in that
 lattice) exactly when each of its block parts lies in its block's part,
 and its class coordinates are those of its parts.  Each block reached
-is factored once on unit pivots (linalg.unit_pivots); a part that its
-record cannot certify flags its degree, so the verdict is inconclusive,
-never wrong.
+is factored once on unit pivots (linalg.unit_pivots), and a part's
+words are its rows by rank; a part that its record cannot certify flags
+its degree, so the verdict is inconclusive, never wrong.
 """
 from __future__ import annotations
 
@@ -102,6 +114,34 @@ def _sub_monomials(gens, rest):
                               key=gens.monomial_degree) if any(m)]
 
 
+class _Starts(dict):
+    """The offsets of one _Letters table, {(rest, c): ({m: index},
+    number)} for the words of c >= 1 letters and vector rest, filled on
+    first use: the letters m that start one, in letter order, each with
+    the index of the first word it starts, and the number of words.  The
+    words that start with m are m followed by the words of c - 1 letters
+    and vector rest - m, which need at least c - 1 exponents."""
+
+    def __init__(self, letters):
+        super().__init__()
+        self.letters = letters
+
+    def __missing__(self, key):
+        rest, c = key
+        if c == 1:
+            found = {rest: 0}, 1
+        else:
+            firsts = {}
+            total = 0
+            for m, tail, size in self.letters[rest]:
+                if size >= c - 1:
+                    firsts[m] = total
+                    total += self[tail, c - 1][1]
+            found = firsts, total
+        self[key] = found
+        return found
+
+
 class _Letters(dict):
     """The bar letters of one bar complex in integer code, as a table
     {rest: [(m, rest - m, exponent sum of rest - m), ...]} listing the
@@ -110,7 +150,11 @@ class _Letters(dict):
     listed, codes the code of each monomial encode_word has seen, and
     minus_one is -1 reduced for the ring.  Monomial m has the code
     sum(m_i * base**i), and base must exceed every exponent of the
-    vectors served (see the module docstring)."""
+    vectors served (see the module docstring).
+
+    starts is the table's _Starts, which ranks the words of each vector
+    and length in the order of bar.bar_basis without listing them: rank
+    takes a word to its index, and word an index to its word."""
 
     def __init__(self, gens, base):
         super().__init__()
@@ -121,6 +165,7 @@ class _Letters(dict):
         self.weights = [base ** i for i in range(len(gens.degrees))]
         self.parity = {}
         self.codes = {}
+        self.starts = _Starts(self)
 
     def encode(self, m):
         return sum(map(mul, m, self.weights))
@@ -153,67 +198,91 @@ class _Letters(dict):
         self[rest] = out
         return out
 
+    def rank(self, word):
+        """The index of the coded word among the words of its vector and
+        length: the sum of its letters' offsets.  Raises KeyError when it
+        is no bar word, as when a letter is the unit."""
+        rest = sum(word)
+        c = len(word)
+        index = 0
+        for m in word[:-1]:
+            index += self.starts[rest, c][0][m]
+            rest -= m
+            c -= 1
+        return index
 
-def _block_words(letters, v, k):
-    """The words of k letters with total exponent vector v, as tuples of
-    letter codes, in the order of bar.bar_basis; letters is the _Letters
-    table and v a code."""
+    def word(self, v, k, index):
+        """The coded word of the given index among the words of k
+        letters and vector v: the inverse of rank."""
+        out = []
+        for c in range(k, 1, -1):
+            for m, start in self.starts[v, c][0].items():
+                if start > index:
+                    break
+                first, offset = m, start
+            out.append(first)
+            v -= first
+            index -= offset
+        if k:
+            out.append(v)
+        return tuple(out)
+
+
+def _block_columns(letters, v, k, skip=()):
+    """Columns of d from the words of k letters and vector v to those of
+    k - 1 letters, on the _Letters table letters, with v a code: one
+    column per domain word whose index is not in skip, in the order of
+    the words, and row i for the codomain word of index i.  The words
+    are walked as bar.bar_basis lists them but never built: a prefix
+    carries the index g at which its words start, its codomain offset
+    and, for each merge it fixes, the row less the index of the word
+    (the row formula of BarComplex).  The term merging letters i and
+    i+1 has the sign (-1)^(|w_0|-1 + ... + |w_i|-1), a running XOR of
+    the table's parity.  The terms of d[w] are distinct words, so every
+    entry is a sign: 1, or the table's minus_one."""
     if k < 2:
-        return [(v,)] if k else [()]
-    out = []
-
-    def build(prefix, rest, k):
-        if k == 2:
-            # every letter but rest itself leaves a nonzero last letter
-            out.extend([prefix + (m, tail)
-                        for m, tail, size in letters[rest] if size])
-            return
-        for m, tail, size in letters[rest]:
-            # the k - 1 letters after m are nonzero
-            if size >= k - 1:
-                build(prefix + (m,), tail, k - 1)
-
-    build((), v, k)
-    return out
-
-
-class _Rows(dict):
-    """Row numbers {word: row} that number a word the first time it is
-    looked up: the rows of a block whose codomain is not listed."""
-
-    def __missing__(self, word):
-        self[word] = row = len(self)
-        return row
-
-
-def _block_matrix(letters, dom_words, rows):
-    """Columns of d from one block of degree n to the block of degree n+1
-    with the same exponent vector: one per word of dom_words, its rows
-    numbered by rows, both coded by the _Letters table letters.  rows is
-    {word: row} of the listed codomain, or a _Rows, which numbers each
-    merged word the first time it appears and so ends holding the words
-    the columns reach, in that order.  The term merging letters i and
-    i+1 has the letter code w[i] + w[i+1] and the sign
-    (-1)^(|w_0|-1 + ... + |w_i|-1), a running XOR of the table's parity.
-    The terms of d[w] are distinct words, so every entry is a sign: 1,
-    or the table's minus_one."""
-    parity, minus_one = letters.parity, letters.minus_one
+        # d of a word of one letter, or of the empty word, is zero
+        return [] if 0 in skip else [{}]
+    parity, minus_one, starts = letters.parity, letters.minus_one, \
+        letters.starts
+    if k == 2:
+        # the words (m, v - m) merge into the one word (v)
+        return [{0: minus_one if parity[m] else 1}
+                for m, start in starts[v, 2][0].items()
+                if start not in skip]
     columns = []
-    for w in dom_words:
-        col = {}
-        e = 0
-        for i in range(len(w) - 1):
-            e ^= parity[w[i]]
-            col[rows[w[:i] + (w[i] + w[i + 1],) + w[i + 2:]]] = \
-                minus_one if e else 1
-        columns.append(col)
+
+    def walk(rest, c, g, cod, prev, e, carried):
+        # the prefix ends in letter prev, with rest left for c >= 2
+        # letters; its words start at index g, and its letters before
+        # prev have the codomain offset cod
+        sign = minus_one if e else 1
+        rows = starts[rest + prev, c][0]
+        base = cod + rows[prev]
+        for m, start in starts[rest, c][0].items():
+            h = g + start
+            merge = cod + rows[prev + m]
+            if c > 2:
+                walk(rest - m, c - 1, h, base, m, e ^ parity[m],
+                     carried + ((merge - h, sign),))
+            elif h not in skip:
+                # the word ends in m and rest - m; merging them gives
+                # the prefix through prev and the one letter rest, of
+                # index base
+                col = {h + offset: s for offset, s in carried}
+                col[merge] = sign
+                col[base] = minus_one if e ^ parity[m] else 1
+                columns.append(col)
+
+    for m, start in starts[v, k][0].items():
+        walk(v - m, k - 1, start, 0, m, parity[m], ())
     return columns
 
 
 class BarComplex:
     """Degree-truncated bar complex, worked on one exponent-vector block
-    at a time.  Block sizes are counted without listing words; the words
-    of a block are enumerated only when its matrix is assembled.
+    at a time.  Block sizes are counted without listing words, and a
+    block's matrix is assembled on the indices of its words.
 
     The orbit lemma.  A permutation sigma of the generators acts on
     exponent tuples, and so letter by letter on words.  It maps the
@@ -236,26 +305,44 @@ class BarComplex:
     orbit.  A member v needs degrees n <= max_degree, with at most |v|
     letters; they are degrees n + s(r) - s(v) <= n of r, with as many
     letters, and r has |r| = |v|.  So the walk up r's own blocks, from
-    |r| letters to the bound, serves its whole orbit (_walk).  It lists
-    the words of each degree once and assembles d_n without the columns
-    at the pivot rows of d_(n-1), which d_n d_(n-1) = 0 puts in the span
-    of the others (see the module docstring).  On its last step it lists
-    no codomain: the rows are the merged words, numbered as they appear
-    (_Rows), as no later step reads them, and the rank and invariant
-    factors of a matrix do not depend on the order of its rows or on
-    its zero rows.
+    |r| letters to the bound, serves its whole orbit (_walk).  It
+    assembles d_n without the columns at the pivot rows of d_(n-1),
+    which d_n d_(n-1) = 0 puts in the span of the others (see the module
+    docstring), skipping them by index.
+
+    The row formula.  The columns of d come from the ranks of the module
+    docstring, without building a word (_block_columns).  Let w have k
+    letters, the index g and the rests r_j.  Merging its letters i and
+    i+1 gives a word of k - 1 letters and the same vector: its letters
+    j < i are those of w, at the same rests, with k - 1 - j letters to
+    go; its letter i is w_i + w_(i+1), at rest r_i; and its letter j - 1,
+    for j >= i + 2, is w_j at rest r_j, with k - j letters to go, as in
+    w.  So its index is
+      sum_(j < i) o(r_j, k-1-j; w_j) + o(r_i, k-1-i; w_i + w_(i+1))
+          + (g - g_(i+1)),
+    where g_(i+1) = sum_(j <= i+1) o(r_j, k - j; w_j) is the index at
+    which the words with the prefix (w_0, ..., w_(i+1)) start.  The row
+    of the merge is g + D_i, where D_i, the first two terms less
+    g_(i+1), is fixed by that prefix, and so is the sign of the merge.
+    A walk down the prefixes carries each D_i with its sign, and the
+    column of a word is {g + D_i: sign_i}; the last merge, i = k - 2,
+    has the row of its first term alone.  Each offset is defined: the
+    letter w_j, with k - 1 - j letters to go in the merged word, leaves
+    the rest r_(j+1), which has at least k - 1 - j exponents, and the
+    merged letter leaves r_(i+2), with at least k - 2 - i.
 
     The walk, d_squared_failures, boundary_blocks and the ring table
-    code their words as int tuples on the complex's one _Letters table,
-    whose base exceeds every exponent up to degree max_degree + 1, so a
-    merged letter's code is the sum of the two codes; boundary_blocks()
-    decodes its words to monomial tuples.
-    d_squared_failures checks d^2 = 0 on the same coded blocks, every
-    vector's, walking up each block complex.
+    code their words on the complex's one _Letters table, whose base
+    exceeds every exponent of a vector with words up to degree
+    max_degree + 1, so a merged letter's code is the sum of the two
+    codes.  d_squared_failures checks d^2 = 0 on the same blocks, every
+    vector's, walking up each block complex; it and boundary_blocks
+    build a word from its index only to report a failure or to decode
+    the rows for the tests.
 
     Ranks and torsion read only the invariants, which a cache can
     restore without assembling a block; the ring table assembles only
-    the blocks it reaches, from their words."""
+    the blocks it reaches, and ranks the words of its products."""
 
     def __init__(self, gens: GeneratorSet, max_degree):
         self.gens = gens
@@ -296,20 +383,27 @@ class BarComplex:
             self._counts = by_degree
         return self._counts[n]
 
-    def _words(self, n, v):
-        """The words of degree n with exponent vector v, coded by the
-        complex's letter table, in the order of bar.bar_basis; empty
-        when there is no such block.  Raises HomologyError above degree
-        max_degree + 1, where the table's base no longer bounds the
-        exponents."""
+    def _columns(self, n, v, skip=()):
+        """The columns of d from the block of degree n and vector v into
+        degree n + 1, without those whose index is in skip
+        (_block_columns); empty when there is no such block.  Raises
+        HomologyError above degree max_degree + 1, where the table's
+        base no longer bounds the exponents of v."""
         if n > self.max_degree + 1:
             raise HomologyError(
                 f"words are coded up to degree {self.max_degree + 1}, "
                 f"not {n}")
         if v not in self.counts(n):
             return []
-        return _block_words(self._letters, self._letters.encode(v),
-                            sum(map(mul, v, self.gens.degrees)) - n)
+        return _block_columns(self._letters, self._letters.encode(v),
+                              self.gens.monomial_degree(v) - n, skip)
+
+    def _word(self, n, v, index):
+        """The word of the given index in the block of degree n <=
+        max_degree + 1 and vector v, as a tuple of monomials."""
+        letters = self._letters
+        return tuple(map(letters.decode, letters.word(
+            letters.encode(v), self.gens.monomial_degree(v) - n, index)))
 
     def dimension(self, n):
         if n < 0 or n > self.max_degree + 1:
@@ -329,15 +423,11 @@ class BarComplex:
         """The matrices of d: C_n -> C_(n+1), one per vector v of
         boundary_vectors(n): each as (the words of degree n + 1 and
         vector v, as monomial tuples, which index its rows, columns),
-        one column per word of _words(n, v)."""
-        out = []
-        decode = self._letters.decode
-        for v in self.boundary_vectors(n):
-            cod_words = self._words(n + 1, v)
-            columns = _block_matrix(self._letters, self._words(n, v),
-                                    {w: i for i, w in enumerate(cod_words)})
-            out.append(([tuple(map(decode, w)) for w in cod_words], columns))
-        return out
+        one column per word of degree n and vector v."""
+        return [([self._word(n + 1, v, i)
+                  for i in range(self.counts(n + 1)[v])],
+                 self._columns(n, v))
+                for v in self.boundary_vectors(n)]
 
     def block_shapes(self, n):
         """(rows, cols) of each matrix of boundary_blocks(n), in the
@@ -379,15 +469,9 @@ class BarComplex:
         up the block complex C^*_r of each orbit representative r, after
         checking the cap of every degree; degree n of a member v of the
         orbit reads degree n + s(r) - s(v) of r (see the class
-        docstring).  Each degree's words are listed once, as the rows of
-        d_(n-1) and the domain of d_n, and d_n is assembled only on the
-        words that are not pivot rows of d_(n-1) (see the module
-        docstring).  The last step, at the bound or with no words two
-        degrees up, lists no codomain: its rows are numbered as the
-        merges reach them (_Rows).  The words are int tuples coded by the
-        complex's _Letters table, whose base exceeds every exponent of
-        the blocks, up to degree max_degree + 1, that the walk lists, so
-        merging two letters adds their codes with no carry."""
+        docstring).  d_n is assembled only on the words that are not
+        pivot rows of d_(n-1) (see the module docstring), which the
+        assembler skips by index."""
         top = self.max_degree
         internal = self.gens.monomial_degree
         self.check_caps()
@@ -398,20 +482,12 @@ class BarComplex:
         for r in dict.fromkeys(orbit.values()):
             # the lowest degree of r, with |r| letters
             n = internal(r) - sum(r)
-            words = self._words(n, r)
             paired = ()
             while True:
-                dom = [w for i, w in enumerate(words) if i not in paired]
-                last = n == top or r not in self.counts(n + 2)
-                if last:
-                    rows = _Rows()
-                else:
-                    words = self._words(n + 1, r)
-                    rows = {w: i for i, w in enumerate(words)}
                 rank, factors, paired = matrix_invariants(
-                    _block_matrix(self._letters, dom, rows), ring)
+                    self._columns(n, r, paired), ring)
                 found[n, r] = rank, factors
-                if last:
+                if n == top or r not in self.counts(n + 2):
                     break
                 n += 1
         for n in range(top + 1):
@@ -427,43 +503,30 @@ class BarComplex:
         bar.bar_basis.
 
         It walks up the block complex C^*_v of each vector v with words
-        in those degrees, on the words coded by the complex's _Letters
-        table (the rows of d_(n+1) have the vector v of words in degree
-        n, so its base serves them): d_n is assembled (_block_matrix) and
-        composed with d_(n+1) (linalg.composition_failures), which is
-        kept as d_n of the next degree, so each matrix is assembled once,
-        up to d from degree max_degree + 1.  Only the lowest degree's
-        words are listed (_block_words).  A word of v in any degree above
-        has fewer letters than the exponent sum of v, so one of its
-        letters splits in two and it is a merge of a word one degree
-        down: the words of each degree above are the rows of d below it,
-        numbered as the merges reach them (_Rows), and their number is
-        asserted to be the count of the block."""
+        in those degrees: d_n is assembled (_columns) and composed with
+        d_(n+1) (linalg.composition_failures), whose columns are the
+        rows of d_n, in the order of their index; d_(n+1) is kept as d_n
+        of the next degree, so each matrix is assembled once, up to d
+        from degree max_degree + 1, which the letter codes serve, as v
+        has words in a degree up to the bound.  No word is built but a
+        failing one, from its index (_word)."""
         top = self.max_degree
         self.check_caps()
         # the lowest degree >= 1 with words of each vector
         low = {}
         for n in range(top, 0, -1):
             low.update(dict.fromkeys(self.counts(n), n))
-        letters = self._letters
         p = self.gens.ring.char
         checked = 0
         failures = []
         for v, n in low.items():
-            dom = self._words(n, v)
-            rows = _Rows()
-            d = _block_matrix(letters, dom, rows)
-            while dom and n <= top:
-                # every word of degree n + 1 merges two letters of one of
-                # degree n, so the rows of d are all of them
-                cod = list(rows)
-                assert len(cod) == self.counts(n + 1).get(v, 0)
-                checked += len(dom)
-                rows = _Rows()
-                d_next = _block_matrix(letters, cod, rows)
-                failures.extend((n, tuple(map(letters.decode, dom[j])))
+            d = self._columns(n, v)
+            while d and n <= top:
+                checked += len(d)
+                d_next = self._columns(n + 1, v)
+                failures.extend((n, self._word(n, v, j))
                                 for j in composition_failures(d_next, d, p))
-                n, dom, d = n + 1, cod, d_next
+                n, d = n + 1, d_next
 
         def order(failure):
             # bar.bar_basis lists a degree's words by weight, then
@@ -518,13 +581,16 @@ def _subsets_by_degree(gens, max_degree):
     return out
 
 
-def _element_vector(words_index, letters, x):
+def _element_vector(letters, x):
+    """The coordinates {index: coefficient} of an element of one block,
+    each word at its rank (_Letters.rank)."""
     v = {}
     for w, c in x.items():
-        i = words_index.get(letters.encode_word(w))
-        if i is None:
-            raise HomologyError(f"word outside enumerated basis: {w!r}")
-        v[i] = c
+        try:
+            v[letters.rank(letters.encode_word(w))] = c
+        except KeyError:
+            raise HomologyError(
+                f"word outside enumerated basis: {w!r}") from None
     return v
 
 
@@ -597,21 +663,16 @@ class RingTable:
         return found
 
     def _reduction_data(self, n, key):
-        """The index of the coded words of the (n, key) block, the
-        unit-pivot record of the matrix of d from degree n-1 into it,
-        and whether that left a residual (see linalg.unit_pivots); the
-        block is factored once, and its index is empty when there is no
-        such block."""
+        """The unit-pivot record of the matrix of d from degree n-1 into
+        the (n, key) block, and whether that left a residual (see
+        linalg.unit_pivots); the block is factored once."""
         cached = self._solvers.get((n, key))
         if cached is None:
             cx = self.cx
             cx.check_cap(n - 1)
-            index = {w: i for i, w in enumerate(cx._words(n, key))}
-            columns = _block_matrix(cx._letters, cx._words(n - 1, key),
-                                    index)
-            pivots, residual = unit_pivots(columns, self.ring.char)
-            cached = (index, pivots, bool(residual))
-            self._solvers[(n, key)] = cached
+            pivots, residual = unit_pivots(cx._columns(n - 1, key),
+                                           self.ring.char)
+            cached = self._solvers[n, key] = pivots, bool(residual)
         return cached
 
     def reduce_cocycle(self, x):
@@ -655,13 +716,12 @@ class RingTable:
         holds no representative) in the (n, key) block part of a
         cocycle, modulo the boundaries into that block; None when the
         part does not reduce, as linalg.solve_in_span decides on the
-        block's unit-pivot record.  A vector outside the complex has an
-        empty index, so _element_vector raises on its words."""
-        index, pivots, residual = self._reduction_data(n, key)
+        block's unit-pivot record.  A word that is no bar word has no
+        rank, so _element_vector raises on it."""
+        pivots, residual = self._reduction_data(n, key)
         letters = self.cx._letters
-        v = _element_vector(index, letters, part)
-        rep = None if s is None else _element_vector(index, letters,
-                                                     self.reps[s])
+        v = _element_vector(letters, part)
+        rep = None if s is None else _element_vector(letters, self.reps[s])
         return solve_in_span(pivots, residual, v, rep, self.ring)
 
 

@@ -153,12 +153,18 @@ class RingSpec:
         """out[key] += c in an element, a dict key -> nonzero
         coefficient, dropping the key when the sum is zero; returns out.
         add normalizes 0 + c as it would zero() + c, so over Q the int 1
-        is stored as a Fraction."""
-        cur = self.add(out.get(key, 0), c)
-        if self.is_zero(cur):
-            out.pop(key, None)
+        is stored as a Fraction; over F_p the sum is reduced in place of
+        calling add and is_zero, as this is the engine's most called
+        ring operation."""
+        p = self.p
+        if p:
+            cur = (out.get(key, 0) + c) % p
         else:
+            cur = self.add(out.get(key, 0), c)
+        if cur:
             out[key] = cur
+        else:
+            out.pop(key, None)
         return out
 
     def add_scaled(self, out, x, c):

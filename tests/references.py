@@ -4,8 +4,9 @@ row-indexed Euclidean Smith form and membership of an integer column
 lattice by it, the projection of the resolution onto H, the
 resolution's letters and basis without pruning, the contraction's cases
 with one predicate per shape, the normal form with a position search
-and one relation side at a time, a bar complex block's words decoded
-into monomials, the bar d^2 check word by word, the
+and one relation side at a time, a bar complex block's words listed as
+letter tuples with its matrices assembled on them and the walk of its
+invariants, the bar d^2 check word by word, the
 associativity relation of the Hirsch operations over all basis tuples,
 the exterior verdict read off a full ring table, and the argparse
 parser of the command line."""
@@ -19,6 +20,7 @@ from loopcoh.config import ascii_int
 from loopcoh.hirsch_ops import _basis_tuples, associativity_sides
 from loopcoh.homology import RingTable, homology_ranks
 from loopcoh.koszul import oracle_dimensions
+from loopcoh.linalg import matrix_invariants
 from loopcoh.polynomial import Polynomial
 from loopcoh.rings import RingError, RingSpec
 
@@ -679,10 +681,120 @@ def reference_normalize_element(x, gens):
             ring.add_into(work, nw, ring.mul(coeff, c))
 
 
+def _block_words(letters, v, k):
+    """The words of k letters with total exponent vector v, as tuples of
+    letter codes, in the order of bar.bar_basis; letters is the _Letters
+    table and v a code."""
+    if k < 2:
+        return [(v,)] if k else [()]
+    out = []
+
+    def build(prefix, rest, k):
+        if k == 2:
+            # every letter but rest itself leaves a nonzero last letter
+            out.extend([prefix + (m, tail)
+                        for m, tail, size in letters[rest] if size])
+            return
+        for m, tail, size in letters[rest]:
+            # the k - 1 letters after m are nonzero
+            if size >= k - 1:
+                build(prefix + (m,), tail, k - 1)
+
+    build((), v, k)
+    return out
+
+
+class _Rows(dict):
+    """Row numbers {word: row} that number a word the first time it is
+    looked up: the rows of a block whose codomain is not listed."""
+
+    def __missing__(self, word):
+        self[word] = row = len(self)
+        return row
+
+
+def _block_matrix(letters, dom_words, rows):
+    """Columns of d from one block of degree n to the block of degree n+1
+    with the same exponent vector: one per word of dom_words, its rows
+    numbered by rows, both coded by the _Letters table letters.  rows is
+    {word: row} of the listed codomain, or a _Rows, which numbers each
+    merged word the first time it appears and so ends holding the words
+    the columns reach, in that order.  The term merging letters i and
+    i+1 has the letter code w[i] + w[i+1] and the sign
+    (-1)^(|w_0|-1 + ... + |w_i|-1), a running XOR of the table's parity.
+    The terms of d[w] are distinct words, so every entry is a sign: 1,
+    or the table's minus_one."""
+    parity, minus_one = letters.parity, letters.minus_one
+    columns = []
+    for w in dom_words:
+        col = {}
+        e = 0
+        for i in range(len(w) - 1):
+            e ^= parity[w[i]]
+            col[rows[w[:i] + (w[i] + w[i + 1],) + w[i + 2:]]] = \
+                minus_one if e else 1
+        columns.append(col)
+    return columns
+
+
+def coded_block_words(cx, n, v):
+    """The words of degree n with exponent vector v of a BarComplex, as
+    tuples of letter codes on its table, in the order of bar.bar_basis:
+    the listing BarComplex ranks without building."""
+    if v not in cx.counts(n):
+        return []
+    return _block_words(cx._letters, cx._letters.encode(v),
+                        cx.gens.monomial_degree(v) - n)
+
+
 def block_words(cx, n, v):
     """The words of degree n with exponent vector v of a BarComplex, as
     tuples of monomials, in the order of bar.bar_basis."""
-    return [tuple(map(cx._letters.decode, w)) for w in cx._words(n, v)]
+    return [tuple(map(cx._letters.decode, w))
+            for w in coded_block_words(cx, n, v)]
+
+
+def block_matrix(cx, n, v, skip=()):
+    """The columns of d from the block of degree n and vector v into
+    degree n + 1, on listed words: one per domain word whose index is not
+    in skip, its rows the indices of the listed codomain."""
+    rows = {w: i for i, w in enumerate(coded_block_words(cx, n + 1, v))}
+    dom = [w for i, w in enumerate(coded_block_words(cx, n, v))
+           if i not in skip]
+    return _block_matrix(cx._letters, dom, rows)
+
+
+def reference_block_invariants(cx):
+    """block_invariants(n) of every degree of a fresh BarComplex, by the
+    walk on listed words: each degree's words are listed once, d_n is
+    assembled on those that are not pivot rows of d_(n-1), and the last
+    step lists no codomain, numbering its rows as the merges reach them
+    (_Rows)."""
+    top = cx.max_degree
+    internal = cx.gens.monomial_degree
+    orbit = {v: cx._representative(v) for n in range(top + 1)
+             for v in cx.boundary_vectors(n)}
+    found = {}
+    for r in dict.fromkeys(orbit.values()):
+        n = internal(r) - sum(r)
+        words = coded_block_words(cx, n, r)
+        paired = ()
+        while True:
+            dom = [w for i, w in enumerate(words) if i not in paired]
+            last = n == top or r not in cx.counts(n + 2)
+            if last:
+                rows = _Rows()
+            else:
+                words = coded_block_words(cx, n + 1, r)
+                rows = {w: i for i, w in enumerate(words)}
+            rank, factors, paired = matrix_invariants(
+                _block_matrix(cx._letters, dom, rows), cx.gens.ring)
+            found[n, r] = rank, factors
+            if last:
+                break
+            n += 1
+    return [[found[n + internal(orbit[v]) - internal(v), orbit[v]]
+             for v in cx.boundary_vectors(n)] for n in range(top + 1)]
 
 
 def bar_d_squared_failures(gens, max_degree):

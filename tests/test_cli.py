@@ -16,7 +16,7 @@ from loopcoh.koszul import oracle_dimensions
 from loopcoh.linalg import DEFAULT_DIMENSION_CAP
 from loopcoh.polynomial import GeneratorSet
 from loopcoh.rings import RingSpec
-from references import build_parser
+from references import block_words, build_parser
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -428,7 +428,7 @@ def test_warm_ranks_assembles_and_eliminates_nothing(tmp_path, monkeypatch,
     def fail(*_args, **_kwargs):
         raise AssertionError("a warm ranks run computed a block")
 
-    for name in ("_block_matrix", "matrix_invariants"):
+    for name in ("_block_columns", "matrix_invariants"):
         monkeypatch.setattr(homology, name, fail)
     assert run(args + ["--json", warm])[0] == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
@@ -445,18 +445,19 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
     cfg = write_config(tmp_path, doc)
     cx = BarComplex(parse_config(json.dumps(doc)).gens, 8)
     assert sum(len(cx.block_shapes(n)) for n in range(9)) == 326
-    calls = {"_block_matrix": 0, "_block_words": 0}
+    calls = {"_columns": 0, "_block_columns": 0, "word": 0}
 
-    def counted(name):
-        original = getattr(homology, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(homology, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in calls:
-        counted(name)
+    counted(homology.BarComplex, "_columns")
+    counted(homology, "_block_columns")
+    counted(homology._Letters, "word")
     tables = []
 
     class CountedLetters(homology._Letters):
@@ -468,14 +469,13 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
     cache = ["--cache-dir", str(tmp_path / "c")]
     # over F2 any permutation of the four generators is an automorphism,
     # so the 326 boundary blocks fall into 78 orbits, on the block
-    # complexes of 37 representatives; the walk up each lists the words
-    # of its lowest degree and the codomain of each step but its last
-    # (41 steps), whose rows are the merged words
+    # complexes of 37 representatives; the walk up each assembles one
+    # block a step, 78 in all, and builds no word
     assert run(["ranks", "--config", cfg] + cache)[0] == 0
-    assert calls == {"_block_matrix": 78, "_block_words": 37 + 41}
+    assert calls == {"_columns": 78, "_block_columns": 78, "word": 0}
     calls.update(dict.fromkeys(calls, 0))
     assert run(["ranks", "--config", cfg] + cache)[0] == 0
-    assert calls == {"_block_matrix": 0, "_block_words": 0}
+    assert calls == {"_columns": 0, "_block_columns": 0, "word": 0}
     products = []
 
     def counted_product(*args):
@@ -486,22 +486,23 @@ def test_blocks_are_assembled_once_per_orbit_and_where_products_reach(
     monkeypatch.setattr(bar, "muE_product", counted_product)
     # the verdict forms ring entries only up to its witness, the square
     # of the class of v2, which is the first: one product, reduced in one
-    # block, built from an empty domain.  The walk and the ring table
-    # code their words on the bar complex's one letter table.
+    # block, whose domain is empty, so that nothing is assembled there.
+    # The walk and the ring table code their words on the bar complex's
+    # one letter table.
     tables.clear()
     calls.update(dict.fromkeys(calls, 0))
     assert run(["check-exterior", "--config", cfg])[0] == 0
-    assert calls == {"_block_matrix": 78 + 1, "_block_words": 78 + 1}
+    assert calls == {"_columns": 78 + 1, "_block_columns": 78, "word": 0}
     assert len(products) == 1
     assert len(tables) == 1
     # the full ring table forms all 190 products; they reach 20 blocks,
-    # and it builds the matrix into each once, 8 of them from a nonempty
-    # domain; it lists the words of each block once, and those of the 8
-    # domains.  ring reads no invariants, so there is no walk.
+    # and it builds the matrix into each once, assembling the 8 with a
+    # nonempty domain; it ranks the words of the products and builds
+    # none.  ring reads no invariants, so there is no walk.
     products.clear()
     calls.update(dict.fromkeys(calls, 0))
     assert run(["ring", "--config", cfg])[0] == 0
-    assert calls == {"_block_matrix": 20, "_block_words": 20 + 8}
+    assert calls == {"_columns": 20, "_block_columns": 8, "word": 0}
     assert len(products) == 190
 
 
@@ -521,6 +522,24 @@ def test_a_verdict_against_the_theorem_exits_two(tmp_path, monkeypatch):
     assert code == 2
     assert json.loads(open(json_path).read())["errors"] == [error]
     assert f"error: {error}" in text
+
+
+def test_a_word_the_ring_table_cannot_rank_exits_two(tmp_path,
+                                                     monkeypatch):
+    # a product holding a word with a unit letter, read as a cocycle: its
+    # degree and vector name a block, where it is no bar word
+    word = ((1, 0), (0, 0), (0, 1))
+    monkeypatch.setattr(bar, "muE_product",
+                        lambda table, x, y: {word: table.gens.ring.one()})
+    monkeypatch.setattr(bar, "bar_differential", lambda gens, x: {})
+    cfg = write_config(tmp_path, GOLDEN_CONFIGS["q-pair"])
+    json_path = str(tmp_path / "out.json")
+    code, text = run(["ring", "--config", cfg, "--json", json_path])
+    error = f"HomologyError: word outside enumerated basis: {word!r}"
+    assert code == 2
+    assert json.loads(open(json_path).read())["errors"] == [error]
+    assert f"error: {error}" in text
+    assert "Traceback" not in text
 
 
 Q_PAIR = {"ring": "Q", "generators": [{"name": "x2", "degree": 2},
@@ -586,10 +605,10 @@ def test_a_block_over_the_cap_is_refused_before_any_is_assembled(
         "bounds": {"max_degree": 13}})
 
     def fail(*_args):
-        raise AssertionError("a block was assembled or a word listed")
+        raise AssertionError("a block was assembled or a word ranked")
 
-    monkeypatch.setattr(homology, "_block_matrix", fail)
-    monkeypatch.setattr(homology, "_block_words", fail)
+    monkeypatch.setattr(homology, "_block_columns", fail)
+    monkeypatch.setattr(homology._Starts, "__missing__", fail)
     json_path = str(tmp_path / "out.json")
     code, text = run([command, "--config", cfg, "--json", json_path])
     assert code == 1
@@ -602,7 +621,7 @@ def test_a_block_over_the_cap_is_refused_before_any_is_assembled(
 def test_a_sign_flipped_in_the_block_matrices_fails_bar_d_squared(
         tmp_path, monkeypatch):
     import loopcoh.homology as homology
-    original = homology._block_matrix
+    original = homology._block_columns
 
     def flipped(*args):
         # negate one entry of the first column with more than one term
@@ -614,19 +633,26 @@ def test_a_sign_flipped_in_the_block_matrices_fails_bar_d_squared(
                 break
         return columns
 
-    monkeypatch.setattr(homology, "_block_matrix", flipped)
-    cfg = write_config(tmp_path, {
-        "ring": "Q",
-        "generators": [{"name": "x2", "degree": 2},
-                       {"name": "y2", "degree": 2}],
-        "bounds": {"max_degree": 6}})
+    monkeypatch.setattr(homology, "_block_columns", flipped)
+    doc = {"ring": "Q",
+           "generators": [{"name": "x2", "degree": 2},
+                          {"name": "y2", "degree": 2}],
+           "bounds": {"max_degree": 6}}
+    cfg = write_config(tmp_path, doc)
     json_path = str(tmp_path / "out.json")
     code, _ = run(["verify", "--config", cfg, "--json", json_path])
     assert code == 2
-    failures = {s["name"]: s["failures"]
-                for s in json.loads(open(json_path).read())["suites"]}
-    assert failures.pop("bar_d_squared") > 0
-    assert set(failures.values()) == {0}
+    suites = {s["name"]: s
+              for s in json.loads(open(json_path).read())["suites"]}
+    suite = suites.pop("bar_d_squared")
+    assert suite["failures"] > 0
+    assert {s["failures"] for s in suites.values()} == {0}
+    # each witness is a word of its degree, recovered from its index
+    cx = BarComplex(parse_config(json.dumps(doc)).gens, 6)
+    for witness in suite["witnesses"]:
+        n = witness["degree"]
+        assert witness["word"] in {str(w) for v in cx.counts(n)
+                                   for w in block_words(cx, n, v)}
 
 
 def test_cache_dir_that_is_a_file_exits_with_report(tmp_path, capsys):
@@ -827,9 +853,12 @@ def test_reports_match_the_golden_digests(tmp_path, algebra, command):
 def test_the_cache_digest_is_sha256_from_each_source(monkeypatch, blocked):
     import random
 
+    import loopcoh.cli as cli
     from loopcoh import CONVENTION_VERSION
     from loopcoh.cli import _sha256
-    # a module set to None in sys.modules raises ImportError on import
+    # a module set to None in sys.modules raises ImportError on import;
+    # the constructor is resolved again for each source
+    monkeypatch.setattr(cli, "_new_sha256", None)
     for name in blocked:
         monkeypatch.setitem(sys.modules, name, None)
     cfg = parse_config(json.dumps(GOLDEN_CONFIGS["z-pair"]))
@@ -840,10 +869,33 @@ def test_the_cache_digest_is_sha256_from_each_source(monkeypatch, blocked):
         assert _sha256(data) == hashlib.sha256(data).hexdigest()
     assert _cache_key(cfg, 8) == hashlib.sha256(key).hexdigest()
     # with hashlib blocked too, the last fallback is reached and fails
+    monkeypatch.setattr(cli, "_new_sha256", None)
     for name in ("_sha2", "_sha256", "hashlib"):
         monkeypatch.setitem(sys.modules, name, None)
     with pytest.raises(ImportError):
         _sha256(b"")
+
+
+def test_the_cache_digest_imports_once_per_process(monkeypatch):
+    # on Python 3.10 and 3.11 the first try, _sha2, fails, and a failed
+    # import searches sys.path again, so a second digest imports nothing
+    import builtins
+
+    import loopcoh.cli as cli
+    monkeypatch.setattr(cli, "_new_sha256", None)
+    imported = []
+    original = builtins.__import__
+
+    def counted(name, *args, **kwargs):
+        imported.append(name)
+        return original(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counted)
+    assert cli._sha256(b"") == hashlib.sha256(b"").hexdigest()
+    assert imported
+    imported.clear()
+    assert cli._sha256(b"a") == hashlib.sha256(b"a").hexdigest()
+    assert imported == []
 
 
 def test_cache_entry_matches_the_golden_digest(tmp_path):

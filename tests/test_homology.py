@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopcoh import bar
+from loopcoh import bar, homology
 from loopcoh.config import parse_config
 from loopcoh.hirsch_ops import HirschOpTable
 from loopcoh.homology import (BarComplex, HomologyError, RingTable,
@@ -15,8 +15,9 @@ from loopcoh.linalg import (ResourceCapError, rank_over_field,
                             smith_normal_form, solve_in_span, unit_pivots)
 from loopcoh.polynomial import GeneratorSet, Polynomial, Sq1Table
 from loopcoh.rings import RingSpec
-from references import (bar_d_squared_failures, block_words,
-                        class_coefficients, echelon_rank,
+from references import (bar_d_squared_failures, block_matrix, block_words,
+                        class_coefficients, coded_block_words, echelon_rank,
+                        reference_block_invariants,
                         reference_exterior_verdict)
 from test_cli import GOLDEN_CONFIGS
 
@@ -327,11 +328,84 @@ def test_orbit_invariants_match_every_block_pinned(gens, max_degree):
 
 def test_words_refuse_degrees_past_the_letter_codes():
     """The letter codes bound the exponents only up to degree
-    max_degree + 1; the counts still answer past it."""
+    max_degree + 1, so no block past it is assembled; the counts still
+    answer past it."""
     cx = BarComplex(GeneratorSet(("a2", "b6"), (2, 6), Z), 8)
     with pytest.raises(HomologyError):
-        cx._words(10, (10, 0))
+        cx._columns(10, (10, 0))
     assert cx.counts(10)[(10, 0)] == 1
+
+
+# eleven algebras over Q, Z, F2 and F3, with generators of one degree and
+# of mixed degrees, on which the assembler is compared with the listed
+# words
+ASSEMBLY_ALGEBRAS = [
+    (GeneratorSet(("x2", "y2"), (2, 2), Q), 9),
+    (GeneratorSet(("x2", "y4", "z6"), (2, 4, 6), Q), 8),
+    (GeneratorSet(("x2",), (2,), Z), 10),
+    (GeneratorSet(("x2", "y4"), (2, 4), Z), 9),
+    (GeneratorSet(("a2", "b2", "c2"), (2, 2, 2), Z), 6),
+    (GeneratorSet(("a2", "b6"), (2, 6), Z), 8),
+    (GeneratorSet(("u2", "u3"), (2, 3), F2), 10),
+    (GeneratorSet(("v2", "w2", "t3", "u3"), (2, 2, 3, 3), F2), 8),
+    (GeneratorSet(("a2", "b3", "c4"), (2, 3, 4), F2), 8),
+    (GeneratorSet(("x2", "y2"), (2, 2), F3), 8),
+    (GeneratorSet(("a2", "b2", "c4"), (2, 2, 4), F3), 7),
+]
+ASSEMBLY_IDS = ["Q[x2,y2]", "Q[x2,y4,z6]", "Z[x2]", "Z[x2,y4]",
+                "Z[a2,b2,c2]", "Z[a2,b6]", "F2[u2,u3]", "F2[v2,w2,t3,u3]",
+                "F2[a2,b3,c4]", "F3[x2,y2]", "F3[a2,b2,c4]"]
+
+
+@pytest.mark.parametrize("gens, max_degree", ASSEMBLY_ALGEBRAS,
+                         ids=ASSEMBLY_IDS)
+def test_block_columns_match_the_listed_words(gens, max_degree,
+                                              monkeypatch):
+    """The columns of every block, from every degree up to d from
+    max_degree + 1 (the d^2 check's), equal those assembled on the
+    listed words; so do those of every step of the walk, with the
+    columns at the pivot rows of the step before skipped, and the walk's
+    invariants equal those of the walk on listed words."""
+    cx = BarComplex(gens, max_degree)
+    for n in range(max_degree + 2):
+        for v in cx.counts(n):
+            assert cx._columns(n, v) == block_matrix(cx, n, v)
+    steps = []
+    assemble = homology._block_columns
+
+    def checked(letters, v, k, skip=()):
+        columns = assemble(letters, v, k, skip)
+        n = gens.monomial_degree(letters.decode(v)) - k
+        assert columns == block_matrix(cx, n, letters.decode(v), skip)
+        steps.append(len(skip))
+        return columns
+
+    monkeypatch.setattr(homology, "_block_columns", checked)
+    cx = BarComplex(gens, max_degree)
+    want = reference_block_invariants(BarComplex(gens, max_degree))
+    assert [cx.block_invariants(n) for n in range(max_degree + 1)] == want
+    # the filter skipped pivot rows on some steps
+    assert steps and max(steps) > 0
+
+
+@pytest.mark.parametrize("gens, max_degree", ASSEMBLY_ALGEBRAS,
+                         ids=ASSEMBLY_IDS)
+def test_word_ranks_round_trip(gens, max_degree):
+    """On every block up to degree max_degree + 1, each listed word's
+    rank is its index, and the word of each index is the listed word."""
+    cx = BarComplex(gens, max_degree)
+    letters = cx._letters
+    for n in range(max_degree + 2):
+        for v, count in cx.counts(n).items():
+            code = letters.encode(v)
+            k = gens.monomial_degree(v) - n
+            words = coded_block_words(cx, n, v)
+            assert len(words) == count
+            for i, w in enumerate(words):
+                assert letters.rank(w) == i
+                assert letters.word(code, k, i) == w
+            if k:
+                assert letters.starts[code, k][1] == count
 
 
 def reference_ring_entries(table, max_degree):
@@ -582,8 +656,8 @@ def _forced_residual(monkeypatch, block):
     reduction_data = RingTable._reduction_data
 
     def forced(self, n, key):
-        index, pivots, residual = reduction_data(self, n, key)
-        return index, pivots, residual or (n, key) == block
+        pivots, residual = reduction_data(self, n, key)
+        return pivots, residual or (n, key) == block
 
     monkeypatch.setattr(RingTable, "_reduction_data", forced)
 
